@@ -1,5 +1,7 @@
 // google-benchmark microbenchmarks of the hot kernels: the EM engine on
-// planted worlds, the change-point scan, trace serialization, gzip (the
+// planted worlds, the change-point scan, the per-run evidence pass (EM
+// plus fused change-point and critical-region search), trace
+// serialization, gzip (the
 // centralized baseline's compressor), pattern-matcher pushes, the
 // centroid diff codec, and the PR 9 hot-path kernels (arena alloc/reset,
 // the arena/SoA window index, zero-copy frame decode, span flush encode).
@@ -75,6 +77,27 @@ void BM_ChangeStatistic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChangeStatistic);
+
+// One streaming boundary's inference layer on a fixed seeded window: EM,
+// then the evidence pass that scans each object once for both its change
+// point and its critical region (the StreamingOptions defaults).
+void BM_EvidencePass(benchmark::State& state) {
+  const int containers = 8;
+  const Epoch T = 300;
+  auto model = ReadRateModel::Uniform(containers + 2, 0.8);
+  auto sched = InterrogationSchedule::AlwaysOn(containers + 2);
+  sched.Finalize(model);
+  Trace trace = PlantedTrace(containers, 10, T, 0.8, 43);
+  for (auto _ : state) {
+    RFInfer engine(&model, &sched);
+    RFID_CHECK_OK(engine.Run(trace, 0, T - 1));
+    benchmark::DoNotOptimize(
+        engine.ScanEvidence(25.0, CriticalRegionSearch{60, 25.0}));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(trace.size()));
+}
+BENCHMARK(BM_EvidencePass);
 
 void BM_TraceEncode(benchmark::State& state) {
   Trace trace = PlantedTrace(8, 10, 600, 0.8, 44);

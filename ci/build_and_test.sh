@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: the ROADMAP tier-1 verify, a traced telemetry smoke run
+# CI entry point: the ROADMAP tier-1 verify, the end-to-end benchmark's
+# smoke replay (its output checks gate every change), a traced telemetry
+# smoke run
 # (Chrome trace + BENCH_*.json report validated with python3), a
 # socket-transport pass over the distributed layer (the same binaries
 # re-run with every Network on the loopback socket backend -- results must
@@ -46,6 +48,15 @@ echo "==> Tier-1: Release build + full ctest (tests, bench smoke)"
 cmake -B build -S .
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
+
+echo "==> End-to-end benchmark: smoke replay of every workload"
+# e2ebench/ builds the system from src/ on its own (e2ebench/README.md).
+# The smoke test replays all four workloads once, untraced and traced, at a
+# short horizon, and fails on any output check: results bit-identical
+# across repetitions and Q1+Q2 alert F1 >= 75%.
+cmake -S e2ebench -B .bench_build -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build -j "${JOBS}"
+ctest --test-dir .bench_build --output-on-failure -R smoke_bench_e2e
 
 echo "==> Telemetry: traced smoke bench + machine-readable report validate"
 # One traced run of the comm-cost bench: the Chrome trace must be valid

@@ -65,6 +65,33 @@ uint64_t HashIndices(const std::vector<int>& xs) {
   return h;
 }
 
+/// Merges the consecutive sorted runs of `buf` (run r ends at (*ends)[r])
+/// into one sorted sequence by merging neighbouring runs pairwise until
+/// one remains: O(n log runs) instead of sorting the concatenation.
+/// `tmp` is scratch; `ends` is consumed.
+template <typename T>
+void MergeRuns(std::vector<T>* buf, std::vector<size_t>* ends,
+               std::vector<T>* tmp) {
+  while (ends->size() > 1) {
+    tmp->resize(buf->size());
+    size_t begin = 0;
+    size_t kept = 0;
+    for (size_t r = 0; r < ends->size(); r += 2) {
+      const size_t mid = (*ends)[r];
+      const size_t end = r + 1 < ends->size() ? (*ends)[r + 1] : mid;
+      std::merge(buf->begin() + static_cast<ptrdiff_t>(begin),
+                 buf->begin() + static_cast<ptrdiff_t>(mid),
+                 buf->begin() + static_cast<ptrdiff_t>(mid),
+                 buf->begin() + static_cast<ptrdiff_t>(end),
+                 tmp->begin() + static_cast<ptrdiff_t>(begin));
+      (*ends)[kept++] = end;
+      begin = end;
+    }
+    ends->resize(kept);
+    buf->swap(*tmp);
+  }
+}
+
 }  // namespace
 
 RFInfer::RFInfer(const ReadRateModel* model,
@@ -279,13 +306,23 @@ void RFInfer::BuildCandidates(const Trace& trace) {
       }
     }
   }
+  const size_t n_cls = static_cast<size_t>(schedule_->num_classes());
   for (ContainerData& c : containers_) {
     c.universe = NormalizeIntervals(std::move(c.universe));
+    c.universe_class_count.assign(n_cls, 0);
+    for (const EpochInterval& iv : c.universe) {
+      schedule_->ForEachClassCount(iv.begin, iv.end, [&](int cls, int64_t n) {
+        c.universe_class_count[static_cast<size_t>(cls)] += n;
+      });
+    }
     c.computed = false;
     c.member_hash = 0;
-    c.objects.clear();
   }
-  // Install the initial assignment into the containers.
+  RebuildMembership();
+}
+
+void RFInfer::RebuildMembership() {
+  for (ContainerData& c : containers_) c.objects.clear();
   for (size_t oi = 0; oi < objects_.size(); ++oi) {
     const ObjectData& o = objects_[oi];
     if (o.assigned >= 0) {
@@ -311,9 +348,11 @@ void RFInfer::BuildReadCaches(const Trace& trace) {
   }
 }
 
+// lint:hot-loop-begin(e-step)
 void RFInfer::ComputeContainer(ContainerData& c) {
   const uint64_t hash = HashIndices(c.objects);
-  if (options_.memoize && c.computed && hash == c.member_hash) return;
+  c.recomputed = !(options_.memoize && c.computed && hash == c.member_hash);
+  if (!c.recomputed) return;
   c.member_hash = hash;
 
   const int R = model_->num_locations();
@@ -324,20 +363,41 @@ void RFInfer::ComputeContainer(ContainerData& c) {
   // epoch. Object reads are pre-filtered to the object universe, which is a
   // subset of the container universe for candidates; containment applies
   // only when the object lists c as candidate, which assignment guarantees.
-  std::vector<TagRead> reads = c.own_reads;
+  // Every list is already time-sorted, so they are merged, not sorted.
+  size_t n_reads = c.own_reads.size();
+  for (int oi : c.objects) {
+    n_reads += objects_[static_cast<size_t>(oi)].reads.size();
+  }
+  group_reads_.resize(n_reads);
+  run_ends_.clear();
+  run_ends_.reserve(c.objects.size() + 1);
+  auto out = std::copy(c.own_reads.begin(), c.own_reads.end(),
+                       group_reads_.begin());
+  run_ends_.push_back(c.own_reads.size());
   for (int oi : c.objects) {
     const auto& ors = objects_[static_cast<size_t>(oi)].reads;
-    reads.insert(reads.end(), ors.begin(), ors.end());
+    out = std::copy(ors.begin(), ors.end(), out);
+    run_ends_.push_back(static_cast<size_t>(out - group_reads_.begin()));
   }
-  std::sort(reads.begin(), reads.end());
+  MergeRuns(&group_reads_, &run_ends_, &merge_tmp_);
+  const std::vector<TagRead>& reads = group_reads_;
 
+  size_t n_act = 0;
+  for (size_t k = 0; k < reads.size(); ++k) {
+    if (k == 0 || reads[k].time != reads[k - 1].time) ++n_act;
+  }
   c.act_epochs.clear();
   c.q_act.clear();
   c.act_map.clear();
   c.act_m.clear();
+  c.act_epochs.reserve(n_act);
+  c.q_act.reserve(n_act * static_cast<size_t>(R));
+  c.act_map.reserve(n_act);
+  c.act_m.reserve(n_act);
   c.sum_act_lz = 0.0;
 
-  std::vector<double> logw(static_cast<size_t>(R));
+  std::vector<double>& logw = logw_;
+  logw.resize(static_cast<size_t>(R));
   size_t i = 0;
   while (i < reads.size()) {
     const Epoch t = reads[i].time;
@@ -397,13 +457,16 @@ void RFInfer::ComputeContainer(ContainerData& c) {
   }
 
   // Prefix sums of active-epoch excess over the idle constant, the kernel
-  // behind O(1) interval sums in SumM.
+  // behind O(1) interval sums in SumM, and the per-class active counts the
+  // likelihood's idle term subtracts.
   c.act_excess_prefix.assign(c.act_epochs.size() + 1, 0.0);
+  c.act_class_count.assign(static_cast<size_t>(n_cls), 0);
   for (size_t k = 0; k < c.act_epochs.size(); ++k) {
-    const int cls = schedule_->ClassOf(c.act_epochs[k]);
+    const size_t cls =
+        static_cast<size_t>(schedule_->ClassOf(c.act_epochs[k]));
     c.act_excess_prefix[k + 1] =
-        c.act_excess_prefix[k] + c.act_m[k] -
-        c.m_idle[static_cast<size_t>(cls)];
+        c.act_excess_prefix[k] + c.act_m[k] - c.m_idle[cls];
+    ++c.act_class_count[cls];
   }
   c.computed = true;
 }
@@ -413,40 +476,37 @@ void RFInfer::EStep() {
     ComputeContainer(c);
   }
 }
+// lint:hot-loop-end
 
-double RFInfer::SumM(const ContainerData& c,
-                     const EpochInterval& interval) const {
+// lint:hot-loop-begin(m-step)
+double RFInfer::SumM(const ContainerData& c, const EpochInterval& interval,
+                     size_t* act) const {
   if (interval.empty()) return 0.0;
   double total = 0.0;
-  const int n_cls = schedule_->num_classes();
-  for (int cls = 0; cls < n_cls; ++cls) {
-    const int64_t count =
-        schedule_->CountClassInRange(cls, interval.begin, interval.end);
-    if (count > 0) {
-      total += static_cast<double>(count) *
-               c.m_idle[static_cast<size_t>(cls)];
-    }
-  }
-  const auto lo = std::lower_bound(c.act_epochs.begin(), c.act_epochs.end(),
-                                   interval.begin);
-  const auto hi = std::upper_bound(c.act_epochs.begin(), c.act_epochs.end(),
-                                   interval.end);
-  const size_t lo_i = static_cast<size_t>(lo - c.act_epochs.begin());
-  const size_t hi_i = static_cast<size_t>(hi - c.act_epochs.begin());
-  total += c.act_excess_prefix[hi_i] - c.act_excess_prefix[lo_i];
+  schedule_->ForEachClassCount(
+      interval.begin, interval.end, [&](int cls, int64_t count) {
+        total += static_cast<double>(count) *
+                 c.m_idle[static_cast<size_t>(cls)];
+      });
+  const std::vector<Epoch>& ts = c.act_epochs;
+  size_t lo = *act;
+  while (lo < ts.size() && ts[lo] < interval.begin) ++lo;
+  size_t hi = lo;
+  while (hi < ts.size() && ts[hi] <= interval.end) ++hi;
+  *act = hi;
+  total += c.act_excess_prefix[hi] - c.act_excess_prefix[lo];
   return total;
 }
 
-const double* RFInfer::PosteriorAt(const ContainerData& c, Epoch t) const {
-  const int R = model_->num_locations();
-  const auto it =
-      std::lower_bound(c.act_epochs.begin(), c.act_epochs.end(), t);
-  if (it != c.act_epochs.end() && *it == t) {
-    const size_t idx = static_cast<size_t>(it - c.act_epochs.begin());
-    return &c.q_act[idx * static_cast<size_t>(R)];
-  }
-  return &c.q_idle[static_cast<size_t>(schedule_->ClassOf(t)) *
-                   static_cast<size_t>(R)];
+const double* RFInfer::PosteriorAt(const ContainerData& c, Epoch t,
+                                   size_t* act) const {
+  const size_t R = static_cast<size_t>(model_->num_locations());
+  const std::vector<Epoch>& ts = c.act_epochs;
+  size_t k = *act;
+  while (k < ts.size() && ts[k] < t) ++k;
+  *act = k;
+  if (k < ts.size() && ts[k] == t) return &c.q_act[k * R];
+  return &c.q_idle[static_cast<size_t>(schedule_->ClassOf(t)) * R];
 }
 
 double RFInfer::DotAdjust(const double* q, LocationId r) const {
@@ -461,11 +521,13 @@ double RFInfer::DotAdjust(const double* q, LocationId r) const {
 double RFInfer::ComputeWeight(const ObjectData& o, int container_index) const {
   const ContainerData& c = containers_[static_cast<size_t>(container_index)];
   double w = 0.0;
+  size_t act = 0;
   for (const EpochInterval& iv : o.universe) {
-    w += SumM(c, iv);
+    w += SumM(c, iv, &act);
   }
+  act = 0;
   for (const TagRead& tr : o.reads) {
-    w += DotAdjust(PosteriorAt(c, tr.time), tr.reader);
+    w += DotAdjust(PosteriorAt(c, tr.time, &act), tr.reader);
   }
   return w;
 }
@@ -473,6 +535,13 @@ double RFInfer::ComputeWeight(const ObjectData& o, int container_index) const {
 bool RFInfer::MStep() {
   bool changed = false;
   for (ObjectData& o : objects_) {
+    // ComputeWeight reads only the candidates' E-step outputs, so an object
+    // none of whose candidates was recomputed keeps its weights and argmax.
+    bool stale = false;
+    for (int ci : o.candidates) {
+      stale = stale || containers_[static_cast<size_t>(ci)].recomputed;
+    }
+    if (!stale) continue;
     double best = kNegInf;
     int best_j = -1;
     for (size_t j = 0; j < o.candidates.size(); ++j) {
@@ -489,42 +558,28 @@ bool RFInfer::MStep() {
       changed = true;
     }
   }
-  // Rebuild container membership from the new assignment.
-  for (ContainerData& c : containers_) c.objects.clear();
-  for (size_t oi = 0; oi < objects_.size(); ++oi) {
-    const ObjectData& o = objects_[oi];
-    if (o.assigned >= 0) {
-      containers_[static_cast<size_t>(
-                      o.candidates[static_cast<size_t>(o.assigned)])]
-          .objects.push_back(static_cast<int>(oi));
-    }
-  }
+  // lint:hot-loop-end
+  if (changed) RebuildMembership();
   return changed;
 }
 
 double RFInfer::ComputeLogLikelihood() const {
   double total = 0.0;
-  const int n_cls = schedule_->num_classes();
+  const size_t n_cls = static_cast<size_t>(schedule_->num_classes());
+  // lint:hot-loop-begin(likelihood)
   for (const ContainerData& c : containers_) {
     total += c.sum_act_lz;
     // Idle epochs: per-class count over the container universe minus the
     // active epochs of that class.
-    std::vector<int64_t> act_per_class(static_cast<size_t>(n_cls), 0);
-    for (Epoch t : c.act_epochs) {
-      ++act_per_class[static_cast<size_t>(schedule_->ClassOf(t))];
-    }
-    for (int cls = 0; cls < n_cls; ++cls) {
-      int64_t count = 0;
-      for (const EpochInterval& iv : c.universe) {
-        count += schedule_->CountClassInRange(cls, iv.begin, iv.end);
-      }
-      count -= act_per_class[static_cast<size_t>(cls)];
+    for (size_t cls = 0; cls < n_cls; ++cls) {
+      const int64_t count =
+          c.universe_class_count[cls] - c.act_class_count[cls];
       if (count > 0) {
-        total += static_cast<double>(count) *
-                 c.lz_idle[static_cast<size_t>(cls)];
+        total += static_cast<double>(count) * c.lz_idle[cls];
       }
     }
   }
+  // lint:hot-loop-end
   return total;
 }
 
@@ -718,34 +773,51 @@ std::vector<ObjectEvent> RFInfer::EmitEvents() const {
   return events;
 }
 
-RFInfer::ScanResult RFInfer::ScanObject(const ObjectData& o) const {
-  ScanResult scan;
+// lint:hot-loop-begin(evidence-scan)
+void RFInfer::ScanObject(const ObjectData& o, ScanResult* scan) const {
+  std::vector<Epoch>& events = scan->events;
+  events.clear();
+  scan->point.clear();
+  scan->cum.clear();
+  scan->total.clear();
   const size_t n_cand = o.candidates.size();
-  if (n_cand == 0) return scan;
+  if (n_cand == 0) return;
 
   // Event epochs: any epoch in the object universe where the object or any
-  // candidate container group had a reading.
-  std::vector<Epoch> events;
-  for (const TagRead& tr : o.reads) events.push_back(tr.time);
+  // candidate container group had a reading. The object's reads and each
+  // candidate's active epochs are time-sorted runs, merged in place.
+  size_t bound = o.reads.size();
   for (int ci : o.candidates) {
-    const ContainerData& c = containers_[static_cast<size_t>(ci)];
-    for (Epoch t : c.act_epochs) {
-      if (InIntervals(o.universe, t)) events.push_back(t);
-    }
+    bound += containers_[static_cast<size_t>(ci)].act_epochs.size();
   }
-  std::sort(events.begin(), events.end());
+  events.reserve(bound);
+  std::vector<size_t>& ends = scan->run_ends;
+  ends.clear();
+  ends.reserve(n_cand + 1);
+  for (const TagRead& tr : o.reads) events.push_back(tr.time);
+  ends.push_back(events.size());
+  for (int ci : o.candidates) {
+    size_t u = 0;  // cursor into o.universe
+    for (Epoch t : containers_[static_cast<size_t>(ci)].act_epochs) {
+      while (u < o.universe.size() && o.universe[u].end < t) ++u;
+      if (u == o.universe.size()) break;
+      if (t >= o.universe[u].begin) events.push_back(t);
+    }
+    ends.push_back(events.size());
+  }
+  MergeRuns(&events, &ends, &scan->merge_tmp);
   events.erase(std::unique(events.begin(), events.end()), events.end());
-  scan.events = events;
-  scan.point.assign(events.size() * n_cand, 0.0);
-  scan.cum.assign(events.size() * n_cand, 0.0);
-  scan.total.assign(n_cand, 0.0);
+  scan->point.assign(events.size() * n_cand, 0.0);
+  scan->cum.assign(events.size() * n_cand, 0.0);
+  scan->total.assign(n_cand, 0.0);
 
   for (size_t j = 0; j < n_cand; ++j) {
     const ContainerData& c =
         containers_[static_cast<size_t>(o.candidates[j])];
     double cum = 0.0;
-    size_t ev = 0;           // cursor into events
-    size_t read_i = 0;       // cursor into o.reads
+    size_t ev = 0;      // cursor into events
+    size_t read_i = 0;  // cursor into o.reads
+    size_t act = 0;     // cursor into c.act_epochs
     for (const EpochInterval& iv : o.universe) {
       Epoch prev = iv.begin - 1;
       while (ev < events.size() && events[ev] <= iv.end) {
@@ -755,40 +827,37 @@ RFInfer::ScanResult RFInfer::ScanObject(const ObjectData& o) const {
           continue;
         }
         if (t > prev + 1) {
-          cum += SumM(c, EpochInterval{prev + 1, t - 1});
+          cum += SumM(c, EpochInterval{prev + 1, t - 1}, &act);
         }
         // Point evidence at t: the miss term plus corrections for the
         // object's actual reads at t (Eq 7).
+        const double* q = PosteriorAt(c, t, &act);
         double point;
-        const auto it =
-            std::lower_bound(c.act_epochs.begin(), c.act_epochs.end(), t);
-        if (it != c.act_epochs.end() && *it == t) {
-          point = c.act_m[static_cast<size_t>(it - c.act_epochs.begin())];
+        if (act < c.act_epochs.size() && c.act_epochs[act] == t) {
+          point = c.act_m[act];
         } else {
           point = c.m_idle[static_cast<size_t>(schedule_->ClassOf(t))];
         }
         while (read_i < o.reads.size() && o.reads[read_i].time < t) ++read_i;
-        size_t ri = read_i;
-        const double* q = PosteriorAt(c, t);
-        while (ri < o.reads.size() && o.reads[ri].time == t) {
+        for (size_t ri = read_i;
+             ri < o.reads.size() && o.reads[ri].time == t; ++ri) {
           point += DotAdjust(q, o.reads[ri].reader);
-          ++ri;
         }
         cum += point;
-        scan.point[ev * n_cand + j] = point;
-        scan.cum[ev * n_cand + j] = cum;
+        scan->point[ev * n_cand + j] = point;
+        scan->cum[ev * n_cand + j] = cum;
         prev = t;
         ++ev;
       }
       if (iv.end > prev) {
-        cum += SumM(c, EpochInterval{prev + 1, iv.end});
+        cum += SumM(c, EpochInterval{prev + 1, iv.end}, &act);
       }
     }
-    scan.total[j] = cum;
-    // Reset the event cursor for the next candidate.
+    scan->total[j] = cum;
   }
-  return scan;
 }
+
+// lint:hot-loop-end
 
 std::vector<EvidencePoint> RFInfer::EvidenceSeries(TagId object,
                                                    TagId container) const {
@@ -802,7 +871,8 @@ std::vector<EvidencePoint> RFInfer::EvidenceSeries(TagId object,
     if (o.candidates[k] == ci) j = k;
   }
   if (j == o.candidates.size()) return series;
-  const ScanResult scan = ScanObject(o);
+  ScanResult scan;
+  ScanObject(o, &scan);
   const size_t n_cand = o.candidates.size();
   series.reserve(scan.events.size());
   for (size_t k = 0; k < scan.events.size(); ++k) {
@@ -812,12 +882,11 @@ std::vector<EvidencePoint> RFInfer::EvidenceSeries(TagId object,
   return series;
 }
 
+// lint:hot-loop-begin(evidence-search)
 std::optional<ChangePointResult> RFInfer::ChangePointFor(
-    const ObjectData& o, double threshold) const {
+    const ObjectData& o, const ScanResult& scan, double threshold) const {
   const size_t n_cand = o.candidates.size();
-  if (n_cand == 0) return std::nullopt;
-  const ScanResult scan = ScanObject(o);
-  if (scan.events.empty()) return std::nullopt;
+  if (n_cand == 0 || scan.events.empty()) return std::nullopt;
 
   // Null hypothesis: one containment over the whole history.
   double null_ll = kNegInf;
@@ -868,73 +937,98 @@ std::optional<ChangePointResult> RFInfer::ChangePointFor(
   return result;
 }
 
+std::optional<CriticalRegion> RFInfer::CriticalRegionFor(
+    const ObjectData& o, const CriticalRegionSearch& search,
+    ScanResult* scan) const {
+  const size_t n_cand = o.candidates.size();
+  const size_t n_ev = scan->events.size();
+  if (n_cand == 0 || n_ev == 0) return std::nullopt;
+
+  std::optional<CriticalRegion> cr;
+  std::vector<double>& win_sum = scan->win_sum;
+  win_sum.assign(n_cand, 0.0);
+  size_t lo = 0;  // first event inside the sliding window
+  for (size_t k = 0; k < n_ev; ++k) {
+    for (size_t j = 0; j < n_cand; ++j) {
+      win_sum[j] += scan->point[k * n_cand + j];
+    }
+    const Epoch w_begin = scan->events[k] - search.window + 1;
+    while (scan->events[lo] < w_begin) {
+      for (size_t j = 0; j < n_cand; ++j) {
+        win_sum[j] -= scan->point[lo * n_cand + j];
+      }
+      ++lo;
+    }
+    double best = kNegInf, second = kNegInf;
+    for (size_t j = 0; j < n_cand; ++j) {
+      if (win_sum[j] > best) {
+        second = best;
+        best = win_sum[j];
+      } else if (win_sum[j] > second) {
+        second = win_sum[j];
+      }
+    }
+    // Single-candidate objects: keep the window with the strongest
+    // evidence (gap is undefined; use the raw evidence as the score).
+    // Multi-candidate objects: keep the maximum-gap window at or above
+    // the threshold. Preferring the max over the most recent qualifying
+    // window keeps belt-style discriminative spans from being displaced
+    // by windows whose gap is co-location noise; recency is handled by
+    // the change-point barrier, which invalidates pre-change regions.
+    const double gap = n_cand == 1 ? best : best - second;
+    const bool qualifies =
+        (n_cand == 1 || gap >= search.gap_threshold) &&
+        (!cr.has_value() || gap > cr->gap);
+    if (qualifies) {
+      cr = CriticalRegion{EpochInterval{w_begin, scan->events[k]}, gap};
+    }
+  }
+  return cr;
+}
+// lint:hot-loop-end
+
+EvidenceFindings RFInfer::ScanEvidence(
+    std::optional<double> change_threshold,
+    std::optional<CriticalRegionSearch> regions) const {
+  EvidenceFindings out;
+  if (!change_threshold.has_value() && !regions.has_value()) return out;
+  ScanResult scan;
+  for (const ObjectData& o : objects_) {
+    ScanObject(o, &scan);
+    if (change_threshold.has_value()) {
+      auto cp = ChangePointFor(o, scan, *change_threshold);
+      if (cp.has_value()) out.changes.push_back(*cp);
+    }
+    if (regions.has_value()) {
+      auto cr = CriticalRegionFor(o, *regions, &scan);
+      if (cr.has_value()) out.critical_regions.emplace_back(o.tag, *cr);
+    }
+  }
+  return out;
+}
+
 std::vector<ChangePointResult> RFInfer::DetectChangePoints(
     double threshold) const {
-  std::vector<ChangePointResult> results;
-  for (const ObjectData& o : objects_) {
-    auto cp = ChangePointFor(o, threshold);
-    if (cp.has_value()) results.push_back(*cp);
-  }
-  return results;
+  return ScanEvidence(threshold, std::nullopt).changes;
 }
 
 double RFInfer::ChangeStatistic(TagId object) const {
   const int oi = ObjectIndexOf(object);
   if (oi < 0) return 0.0;
-  auto cp = ChangePointFor(objects_[static_cast<size_t>(oi)],
-                           -std::numeric_limits<double>::infinity());
+  const ObjectData& o = objects_[static_cast<size_t>(oi)];
+  ScanResult scan;
+  ScanObject(o, &scan);
+  auto cp = ChangePointFor(o, scan, kNegInf);
   return cp.has_value() ? cp->delta : 0.0;
 }
 
 std::unordered_map<TagId, CriticalRegion> RFInfer::FindCriticalRegions(
     Epoch window, double gap_threshold) const {
   std::unordered_map<TagId, CriticalRegion> out;
-  for (const ObjectData& o : objects_) {
-    const size_t n_cand = o.candidates.size();
-    if (n_cand == 0) continue;
-    const ScanResult scan = ScanObject(o);
-    const size_t n_ev = scan.events.size();
-    if (n_ev == 0) continue;
-
-    std::optional<CriticalRegion> cr;
-    std::vector<double> win_sum(n_cand, 0.0);
-    size_t lo = 0;  // first event inside the sliding window
-    for (size_t k = 0; k < n_ev; ++k) {
-      for (size_t j = 0; j < n_cand; ++j) {
-        win_sum[j] += scan.point[k * n_cand + j];
-      }
-      const Epoch w_begin = scan.events[k] - window + 1;
-      while (scan.events[lo] < w_begin) {
-        for (size_t j = 0; j < n_cand; ++j) {
-          win_sum[j] -= scan.point[lo * n_cand + j];
-        }
-        ++lo;
-      }
-      double best = kNegInf, second = kNegInf;
-      for (size_t j = 0; j < n_cand; ++j) {
-        if (win_sum[j] > best) {
-          second = best;
-          best = win_sum[j];
-        } else if (win_sum[j] > second) {
-          second = win_sum[j];
-        }
-      }
-      // Single-candidate objects: keep the window with the strongest
-      // evidence (gap is undefined; use the raw evidence as the score).
-      // Multi-candidate objects: keep the maximum-gap window at or above
-      // the threshold. Preferring the max over the most recent qualifying
-      // window keeps belt-style discriminative spans from being displaced
-      // by windows whose gap is co-location noise; recency is handled by
-      // the change-point barrier, which invalidates pre-change regions.
-      const double gap = n_cand == 1 ? best : best - second;
-      const bool qualifies =
-          (n_cand == 1 || gap >= gap_threshold) &&
-          (!cr.has_value() || gap > cr->gap);
-      if (qualifies) {
-        cr = CriticalRegion{EpochInterval{w_begin, scan.events[k]}, gap};
-      }
-    }
-    if (cr.has_value()) out[o.tag] = *cr;
+  for (const auto& [tag, cr] :
+       ScanEvidence(std::nullopt, CriticalRegionSearch{window, gap_threshold})
+           .critical_regions) {
+    out[tag] = cr;
   }
   return out;
 }

@@ -14,7 +14,13 @@
 //                            likelihood is a closed-form per-class constant;
 //  * memoization          -- a container whose assigned object set did not
 //                            change between EM iterations keeps its
-//                            posterior and evidence untouched.
+//                            posterior and evidence untouched;
+//  * M-step skipping      -- an object none of whose candidate containers
+//                            was recomputed by the E-step keeps its weights
+//                            and assignment without being re-weighed;
+//  * single evidence scan -- change-point detection and the critical-region
+//                            search share one evidence scan per object per
+//                            run (ScanEvidence).
 //
 // The same engine exposes the evidence quantities of Section 4.1 (point and
 // cumulative evidence of co-location, Eq 7), the change-point statistic
@@ -91,6 +97,18 @@ struct EvidencePoint {
 struct CriticalRegion {
   EpochInterval window;
   double gap = 0.0;  ///< best-vs-second-best evidence gap in the window
+};
+
+/// Parameters of the critical-region search (Section 4.1).
+struct CriticalRegionSearch {
+  Epoch window = 0;            ///< sliding-window length w, in epochs
+  double gap_threshold = 0.0;  ///< minimum best-vs-second-best gap
+};
+
+/// What one evidence pass over every object found, in object order.
+struct EvidenceFindings {
+  std::vector<ChangePointResult> changes;
+  std::vector<std::pair<TagId, CriticalRegion>> critical_regions;
 };
 
 /// Per-object context carried across inference runs: a critical region kept
@@ -195,20 +213,30 @@ class RFInfer {
   std::vector<EvidencePoint> EvidenceSeries(TagId object,
                                             TagId container) const;
 
-  /// Computes Delta_o(T) for every object (Eq 6) and reports those at or
-  /// above `threshold`. The maximizing split epoch, the best container
-  /// before and after it, and the statistic value are filled in.
+  /// The per-run evidence pass: scans each object's evidence once and runs
+  /// change-point detection on it when `change_threshold` is set and the
+  /// critical-region search when `regions` is set. Equivalent to
+  /// DetectChangePoints followed by FindCriticalRegions, at half the scans.
+  EvidenceFindings ScanEvidence(
+      std::optional<double> change_threshold,
+      std::optional<CriticalRegionSearch> regions) const;
+
+  /// ScanEvidence's change detection alone: computes Delta_o(T) for every
+  /// object (Eq 6) and reports those at or above `threshold`. The
+  /// maximizing split epoch, the best container before and after it, and
+  /// the statistic value are filled in.
   std::vector<ChangePointResult> DetectChangePoints(double threshold) const;
 
   /// Delta statistic for one object (for calibration); 0 when the object
   /// has fewer than one candidate or no events.
   double ChangeStatistic(TagId object) const;
 
-  /// Critical-region search (Section 4.1): slides a window of `window`
-  /// epochs over each object's evidence and keeps the most recent window
-  /// where the best candidate out-scores the second best by at least
-  /// `gap_threshold`. Objects with a single candidate use the window of
-  /// their strongest point evidence.
+  /// ScanEvidence's critical-region search alone (Section 4.1): slides a
+  /// window of `window` epochs over each object's evidence and keeps the
+  /// window with the largest gap by which the best candidate out-scores
+  /// the second best, among windows whose gap is at least `gap_threshold`
+  /// (the earliest such window on ties). Objects with a single candidate
+  /// use the window of their strongest point evidence.
   std::unordered_map<TagId, CriticalRegion> FindCriticalRegions(
       Epoch window, double gap_threshold) const;
 
@@ -243,9 +271,16 @@ class RFInfer {
     std::vector<double> q_idle;  ///< n_classes x R
     std::vector<double> m_idle;  ///< n_classes
     std::vector<double> lz_idle; ///< n_classes; idle per-epoch log-likelihood
+    /// Active epochs per schedule class.
+    std::vector<int64_t> act_class_count;
     double sum_act_lz = 0.0;
     uint64_t member_hash = 0;
     bool computed = false;
+    /// The latest E-step recomputed (rather than memoized) this container.
+    bool recomputed = false;
+
+    /// Epochs of `universe` per schedule class; fixed for a run.
+    std::vector<int64_t> universe_class_count;
   };
 
   struct ObjectData {
@@ -262,6 +297,8 @@ class RFInfer {
   void BuildUniverse(const Trace& trace);
   void BuildCandidates(const Trace& trace);
   void BuildReadCaches(const Trace& trace);
+  /// Rebuilds every container's object list from the assignment.
+  void RebuildMembership();
 
   // EM steps.
   void EStep();
@@ -271,15 +308,23 @@ class RFInfer {
   double ComputeLogLikelihood() const;
 
   // Shared kernels.
-  /// Sum of m_c over all epochs of `interval` (active + idle).
-  double SumM(const ContainerData& c, const EpochInterval& interval) const;
-  /// Posterior row of container c at epoch t (active row or idle class row).
-  const double* PosteriorAt(const ContainerData& c, Epoch t) const;
+  /// Sum of m_c over all epochs of `interval` (active + idle). `act` is a
+  /// forward cursor into c.act_epochs that must not be past the first
+  /// active epoch >= interval.begin; it is left at the first one past
+  /// interval.end, so ascending disjoint intervals walk c once.
+  double SumM(const ContainerData& c, const EpochInterval& interval,
+              size_t* act) const;
+  /// Posterior row of container c at epoch t (active row or idle class
+  /// row), with `act` advanced to the first active epoch >= t; ascending t
+  /// walk c.act_epochs once.
+  const double* PosteriorAt(const ContainerData& c, Epoch t,
+                            size_t* act) const;
   /// sum_a q(a) * LogReadAdjust(r, a).
   double DotAdjust(const double* q, LocationId r) const;
 
   /// Per-object detailed evidence scan; shared by EvidenceSeries,
-  /// change-point detection, and the critical-region search.
+  /// change-point detection, and the critical-region search. Scans reuse
+  /// one ScanResult's buffers across objects.
   struct ScanResult {
     std::vector<Epoch> events;
     /// point[k*num_candidates + j]: e_co at events[k] for candidate j.
@@ -288,11 +333,19 @@ class RFInfer {
     std::vector<double> cum;
     /// total[j]: E_co over the full universe (== weight - prior).
     std::vector<double> total;
+    // Scratch of the event merge and the sliding-window search.
+    std::vector<Epoch> merge_tmp;
+    std::vector<size_t> run_ends;
+    std::vector<double> win_sum;
   };
-  ScanResult ScanObject(const ObjectData& o) const;
+  void ScanObject(const ObjectData& o, ScanResult* scan) const;
 
   std::optional<ChangePointResult> ChangePointFor(const ObjectData& o,
+                                                  const ScanResult& scan,
                                                   double threshold) const;
+  std::optional<CriticalRegion> CriticalRegionFor(
+      const ObjectData& o, const CriticalRegionSearch& search,
+      ScanResult* scan) const;
 
   int ObjectIndexOf(TagId tag) const;
   int ContainerIndexOf(TagId tag) const;
@@ -315,6 +368,12 @@ class RFInfer {
   int iterations_used_ = 0;
   double log_likelihood_ = 0.0;
   std::vector<double> likelihood_history_;
+
+  // E-step scratch, reused across containers and runs.
+  std::vector<TagRead> group_reads_;
+  std::vector<TagRead> merge_tmp_;
+  std::vector<size_t> run_ends_;
+  std::vector<double> logw_;
 };
 
 }  // namespace rfid

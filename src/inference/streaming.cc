@@ -103,9 +103,19 @@ Status StreamingInference::RunNow(Epoch now) {
   Stopwatch timer;
   RFID_RETURN_NOT_OK(engine_->Run(buffer_, window_begin, now));
 
-  last_changes_.clear();
+  // One evidence scan per object feeds both change-point detection and
+  // the critical-region search.
+  std::optional<double> change_threshold;
+  if (options_.detect_changes) change_threshold = options_.change_threshold;
+  std::optional<CriticalRegionSearch> regions;
+  if (options_.truncation == TruncationMethod::kCriticalRegion) {
+    regions = CriticalRegionSearch{options_.cr_window,
+                                   options_.cr_gap_threshold};
+  }
+  EvidenceFindings findings = engine_->ScanEvidence(change_threshold, regions);
+
+  last_changes_ = std::move(findings.changes);
   if (options_.detect_changes) {
-    last_changes_ = engine_->DetectChangePoints(options_.change_threshold);
     for (const ChangePointResult& cp : last_changes_) {
       all_changes_.push_back(cp);
       ObjectContext& ctx = contexts_[cp.object];
@@ -129,19 +139,15 @@ Status StreamingInference::RunNow(Epoch now) {
     }
   }
 
-  if (options_.truncation == TruncationMethod::kCriticalRegion) {
-    auto crs = engine_->FindCriticalRegions(options_.cr_window,
-                                            options_.cr_gap_threshold);
-    for (const auto& [tag, cr] : crs) {
-      ObjectContext& ctx = contexts_[tag];
-      // Replace a stored region only when the new one's evidence gap is
-      // comparable or better; co-location noise must not displace a
-      // genuinely discriminative span.
-      if (!ctx.critical_region.has_value() ||
-          cr.gap >= 0.5 * ctx.critical_region_gap) {
-        ctx.critical_region = cr.window;
-        ctx.critical_region_gap = cr.gap;
-      }
+  for (const auto& [tag, cr] : findings.critical_regions) {
+    ObjectContext& ctx = contexts_[tag];
+    // Replace a stored region only when the new one's evidence gap is
+    // comparable or better; co-location noise must not displace a
+    // genuinely discriminative span.
+    if (!ctx.critical_region.has_value() ||
+        cr.gap >= 0.5 * ctx.critical_region_gap) {
+      ctx.critical_region = cr.window;
+      ctx.critical_region_gap = cr.gap;
     }
   }
 

@@ -68,16 +68,4 @@ void InterrogationSchedule::Finalize(const ReadRateModel& model) {
   finalized_ = true;
 }
 
-int64_t InterrogationSchedule::CountClassInRange(int cls, Epoch begin,
-                                                 Epoch end) const {
-  if (end < begin) return 0;
-  // Count t in [begin, end] with t % cycle_ == cls (cls in [0, cycle_)).
-  auto count_below = [&](Epoch upper) -> int64_t {
-    // #t in [0, upper) with t % cycle_ == cls; assumes upper >= 0.
-    if (upper <= 0) return 0;
-    return (upper - 1 - cls >= 0) ? (upper - 1 - cls) / cycle_ + 1 : 0;
-  };
-  return count_below(end + 1) - count_below(begin);
-}
-
 }  // namespace rfid

@@ -17,6 +17,7 @@
 #ifndef RFID_MODEL_SCHEDULE_H_
 #define RFID_MODEL_SCHEDULE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -77,8 +78,24 @@ class InterrogationSchedule {
     return LogMissAllClass(a, ClassOf(t));
   }
 
-  /// Number of epochs with class `cls` in the inclusive range [begin, end].
-  int64_t CountClassInRange(int cls, Epoch begin, Epoch end) const;
+  /// Calls f(cls, count) in ascending class order for every class with
+  /// count > 0 epochs in the inclusive range [begin, end]; epochs before 0
+  /// are not counted. Three divisions for the whole range, not two per class.
+  template <typename F>
+  void ForEachClassCount(Epoch begin, Epoch end, F&& f) const {
+    begin = std::max<Epoch>(begin, 0);
+    if (end < begin) return;
+    const Epoch len = end - begin + 1;
+    const int64_t full = len / cycle_;
+    const Epoch rem = len % cycle_;
+    const Epoch first = begin % cycle_;
+    for (Epoch cls = 0; cls < cycle_; ++cls) {
+      // Epoch begin + i has class cls iff i == offset (mod cycle).
+      const Epoch offset = cls >= first ? cls - first : cls - first + cycle_;
+      const int64_t count = full + (offset < rem ? 1 : 0);
+      if (count > 0) f(static_cast<int>(cls), count);
+    }
+  }
 
  private:
   struct ReaderSchedule {

@@ -3,7 +3,9 @@
 // critical regions, collapsed priors, and the co-location counter.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,6 +14,7 @@
 #include "inference/evaluate.h"
 #include "inference/rfinfer.h"
 #include "inference/state.h"
+#include "inference/streaming.h"
 #include "model/generative.h"
 #include "model/read_rate.h"
 #include "model/schedule.h"
@@ -651,6 +654,89 @@ TEST_P(ReadRateSweepTest, RecoversAcrossReadRates) {
 
 INSTANTIATE_TEST_SUITE_P(ReadRates, ReadRateSweepTest,
                          testing::Values(0.6, 0.7, 0.8, 0.9, 1.0));
+
+// FNV-1a over 64-bit words: doubles enter as their raw bit patterns, so
+// the digest moves if any result moves by even one ulp.
+struct BitDigest {
+  uint64_t h = 1469598103934665603ULL;
+  void Word(uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+  void Int(int64_t x) { Word(static_cast<uint64_t>(x)); }
+  void Double(double x) { Word(std::bit_cast<uint64_t>(x)); }
+  void Tag(TagId t) { Word(t.raw()); }
+};
+
+// Pins the exact output of the streaming inference loop -- change points,
+// stored critical regions and gaps, exported weights, and the per-iteration
+// likelihood -- over 25 boundaries with change detection and critical-region
+// truncation. The constant was computed before the evidence pass was fused
+// and the M-step learned to skip unchanged objects; any kernel rewrite must
+// reproduce it bit for bit.
+TEST(InferenceIntegrationTest, StreamingOutputIsBitIdenticalToPinnedDigest) {
+  SupplyChainConfig cfg;
+  cfg.num_warehouses = 1;
+  cfg.shelves_per_warehouse = 4;
+  cfg.cases_per_pallet = 3;
+  cfg.items_per_case = 6;
+  cfg.shelf_stay = 500;
+  cfg.anomaly_interval = 120;
+  cfg.horizon = 1500;
+  cfg.seed = 5;
+  SupplyChainSim sim(cfg);
+  sim.Run();
+
+  StreamingOptions opts;
+  opts.inference_period = 60;
+  opts.truncation = TruncationMethod::kCriticalRegion;
+  opts.recent_history = 300;
+  opts.detect_changes = true;
+  StreamingInference si(&sim.model(), &sim.schedule(), opts);
+
+  BitDigest d;
+  size_t regions = 0;
+  const std::vector<RawReading>& rs = sim.site_trace(0).readings();
+  size_t cursor = 0;
+  for (Epoch b = opts.inference_period; b <= cfg.horizon;
+       b += opts.inference_period) {
+    const size_t begin = cursor;
+    while (cursor < rs.size() && rs[cursor].time <= b) ++cursor;
+    si.ObserveBatch(rs.data() + begin, cursor - begin);
+    ASSERT_EQ(si.AdvanceTo(b), 1);
+    for (double ll : si.engine().likelihood_history()) d.Double(ll);
+    for (TagId o : si.engine().object_tags()) {
+      const ObjectContext ctx = si.ExportObjectContext(o);
+      d.Tag(o);
+      d.Int(ctx.barrier);
+      d.Int(ctx.critical_region.has_value() ? 1 : 0);
+      if (ctx.critical_region.has_value()) {
+        ++regions;
+        d.Int(ctx.critical_region->begin);
+        d.Int(ctx.critical_region->end);
+      }
+      d.Double(ctx.critical_region_gap);
+      for (const auto& [c, w] : si.engine().ExportWeights(o)) {
+        d.Tag(c);
+        d.Double(w);
+      }
+      d.Tag(si.ContainerOf(o));
+    }
+  }
+  for (const ChangePointResult& cp : si.all_changes()) {
+    d.Tag(cp.object);
+    d.Int(cp.time);
+    d.Tag(cp.old_container);
+    d.Tag(cp.new_container);
+    d.Double(cp.delta);
+  }
+  EXPECT_EQ(si.runs(), 25);
+  EXPECT_FALSE(si.all_changes().empty());
+  EXPECT_GT(regions, 0u);
+  EXPECT_EQ(d.h, 0x437a6969fd1eef1fULL) << std::hex << "digest 0x" << d.h;
+}
 
 // Integration: full supply-chain trace, stable containment.
 TEST(InferenceIntegrationTest, SupplyChainStableContainment) {

@@ -114,21 +114,34 @@ TEST(ScheduleTest, WindowedMobilePattern) {
   EXPECT_TRUE(s.ActiveAt(1, 15));
 }
 
-TEST(ScheduleTest, CountClassInRange) {
+TEST(ScheduleTest, ForEachClassCount) {
   auto m = ReadRateModel::Uniform(1, 0.8);
   InterrogationSchedule s(1);
   s.SetPeriodic(0, 10, 0);
   s.Finalize(m);
+  auto count = [&](int cls, Epoch begin, Epoch end) {
+    int64_t n = 0;
+    s.ForEachClassCount(begin, end, [&](int c, int64_t k) {
+      EXPECT_GT(k, 0);
+      if (c == cls) n = k;
+    });
+    return n;
+  };
   // Class 3 epochs in [0, 99]: 3, 13, ..., 93 -> 10 epochs.
-  EXPECT_EQ(s.CountClassInRange(3, 0, 99), 10);
-  EXPECT_EQ(s.CountClassInRange(3, 4, 12), 0);
-  EXPECT_EQ(s.CountClassInRange(3, 3, 3), 1);
-  EXPECT_EQ(s.CountClassInRange(3, 5, 3), 0);
-  // All classes partition the range.
+  EXPECT_EQ(count(3, 0, 99), 10);
+  EXPECT_EQ(count(3, 4, 12), 0);
+  EXPECT_EQ(count(3, 3, 3), 1);
+  EXPECT_EQ(count(3, 5, 3), 0);
+  EXPECT_EQ(count(9, 18, 38), 2);  // 19 and 29; the range starts mid-cycle
+  EXPECT_EQ(count(3, -20, 5), 1);  // epochs before 0 are not counted
+  // All classes partition the range, visited in ascending order.
   int64_t total = 0;
-  for (int cls = 0; cls < s.num_classes(); ++cls) {
-    total += s.CountClassInRange(cls, 17, 473);
-  }
+  int last = -1;
+  s.ForEachClassCount(17, 473, [&](int c, int64_t k) {
+    EXPECT_GT(c, last);
+    last = c;
+    total += k;
+  });
   EXPECT_EQ(total, 473 - 17 + 1);
 }
 

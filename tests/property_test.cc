@@ -149,9 +149,7 @@ TEST_P(SeededTest, ScheduleClassesPartitionEpochs) {
     Epoch a = static_cast<Epoch>(rng.NextBounded(500));
     Epoch b = a + static_cast<Epoch>(rng.NextBounded(500));
     int64_t total = 0;
-    for (int cls = 0; cls < sched.num_classes(); ++cls) {
-      total += sched.CountClassInRange(cls, a, b);
-    }
+    sched.ForEachClassCount(a, b, [&](int, int64_t n) { total += n; });
     EXPECT_EQ(total, b - a + 1);
   }
   // ActiveAt is periodic with the schedule cycle, and LogMissAllClass
