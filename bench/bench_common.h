@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,6 +80,16 @@ inline void FinishReport(const obs::RunReport& report,
   } else {
     std::fprintf(stderr, "report not written: %s\n", st.ToString().c_str());
   }
+}
+
+/// Creates a fresh `<system temp>/<prefix>XXXXXX` directory (mkdtemp) for a
+/// durable run's store; empty on failure. The caller removes it
+/// (std::filesystem::remove_all) once the run is done.
+inline std::string MakeScratchDir(const std::string& prefix) {
+  std::string tmpl = std::filesystem::temp_directory_path().string() + "/" +
+                     prefix + "XXXXXX";
+  const char* got = mkdtemp(tmpl.data());
+  return got != nullptr ? std::string(got) : std::string();
 }
 
 /// Single-warehouse workload approximating the paper's Appendix C.1 setup,

@@ -1,23 +1,16 @@
-// Epoch-rate offensive (PR 9): end-to-end replay throughput of the
-// bulk-synchronous driver, measured as simulated epochs per wall-clock
-// second, with the hot-path machinery toggled on and off:
+// Epoch rate: end-to-end replay throughput of the bulk-synchronous driver,
+// measured as simulated epochs per wall-clock second, per processing mode
+// at 0 and 4 executor threads, plus a durable-sites row that prices the
+// WAL and checkpoints.
 //
-//   - arena/SoA hot path   (StreamingOptions::arena_index / soa_columns):
-//     per-window readings index built in a bump arena over contiguous
-//     columns instead of per-tag heap vectors;
-//   - pipelined flush      (DistributedOptions::pipeline_flush):
-//     centralized mode overlaps the boundary delta+gzip encodes with the
-//     server's window compute on the executor pool.
-//
-// Every configuration must agree with the serial baseline on bytes and
+// Every configuration must agree with its mode's serial row on bytes and
 // accuracy (the determinism contract); the bench verifies that while it
 // times, so a row that got faster by diverging says "NO" instead of
-// lying. RFID_BENCH_SCALE grows the workload toward the offensive's
-// headline shape (sites ~ 8x scale, tags ~ thousands x scale: scale 16
-// is ~128 sites, scale ~40 reaches hundreds of sites and millions of
-// readings). The run_benchmarks.py orchestrator wraps this binary with
-// warmup + repeat-N-take-median and tracks the trajectory in
-// bench/results/.
+// lying. RFID_BENCH_SCALE grows the workload (sites ~ 8x scale, tags ~
+// thousands x scale: scale 16 is ~128 sites, scale ~40 reaches hundreds of
+// sites and millions of readings). The run_benchmarks.py orchestrator
+// wraps this binary with warmup + repeat-N-take-median and tracks the
+// trajectory in bench/results/.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -51,9 +44,6 @@ SupplyChainConfig ChainWorkload(int sites, uint64_t seed) {
 struct Config {
   ProcessingMode mode = ProcessingMode::kCentralized;
   int threads = 0;
-  bool arena = true;
-  bool soa = true;
-  bool pipeline = true;
   bool durable = false;
 };
 
@@ -71,9 +61,6 @@ RunResult RunOnce(const SupplyChainSim& sim, const Config& cfg) {
   opts.site.migration = MigrationMode::kCollapsed;
   opts.site.streaming.inference_period = 300;
   opts.site.streaming.recent_history = 400;
-  opts.site.streaming.arena_index = cfg.arena;
-  opts.site.streaming.soa_columns = cfg.soa;
-  opts.pipeline_flush = cfg.pipeline;
   opts.num_threads = cfg.threads;
   opts.trace = false;
   // Timed rows run without telemetry so the numbers measure the replay,
@@ -85,9 +72,7 @@ RunResult RunOnce(const SupplyChainSim& sim, const Config& cfg) {
   opts.durability.dir.clear();
   std::string scratch;
   if (cfg.durable) {
-    std::string tmpl = std::filesystem::temp_directory_path().string() +
-                       "/rfid_bench_durable_XXXXXX";
-    if (char* got = mkdtemp(tmpl.data())) scratch = got;
+    scratch = bench::MakeScratchDir("rfid_bench_durable_");
     opts.durability.dir = scratch;
     // Timed with the default (kData) fsync policy: the honest cost of a
     // WAL append + one fdatasync per site per event.
@@ -111,9 +96,9 @@ RunResult RunOnce(const SupplyChainSim& sim, const Config& cfg) {
 }
 
 int Main() {
-  bench::PrintHeader("epoch rate: arena/SoA hot path + pipelined flush",
-                     "replay epochs/sec with the PR 9 hot-path machinery "
-                     "toggled");
+  bench::PrintHeader("epoch rate: replay throughput by mode and threads",
+                     "replay epochs/sec, serial vs 4 threads, plus durable "
+                     "sites");
   const int sites = 8 * bench::Scale();
   SupplyChainSim sim(ChainWorkload(sites, 9901));
   sim.Run();
@@ -127,27 +112,16 @@ int Main() {
     Config cfg;
   };
   const std::vector<Row> rows = {
-      {"cent serial hot-off",
-       {ProcessingMode::kCentralized, 0, false, false, false}},
-      {"cent serial hot-on",
-       {ProcessingMode::kCentralized, 0, true, true, false}},
-      {"cent serial pipelined",
-       {ProcessingMode::kCentralized, 0, true, true, true}},
-      {"cent 4t pipelined",
-       {ProcessingMode::kCentralized, 4, true, true, true}},
-      {"dist serial hot-off",
-       {ProcessingMode::kDistributed, 0, false, false, false}},
-      {"dist serial hot-on",
-       {ProcessingMode::kDistributed, 0, true, true, true}},
-      {"dist 4t hot-on",
-       {ProcessingMode::kDistributed, 4, true, true, true}},
+      {"cent serial", {ProcessingMode::kCentralized, 0, false}},
+      {"cent 4t", {ProcessingMode::kCentralized, 4, false}},
+      {"dist serial", {ProcessingMode::kDistributed, 0, false}},
+      {"dist 4t", {ProcessingMode::kDistributed, 4, false}},
       // Durable sites (checkpoints + frame WAL + audit log, default fsync
       // policy): all disk-side, so bytes and accuracy must still match
       // the baseline exactly -- the row prices the WAL, it cannot change
-      // the run. EXPERIMENTS.md tracks this row's overhead vs hot-on
+      // the run. EXPERIMENTS.md tracks this row's overhead vs dist serial
       // (<5% target).
-      {"dist serial durable",
-       {ProcessingMode::kDistributed, 0, true, true, true, true}},
+      {"dist serial durable", {ProcessingMode::kDistributed, 0, true}},
   };
 
   obs::RunReport report = bench::MakeReport("epoch_rate");
@@ -157,20 +131,15 @@ int Main() {
 
   TablePrinter table({"Config", "Wall(s)", "Epochs/s", "Readings/s",
                       "Speedup", "Deterministic"});
-  // Baseline per mode: the serial hot-off row is both the speedup
-  // denominator and the determinism reference.
+  // Baseline per mode: the first (serial, non-durable) row is both the
+  // speedup denominator and the determinism reference.
   RunResult base[2];
-  RunResult dist_hot_on;
   RunResult dist_durable;
   for (const Row& row : rows) {
     const RunResult r = RunOnce(sim, row.cfg);
-    if (std::string(row.label) == "dist serial hot-on") dist_hot_on = r;
-    if (std::string(row.label) == "dist serial durable") dist_durable = r;
+    if (row.cfg.durable) dist_durable = r;
     const size_t mode_i = row.cfg.mode == ProcessingMode::kCentralized ? 0 : 1;
-    if (!row.cfg.arena && !row.cfg.soa && !row.cfg.pipeline &&
-        row.cfg.threads == 0) {
-      base[mode_i] = r;
-    }
+    if (row.cfg.threads == 0 && !row.cfg.durable) base[mode_i] = r;
     const RunResult& b = base[mode_i];
     const double eps = r.seconds > 0.0 ? horizon / r.seconds : 0.0;
     const double rps = r.seconds > 0.0
@@ -190,9 +159,6 @@ int Main() {
     j.Set("label", row.label);
     j.Set("mode", ToString(row.cfg.mode));
     j.Set("threads", row.cfg.threads);
-    j.Set("arena", row.cfg.arena);
-    j.Set("soa", row.cfg.soa);
-    j.Set("pipeline", row.cfg.pipeline);
     j.Set("durable", row.cfg.durable);
     if (row.cfg.durable) {
       j.Set("durable_bytes", r.wal_bytes);
@@ -201,28 +167,27 @@ int Main() {
     j.Set("seconds", r.seconds);
     j.Set("epochs_per_sec", eps);
     j.Set("readings_per_sec", rps);
-    j.Set("speedup_vs_hot_off", speedup);
+    j.Set("speedup_vs_serial", speedup);
     j.Set("total_bytes", r.total_bytes);
     j.Set("matches_baseline", deterministic);
     report.AddRow("epoch_rate", std::move(j));
   }
   table.Print();
-  if (dist_hot_on.seconds > 0.0 && dist_durable.seconds > 0.0) {
+  if (base[1].seconds > 0.0 && dist_durable.seconds > 0.0) {
     const double overhead_pct =
-        100.0 * (dist_durable.seconds / dist_hot_on.seconds - 1.0);
+        100.0 * (dist_durable.seconds / base[1].seconds - 1.0);
     std::printf(
-        "durability overhead: %+.1f%% wall vs dist serial hot-on "
+        "durability overhead: %+.1f%% wall vs dist serial "
         "(%lld durable bytes, %lld fsyncs)\n",
         overhead_pct, static_cast<long long>(dist_durable.wal_bytes),
         static_cast<long long>(dist_durable.wal_fsyncs));
     report.Set("durable_overhead_pct", overhead_pct);
   }
   std::printf(
-      "expected shape: hot-on beats hot-off at every thread count (the\n"
-      "arena/SoA index removes per-reading heap traffic); pipelined +\n"
-      "threads beats serial centralized (flush encodes overlap server\n"
-      "compute); every row stays deterministic vs the hot-off baseline,\n"
-      "including the durable row (the WAL is disk-side only).\n");
+      "expected shape: centralized 4t matches centralized serial (one\n"
+      "processor); distributed 4t is bounded by the busiest site's window\n"
+      "(EXPERIMENTS.md); every row stays deterministic vs its mode's\n"
+      "serial row, including the durable row (the WAL is disk-side only).\n");
   bench::FinishReport(report, "epoch_rate");
   return 0;
 }

@@ -8,11 +8,13 @@
 // layer delivers exactly-once, so inference sees the same migrations; only
 // arrival timing shifts within an epoch) while total bytes grow with the
 // drop rate -- the reliability tax is retransmitted frames plus the ack
-// stream. The crash row completes with finite error and visible recovery
-// traffic (kRecoveryRequest plus re-sent migration envelopes).
+// stream. The crash row completes with finite error and a durable
+// recovery: the rebuilt site restores its checkpoint and replays its
+// frame-WAL tail.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -105,11 +107,12 @@ int Main() {
       "drop rate -- the reliability tax. Delivered must read yes on every\n"
       "row.\n\n");
 
-  // Crash scenario: one mid-window crash on the lossy fabric. The victim
-  // is the busiest migration target up to the crash epoch, so the
-  // recovery path visibly re-requests and re-receives pre-crash envelopes
-  // from its peers; recovery traffic and rebuild wall-time land in the
-  // counters below.
+  // Crash scenario: one mid-window crash on the lossy fabric, with durable
+  // sites. The victim is the busiest migration target up to the crash
+  // epoch; its replacement restores its newest checkpoint, re-feeds the
+  // frame-WAL tail, and replays its own trace up to the recovery epoch.
+  // Rebuild wall-time and the durability counters land in the row below.
+  const std::string scratch = bench::MakeScratchDir("rfid_bench_fault_");
   {
     const Epoch crash_at = 3 * horizon / 4;
     const Epoch recover_at = std::min<Epoch>(horizon, crash_at + 300);
@@ -127,15 +130,16 @@ int Main() {
     opts.network.faults = FaultModel{};
     opts.network.faults.drop = 0.02;
     opts.network.faults.seed = 777;
+    opts.durability.dir = scratch;
     opts.crashes.push_back(CrashEvent{victim, crash_at, recover_at});
     DistributedSystem sys(&sim, opts);
     sys.Run();
 
     const double err = sys.AverageContainmentErrorPercent(/*warmup=*/300);
     const Network& net = sys.network();
+    const bool delivered = net.AllReliableDelivered();
+    const DurabilityStats durable = sys.DurabilityTotals();
     const obs::MetricsRegistry& reg = sys.telemetry()->registry();
-    const int64_t resent = CounterValue(reg, "recovery/envelopes_resent");
-    const int64_t resent_bytes = CounterValue(reg, "recovery/resent_bytes");
     const int64_t recovery_ns =
         sys.telemetry()->phase_histogram(obs::Phase::kCrashRecovery)
             .Snapshot()
@@ -145,30 +149,30 @@ int Main() {
         victim, static_cast<long long>(crash_at),
         static_cast<long long>(recover_at));
     std::printf(
-        "crashes=%lld error=%.2f%% request_bytes=%lld envelopes_resent=%lld\n"
-        "resent_bytes=%lld rebuild_ms=%.2f crash_frames_lost=%lld\n\n",
-        static_cast<long long>(CounterValue(reg, "crash/crashes")), err,
-        static_cast<long long>(
-            net.BytesOfKind(MessageKind::kRecoveryRequest)),
-        static_cast<long long>(resent), static_cast<long long>(resent_bytes),
-        static_cast<double>(recovery_ns) / 1e6,
-        static_cast<long long>(net.reliable_stats().crash_frames_lost));
+        "crashes=%lld recoveries=%lld error=%.2f%% replayed_frames=%lld\n"
+        "checkpoints=%lld rebuild_ms=%.2f delivered=%s\n\n",
+        static_cast<long long>(CounterValue(reg, "crash/crashes")),
+        static_cast<long long>(CounterValue(reg, "crash/durable_recoveries")),
+        err, static_cast<long long>(durable.replayed_frames),
+        static_cast<long long>(durable.checkpoints),
+        static_cast<double>(recovery_ns) / 1e6, delivered ? "yes" : "NO");
 
     obs::JsonValue row = obs::JsonValue::Object();
     row.Set("drop", 0.02);
     row.Set("crashes", CounterValue(reg, "crash/crashes"));
+    row.Set("recoveries", CounterValue(reg, "crash/durable_recoveries"));
     row.Set("containment_error_percent", err);
     row.Set("error_is_finite", !std::isnan(err));
-    row.Set("recovery_request_bytes",
-            net.BytesOfKind(MessageKind::kRecoveryRequest));
-    row.Set("envelopes_resent", resent);
-    row.Set("resent_bytes", resent_bytes);
+    row.Set("replayed_frames", durable.replayed_frames);
+    row.Set("checkpoints", durable.checkpoints);
     row.Set("rebuild_ms", static_cast<double>(recovery_ns) / 1e6);
     row.Set("retransmits", net.reliable_stats().retransmits);
-    row.Set("crash_frames_lost", net.reliable_stats().crash_frames_lost);
+    row.Set("all_delivered", delivered);
     report.AddRow("crash", std::move(row));
     report.AddMetrics(reg);
   }
+  std::error_code ec;
+  std::filesystem::remove_all(scratch, ec);
 
   bench::FinishReport(report, "fault");
   return 0;

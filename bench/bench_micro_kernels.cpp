@@ -3,11 +3,10 @@
 // plus fused change-point and critical-region search), trace
 // serialization, gzip (the
 // centralized baseline's compressor), pattern-matcher pushes, the
-// centroid diff codec, and the PR 9 hot-path kernels (arena alloc/reset,
-// the arena/SoA window index, zero-copy frame decode, span flush encode).
+// centroid diff codec, the window index build, zero-copy frame decode, and
+// the span flush encode.
 #include <benchmark/benchmark.h>
 
-#include "common/arena.h"
 #include "common/compress.h"
 #include "common/rng.h"
 #include "dist/frame.h"
@@ -166,38 +165,15 @@ void BM_DiffEncodeApply(benchmark::State& state) {
 }
 BENCHMARK(BM_DiffEncodeApply);
 
-// ---- PR 9 hot-path kernels ----
+// ---- Window ingest and wire kernels ----
 
-// One window's worth of allocation through the bump arena, then Reset:
-// after the first iteration every block is retained, so steady state is
-// pure pointer arithmetic -- the contract the per-window index relies on.
-void BM_ArenaAllocReset(benchmark::State& state) {
-  const size_t chunks = static_cast<size_t>(state.range(0));
-  Arena arena;
-  for (auto _ : state) {
-    for (size_t i = 0; i < chunks; ++i) {
-      benchmark::DoNotOptimize(arena.AllocateArray<TagRead>(64));
-    }
-    arena.Reset();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(chunks * 64));
-}
-BENCHMARK(BM_ArenaAllocReset)->Arg(16)->Arg(256);
-
-// The window ingest kernel: append a window of readings, Seal (sort +
-// CSR index build + columns), sweep every per-tag history. Arg toggles
-// the arena/SoA machinery so the old per-tag-heap-vector cost stays
-// visible in the same binary.
+// The window ingest kernel: append a window of readings, Seal (sort + CSR
+// index build), sweep every per-tag history.
 void BM_WindowIndexSeal(benchmark::State& state) {
-  const bool hot = state.range(0) != 0;
   Trace source = PlantedTrace(16, 10, 600, 0.8, 47);
   const std::vector<RawReading>& rs = source.readings();
-  Arena arena;
   for (auto _ : state) {
     Trace trace;
-    if (hot) trace.SetArena(&arena);
-    trace.EnableColumns(hot);
     trace.Append(rs.data(), rs.size());
     trace.Seal();
     size_t total = 0;
@@ -207,7 +183,7 @@ void BM_WindowIndexSeal(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(rs.size()));
 }
-BENCHMARK(BM_WindowIndexSeal)->Arg(0)->Arg(1);
+BENCHMARK(BM_WindowIndexSeal);
 
 // Frame decode, owning vs zero-copy view: the difference is the payload
 // copy the socket pump no longer pays per frame.
@@ -252,9 +228,8 @@ void BM_FrameViewDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameViewDecode);
 
-// The centralized boundary flush's per-site unit of work (what the
-// pipelined flush overlaps with server compute): delta + gzip encode of
-// one pending span of readings.
+// The centralized boundary flush's per-site unit of work: delta + gzip
+// encode of one pending span of readings.
 void BM_FlushEncode(benchmark::State& state) {
   Trace source = PlantedTrace(16, 10, 600, 0.8, 48);
   const std::vector<RawReading>& rs = source.readings();

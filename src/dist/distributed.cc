@@ -8,7 +8,6 @@
 
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "common/serde.h"
 #include "common/status.h"
 
 namespace rfid {
@@ -100,24 +99,23 @@ DistributedSystem::DistributedSystem(
     ons_.AttachNetwork(&network_);
   }
   // Crash schedules only make sense against the distributed deployment
-  // (the centralized server has no peer to recover from). Without
-  // durability they switch every site into retain-exports mode so peers
-  // can answer a recovering site's kRecoveryRequest; a durable site
-  // recovers from its own disk instead, needs no retained copies, and may
-  // restart within the crash epoch (recover_at == at) at any CrashPhase.
+  // with durable sites: a crashed site recovers from its own checkpoint +
+  // WAL on disk, so it may restart within the crash epoch
+  // (recover_at == at) at any CrashPhase.
   const bool durable_storage = options_.durability.enabled();
   if (!options_.crashes.empty()) {
     RFID_CHECK_OK(centralized()
                       ? Status::InvalidArgument(
                             "crash schedule requires distributed mode")
                       : Status::OK());
+    RFID_CHECK_OK(durable_storage
+                      ? Status::OK()
+                      : Status::InvalidArgument(
+                            "crash schedule requires durability.dir"));
     Epoch prev_at = 0;
     for (const CrashEvent& c : options_.crashes) {
       const bool ok = c.site >= 0 && c.site < num_processors && c.at > 0 &&
-                      (durable_storage ? c.recover_at >= c.at
-                                       : c.recover_at > c.at) &&
-                      c.at >= prev_at &&
-                      (durable_storage || c.phase == CrashPhase::kMidWindow);
+                      c.recover_at >= c.at && c.at >= prev_at;
       RFID_CHECK_OK(ok ? Status::OK()
                        : Status::InvalidArgument("invalid crash schedule"));
       prev_at = c.at;
@@ -132,7 +130,6 @@ DistributedSystem::DistributedSystem(
                           : Status::OK());
       }
     }
-    if (!durable_storage) options_.site.retain_exports = true;
   }
   // Durable stores open before the sites so MakeSite can attach them; the
   // stores outlive any individual Site object (a crashed site's
@@ -254,29 +251,18 @@ void DistributedSystem::Run() {
   std::sort(events.begin(), events.end());
   events.erase(std::unique(events.begin(), events.end()), events.end());
 
-  // At most one thread per work item can ever be useful: in distributed
-  // mode each item owns a whole site; in centralized mode the only
-  // fan-out is the pipelined boundary flush, whose items are the remote
-  // sites' batch encodes (plus the server's window). A wider pool (e.g.
-  // kAutoThreads on a many-core box driving a 1-site serial centralized
-  // replay) only adds wakeup contention.
-  const int useful_threads =
-      centralized() ? (options_.pipeline_flush
-                           ? static_cast<int>(num_warehouses)
-                           : 1)
-                    : static_cast<int>(sites_.size());
-  SiteExecutor executor(std::min(
-      SiteExecutor::ResolveThreads(options_.num_threads), useful_threads));
+  // At most one thread per site can ever be useful. Centralized mode has
+  // one processor, so its replay is serial: a wider pool (e.g.
+  // kAutoThreads on a many-core box) only adds wakeup contention.
+  SiteExecutor executor(
+      std::min(SiteExecutor::ResolveThreads(options_.num_threads),
+               static_cast<int>(sites_.size())));
   std::vector<size_t>& cursor = cursors_;
   // Centralized mode: a remote site's un-flushed readings pend as the
   // range [flush_begin[s], cursor[s]) of its immutable simulator trace --
   // the boundary flush encodes straight from that span, so no reading is
-  // ever staged through an intermediate copy. encoded[] holds the
-  // pipelined flush's per-site payloads between the fan-out and the
-  // serial sends.
+  // ever staged through an intermediate copy.
   std::vector<size_t> flush_begin(static_cast<size_t>(num_warehouses), 0);
-  std::vector<std::vector<uint8_t>> encoded(
-      static_cast<size_t>(num_warehouses));
   std::vector<size_t> ready;
   ready.reserve(sites_.size());
   std::vector<int> ran(sites_.size(), 0);
@@ -297,19 +283,15 @@ void DistributedSystem::Run() {
     network_.AdvanceClock(t);
     ons_.AdvanceClock(t);
 
-    // -- Serial: scheduled failures. Non-durable recoveries mark the site
-    // up before the drain (so the frames that queued up during the outage
-    // deliver into the replacement process this very event); durable
-    // recoveries stay marked down through the drain -- the replacement
-    // must restore its checkpoint and WAL before any backlog applies, so
-    // RecoverSiteDurable drains the fabric itself afterwards. Mid-window
-    // crashes strike before the drain (the dead process never sees this
-    // epoch's frames); post-drain and mid-flush kills defer until after
-    // the sweep and its WAL flush.
+    // -- Serial: scheduled failures. Recovering sites stay marked down
+    // through the drain -- the replacement must restore its checkpoint and
+    // WAL before any backlog applies, so RecoverSiteDurable drains the
+    // fabric itself afterwards. Mid-window crashes strike before the drain
+    // (the dead process never sees this epoch's frames); post-drain and
+    // mid-flush kills defer until after the sweep and its WAL flush.
     recovered.clear();
     for (auto it = outstanding.begin(); it != outstanding.end();) {
       if (it->recover_at <= t) {
-        if (!durable()) network_.SetSiteDown(it->site, false);
         recovered.push_back(it->site);
         it = outstanding.erase(it);
       } else {
@@ -323,7 +305,7 @@ void DistributedSystem::Run() {
       if (c.phase == CrashPhase::kMidWindow) {
         CrashSite(c.site, c.at);
         if (c.recover_at <= t) {
-          recovered.push_back(c.site);  // immediate restart (durable only)
+          recovered.push_back(c.site);  // immediate restart
         } else {
           outstanding.push_back(c);
         }
@@ -366,12 +348,8 @@ void DistributedSystem::Run() {
       }
     }
     for (SiteId s : recovered) {
-      if (durable()) {
-        network_.SetSiteDown(s, false);
-        RecoverSiteDurable(s, t);
-      } else {
-        RecoverSite(s, t);
-      }
+      network_.SetSiteDown(s, false);
+      RecoverSiteDurable(s, t);
     }
 
     // -- Serial: ownership + directory bookkeeping due at t.
@@ -435,57 +413,17 @@ void DistributedSystem::Run() {
         sites_[s]->ObserveBatch(rs.data() + begin, c - begin);
       });
     } else {
-      const bool flush_now = boundary || t == horizon;
+      // One real processor: the window phase stays on the replay thread.
+      // Every cursor advances here (a cheap scan over the trace); remote
+      // readings stay pending as trace ranges until the boundary flush
+      // below ships them.
       const size_t begin0 = cursor[0];
-      {
-        // Advance every cursor on the replay thread (a cheap scan over
-        // the trace); remote readings stay pending as trace ranges until
-        // the flush below ships them.
-        for (SiteId s = 0; s < num_warehouses; ++s) {
-          const std::vector<RawReading>& rs =
-              sim_->site_trace(s).readings();
-          size_t& c = cursor[static_cast<size_t>(s)];
-          while (c < rs.size() && rs[c].time <= t) ++c;
-        }
+      for (SiteId s = 0; s < num_warehouses; ++s) {
+        const std::vector<RawReading>& rs = sim_->site_trace(s).readings();
+        size_t& c = cursor[static_cast<size_t>(s)];
+        while (c < rs.size() && rs[c].time <= t) ++c;
       }
-      if (flush_now && options_.pipeline_flush) {
-        // Pipelined boundary: the server's window compute and the remote
-        // sites' batch encodes (the expensive delta + gzip) fan out
-        // together. The encodes read only the immutable simulator trace
-        // and write disjoint encoded[] slots; the server job touches only
-        // site 0 -- race-free. The sends stay serial below in ascending
-        // site order, so payload bytes, seq numbers, and the server's
-        // ingest-before-inference ordering are all unchanged: the overlap
-        // is bit-identical to the serial path by construction.
-        ready.clear();
-        for (size_t s = 1; s < static_cast<size_t>(num_warehouses); ++s) {
-          if (flush_begin[s] < cursor[s]) ready.push_back(s);
-        }
-        executor.Run(ready.size() + 1, [&](size_t i) {
-          if (i == 0) {
-            obs::PhaseTimer span(telemetry_.get(),
-                                 obs::Phase::kWindowCompute, t,
-                                 obs::kFirstSiteTrack);
-            sites_[0]->DeliverArrivals(t);
-            const std::vector<RawReading>& rs =
-                sim_->site_trace(0).readings();
-            if (cursor[0] > begin0) {
-              sites_[0]->ObserveBatch(rs.data() + begin0,
-                                      cursor[0] - begin0);
-            }
-            return;
-          }
-          const size_t s = ready[i - 1];
-          obs::PhaseTimer span(telemetry_.get(), obs::Phase::kFlushOverlap,
-                               t, obs::kFirstSiteTrack + static_cast<int>(s));
-          const std::vector<RawReading>& rs =
-              sim_->site_trace(static_cast<SiteId>(s)).readings();
-          encoded[s] = EncodeReadingBatch(rs.data() + flush_begin[s],
-                                          cursor[s] - flush_begin[s],
-                                          options_.site.compress_level);
-        });
-      } else {
-        // One real processor: the window phase stays on the replay thread.
+      {
         obs::PhaseTimer span(telemetry_.get(), obs::Phase::kWindowCompute,
                              t, obs::kFirstSiteTrack);
         sites_[0]->DeliverArrivals(t);
@@ -495,20 +433,16 @@ void DistributedSystem::Run() {
           sites_[0]->ObserveBatch(rs.data() + begin0, cursor[0] - begin0);
         }
       }
-      if (flush_now) {
+      if (boundary || t == horizon) {
         obs::PhaseTimer span(telemetry_.get(), obs::Phase::kFlushEncode, t);
         for (SiteId s = 1; s < num_warehouses; ++s) {
           const size_t si = static_cast<size_t>(s);
           if (flush_begin[si] == cursor[si]) continue;
-          if (!options_.pipeline_flush) {
-            const std::vector<RawReading>& rs =
-                sim_->site_trace(s).readings();
-            encoded[si] = EncodeReadingBatch(rs.data() + flush_begin[si],
-                                             cursor[si] - flush_begin[si],
-                                             options_.site.compress_level);
-          }
-          network_.Send(s, 0, MessageKind::kRawReadings, encoded[si]);
-          encoded[si].clear();
+          const std::vector<RawReading>& rs = sim_->site_trace(s).readings();
+          network_.Send(s, 0, MessageKind::kRawReadings,
+                        EncodeReadingBatch(rs.data() + flush_begin[si],
+                                           cursor[si] - flush_begin[si],
+                                           options_.site.compress_level));
           flush_begin[si] = cursor[si];
         }
         // With zero link latency the flushed readings are due now; the
@@ -555,9 +489,8 @@ void DistributedSystem::Run() {
           // the site that holds it.
           ons_.Resolve(tr.pallet, tr.to != kNoSite ? tr.to : tr.from);
           const SiteId from = tr.from;
-          // A transfer departing a crashed site exports nothing: the state
-          // died with the process, and the destination honestly starts
-          // cold for that group.
+          // A transfer departing a down site is exported by that site's
+          // catch-up replay when it recovers (RecoverSiteDurable).
           if (from >= 0 && from < static_cast<SiteId>(sites_.size()) &&
               !network_.IsSiteDown(from)) {
             sites_[static_cast<size_t>(from)]->ExportTransfer(tr);
@@ -666,108 +599,17 @@ void DistributedSystem::CrashSite(SiteId s, Epoch at) {
         sites_[static_cast<size_t>(s)]->BelievedContainer(tag);
   }
   crash_at_[s] = at;
-  // Without durability the fabric purges every frame addressed to the
-  // dead process (they had nowhere durable to land). With it, only the
-  // process died: in-flight frames wait out the outage and deliver into
-  // the replacement after its restore -- and any WAL/audit bytes the dead
-  // process had buffered but not fsynced are honestly lost.
-  network_.SetSiteDown(s, true, /*purge=*/!durable());
-  if (durable()) durabilities_[static_cast<size_t>(s)]->DropPending();
+  // Only the process died: in-flight frames wait out the outage and
+  // deliver into the replacement after its restore -- and any WAL/audit
+  // bytes the dead process had buffered but not fsynced are honestly lost.
+  network_.SetSiteDown(s, true);
+  durabilities_[static_cast<size_t>(s)]->DropPending();
   if (telemetry_ != nullptr) {
     telemetry_->registry().GetCounter("crash/crashes")->Add(1);
   }
   // Swap in a pristine replacement process. It receives nothing while the
-  // site is down; RecoverSite rebuilds its state at recover_at.
+  // site is down; RecoverSiteDurable rebuilds its state at recover_at.
   sites_[static_cast<size_t>(s)] = MakeSite(s);
-}
-
-void DistributedSystem::RecoverSite(SiteId s, Epoch t) {
-  obs::PhaseTimer span(telemetry_.get(), obs::Phase::kCrashRecovery, t);
-  auto cit = crash_at_.find(s);
-  const Epoch crashed_at = cit == crash_at_.end() ? t : cit->second;
-  if (cit != crash_at_.end()) crash_at_.erase(cit);
-
-  // Ask every live peer for the migration state it sent us strictly
-  // before the crash (what queued during the outage survived in the
-  // fabric and needs no resend). With zero link latency the round trip
-  // completes inside this event: the requests deliver, the peers re-send,
-  // and the envelopes land in the replacement's pending queues before the
-  // trace replay below installs them at their original arrival boundaries.
-  // Lossy links may defer parts of the round trip to later drains -- the
-  // site converges as the retransmissions land.
-  BufferWriter w;
-  w.PutVarint(static_cast<uint64_t>(crashed_at));
-  const std::vector<uint8_t> request = w.Release();
-  for (SiteId p = 0; p < static_cast<SiteId>(sites_.size()); ++p) {
-    if (p == s || network_.IsSiteDown(p)) continue;
-    network_.Send(s, p, MessageKind::kRecoveryRequest, request);
-  }
-  for (SiteId p = 0; p < static_cast<SiteId>(sites_.size()); ++p) {
-    if (p == s || network_.IsSiteDown(p)) continue;
-    network_.DeliverDue(p, t);
-  }
-  network_.DeliverDue(s, t);
-
-  // Replay the site's own durable inputs through every inference boundary
-  // before t, interleaving the local side effects of the exports the dead
-  // process already sent (DropTransferState) at their original positions.
-  // The engines re-run the same boundaries over the same (re-sorted)
-  // readings with the same imports installed at the same boundaries, so
-  // at fault rate 0 the rebuilt state is bit-identical to the pre-crash
-  // process's. The current event t itself is handled by the normal window
-  // and inference phases that follow this call.
-  const Epoch period = options_.site.streaming.inference_period;
-  std::vector<const ObjectTransfer*> departs;
-  for (const ObjectTransfer& tr : sim_->transfers()) {
-    if (tr.from == s && tr.depart < t) departs.push_back(&tr);
-  }
-  std::stable_sort(departs.begin(), departs.end(),
-                   [](const ObjectTransfer* a, const ObjectTransfer* b) {
-                     return a->depart < b->depart;
-                   });
-  Site* site = sites_[static_cast<size_t>(s)].get();
-  const std::vector<RawReading>& rs = sim_->site_trace(s).readings();
-  size_t cur = 0;
-  size_t di = 0;
-  auto observe_to = [&](Epoch b) {
-    const size_t begin = cur;
-    while (cur < rs.size() && rs[cur].time <= b) ++cur;
-    site->ObserveBatch(rs.data() + begin, cur - begin);
-  };
-  auto departs_to = [&](Epoch b, bool inclusive) {
-    while (di < departs.size() &&
-           (inclusive ? departs[di]->depart <= b : departs[di]->depart < b)) {
-      site->DropTransferState(*departs[di]);
-      ++di;
-    }
-  };
-  if (period > 0) {
-    for (Epoch b = period; b < t; b += period) {
-      // Departures strictly before a boundary precede its run; departures
-      // exactly at it follow the run (the live serial-phase ordering).
-      departs_to(b, /*inclusive=*/false);
-      site->DeliverArrivals(b);
-      observe_to(b);
-      site->AdvanceTo(b);
-      departs_to(b, /*inclusive=*/true);
-    }
-  }
-  departs_to(t - 1, /*inclusive=*/true);
-  site->DeliverArrivals(t - 1);
-  observe_to(t - 1);
-  cursors_[static_cast<size_t>(s)] = cur;
-
-  // The site answers live again: drop every degraded entry whose owner is
-  // back up (entries for tags owned by a still-down site stay).
-  // lint:allow(unordered-iter): pure per-key filter; surviving set is
-  // independent of visit order.
-  for (auto it = degraded_beliefs_.begin(); it != degraded_beliefs_.end();) {
-    auto o = owner_.find(it->first);
-    const bool keep = o != owner_.end() && o->second >= 0 &&
-                      o->second < static_cast<SiteId>(sites_.size()) &&
-                      network_.IsSiteDown(o->second);
-    it = keep ? std::next(it) : degraded_beliefs_.erase(it);
-  }
 }
 
 void DistributedSystem::RecoverSiteDurable(SiteId s, Epoch t) {
@@ -805,14 +647,15 @@ void DistributedSystem::RecoverSiteDurable(SiteId s, Epoch t) {
   // the uncrashed site would have accumulated.
   network_.DeliverDue(s, t);
 
-  // 3. Replay the site's own trace boundaries in (C, t), the same
-  // interleave as the non-durable rebuild -- except that a transfer that
-  // departed while the process was down was never exported at all, so
-  // the catch-up exports it for real: the destination installs from the
-  // envelope's arrival boundary, and with an all-zero FaultModel the run
-  // stays bit-identical to the uncrashed one even for departures during
-  // the outage. Departures the dead process already exported re-drop
-  // locally (DropTransferState), never re-send.
+  // 3. Replay the site's own trace boundaries in (C, t), interleaving the
+  // departures at their live positions: departures strictly before a
+  // boundary precede its run, departures exactly at it follow the run.
+  // Departures the dead process already exported re-drop locally
+  // (DropTransferState), never re-send. A transfer that departed while
+  // the process was down was never exported at all, so the catch-up
+  // exports it for real: the destination installs from the envelope's
+  // arrival boundary, and with an all-zero FaultModel the run stays
+  // bit-identical to the uncrashed one.
   d->set_replaying(true);
   const Epoch period = options_.site.streaming.inference_period;
   std::vector<const ObjectTransfer*> departs;
@@ -874,7 +717,8 @@ void DistributedSystem::RecoverSiteDurable(SiteId s, Epoch t) {
     telemetry_->registry().GetCounter("crash/durable_recoveries")->Add(1);
   }
 
-  // The site answers live again (same cleanup as the peer-assisted path).
+  // The site answers live again: drop every degraded entry whose owner is
+  // back up (entries for tags owned by a still-down site stay).
   // lint:allow(unordered-iter): pure per-key filter; surviving set is
   // independent of visit order.
   for (auto it = degraded_beliefs_.begin(); it != degraded_beliefs_.end();) {

@@ -63,10 +63,9 @@ enum class ProcessingMode : uint8_t {
 
 std::string ToString(ProcessingMode mode);
 
-/// Where within the crash epoch the process dies. Only the default
-/// mid-window kill is legal without durability; the other two probe the
-/// durable-site guarantee at finer kill points (tests/durability_test.cc
-/// sweeps all three at every boundary).
+/// Where within the crash epoch the process dies. The two later kill
+/// points probe the durable-site guarantee at finer grain
+/// (tests/durability_test.cc sweeps all three at every boundary).
 enum class CrashPhase : uint8_t {
   /// Before the epoch's delivery drain: the site never sees this epoch's
   /// frames (they wait in the fabric when durability retains them).
@@ -83,14 +82,11 @@ enum class CrashPhase : uint8_t {
 
 /// One scheduled site failure: the site's process dies at `at` (losing all
 /// in-memory inference/query state) and a replacement process comes up at
-/// `recover_at`. Without durability the replacement rebuilds from the
-/// site's durable raw trace plus the migration state its peers retained
-/// and re-send on request (MessageKind::kRecoveryRequest), and every
-/// queued frame addressed to the site dies with it. With
-/// DistributedOptions::durability the replacement restores its own
-/// checkpoint + frame WAL from disk instead -- no peer traffic, nothing
-/// purged from the fabric -- and `recover_at == at` (an immediate
-/// restart) becomes legal.
+/// `recover_at` (`recover_at == at` is an immediate restart). The
+/// replacement restores its own checkpoint + frame WAL from
+/// DistributedOptions::durability and replays the site's raw trace -- no
+/// peer traffic, and frames queued for the site wait out the outage in
+/// the fabric.
 struct CrashEvent {
   SiteId site = kNoSite;
   Epoch at = 0;
@@ -135,13 +131,6 @@ struct DistributedOptions {
   /// Per-site resolver caching of directory lookups (invalidated on
   /// moves); repeat resolutions of an unmoved object cost zero wire bytes.
   bool directory_cache = true;
-  /// Centralized mode: overlap the boundary flush encode (delta + gzip of
-  /// each remote site's pending readings) with the server's own window
-  /// compute on the executor pool, instead of encoding serially after it.
-  /// Payload bytes, send order, and seq numbers are unchanged, so results
-  /// are bit-identical either way (executor_test proves it); off exists
-  /// for the determinism matrix and for isolating the serial baseline.
-  bool pipeline_flush = true;
   /// TTL-based resolver-cache expiry in epochs (OnsOptions::cache_ttl);
   /// 0 = exact invalidation. Nonzero values trade staleness for DNS
   /// fidelity; the replay tolerates it because exports are driven by the
@@ -160,25 +149,19 @@ struct DistributedOptions {
   /// many systems trace only one representative run).
   std::string trace_path;
   bool trace = true;
-  /// Scheduled site failures (distributed mode only; must be sorted by
-  /// `at`, with 0 < at < recover_at -- or recover_at == at under
-  /// durability -- and non-overlapping outages per site). Without
-  /// durability, non-empty schedules enable SiteOptions::retain_exports
-  /// so peers can answer the recovering site's kRecoveryRequest. With an
-  /// all-zero FaultModel a crashed-and-recovered run ends bit-identical
-  /// to the uncrashed run; the non-durable path additionally requires
-  /// that no transfer depart the crashed site during its outage (that
-  /// state died with the process and is honestly lost).
+  /// Scheduled site failures (distributed mode with durability only --
+  /// anything else is InvalidArgument; must be sorted by `at`, with
+  /// 0 < at <= recover_at, and non-overlapping outages per site). With an
+  /// all-zero FaultModel a crashed-and-recovered run ends bit-identical to
+  /// the uncrashed run.
   std::vector<CrashEvent> crashes;
   /// Per-site durable storage (dist/durability.h): checkpoints every
   /// SiteOptions::checkpoint_every boundaries, a frame WAL fsynced per
   /// delivery drain, and the tamper-evident audit log. Defaults read
   /// RFID_DURABILITY_DIR / RFID_DURABILITY_FSYNC; disabled when the
-  /// directory is empty. A durable crashed site recovers from its own
-  /// disk (checkpoint + WAL replay + trace replay) with zero
-  /// kRecoveryRequest traffic, and transfers that departed during the
-  /// outage are exported during the catch-up replay instead of being
-  /// lost -- the departed-transfer caveat above disappears.
+  /// directory is empty. A crashed site recovers from its own disk
+  /// (checkpoint + WAL replay + trace replay), and transfers that departed
+  /// during the outage are exported during that catch-up replay.
   DurabilityOptions durability;
 };
 
@@ -312,14 +295,11 @@ class DistributedSystem {
   std::unique_ptr<Site> MakeSite(SiteId s);
   /// Kills site `s` at epoch `at`: snapshots its current containment
   /// answers into degraded_beliefs_ (the last-known view queries fall back
-  /// to during the outage), purges every frame queued for it, and swaps in
-  /// a pristine replacement that stays isolated until recovery.
+  /// to during the outage), drops its unflushed WAL/audit bytes, and swaps
+  /// in a pristine replacement that stays isolated until recovery.
   void CrashSite(SiteId s, Epoch at) REQUIRES(phase_);
-  /// Brings site `s` back at epoch `t`: requests retained state from every
-  /// peer, then replays the site's own raw trace through every inference
-  /// boundary before `t` so its engines converge to the pre-crash state.
-  void RecoverSite(SiteId s, Epoch t) REQUIRES(phase_);
-  /// Durable variant: restores the newest valid checkpoint from disk,
+  /// Brings site `s` back at epoch `t`: restores the newest valid
+  /// checkpoint from disk,
   /// re-feeds the frame-WAL tail through the handler, drains the outage
   /// backlog the fabric retained, then replays the site's own trace
   /// boundaries after the checkpoint cut -- exporting for real any
@@ -362,8 +342,8 @@ class DistributedSystem {
   /// Last-known containment answer per tag owned by a currently-down site;
   /// queries during the outage answer from this snapshot.
   std::unordered_map<TagId, TagId> degraded_beliefs_ GUARDED_BY(phase_);
-  /// Crash epoch of each currently-down site (the kRecoveryRequest
-  /// payload: peers re-send only state sent strictly before it).
+  /// Crash epoch of each currently-down site: the catch-up replay exports
+  /// the transfers departing at or after it (the dead process never did).
   std::unordered_map<SiteId, Epoch> crash_at_ GUARDED_BY(phase_);
   Epoch reliability_flush_epochs_ = 0;
   bool ran_ = false;

@@ -51,8 +51,6 @@ std::string ToString(MessageKind kind) {
       return "directory";
     case MessageKind::kAck:
       return "ack";
-    case MessageKind::kRecoveryRequest:
-      return "recovery_request";
     case MessageKind::kCheckpoint:
       return "checkpoint";
   }

@@ -44,22 +44,22 @@ namespace rfid {
 /// (Section 4.1), per-object query state (Section 4.2), ONS directory
 /// traffic (registrations, moves, and lookups -- the "similar to a DNS
 /// service" load of Section 5.2, charged per (site, shard host) link since
-/// the directory is sharded across sites; see dist/ons.h), cumulative
-/// per-link acknowledgements (the reliability tax), and crash-recovery
-/// state re-requests. kCheckpoint never crosses the network: it is the
-/// on-disk record kind of a durable site checkpoint (dist/durability.h),
-/// which reuses the v2 frame encoder as its CRC-framed storage envelope.
+/// the directory is sharded across sites; see dist/ons.h), and cumulative
+/// per-link acknowledgements (the reliability tax). kCheckpoint never
+/// crosses the network: it is the on-disk record kind of a durable site
+/// checkpoint (dist/durability.h), which reuses the v2 frame encoder as its
+/// CRC-framed storage envelope. Kinds are dense: per-kind counters are
+/// arrays indexed by kind.
 enum class MessageKind : uint8_t {
   kRawReadings = 0,
   kInferenceState = 1,
   kQueryState = 2,
   kDirectory = 3,
   kAck = 4,
-  kRecoveryRequest = 5,
-  kCheckpoint = 6,
+  kCheckpoint = 5,
 };
 
-inline constexpr int kNumMessageKinds = 7;
+inline constexpr int kNumMessageKinds = 6;
 
 std::string ToString(MessageKind kind);
 

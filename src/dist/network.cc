@@ -353,9 +353,8 @@ size_t Network::Send(SiteId from, SiteId to, MessageKind kind,
 
 int Network::DeliverDue(SiteId site, Epoch now, int max_frames) {
   phase_.AssertHeld();
-  // A crashed site receives nothing; its traffic backlog is purged by
-  // SetSiteDown and anything sent during the outage waits in the
-  // transport/pending queue for recovery.
+  // A crashed site receives nothing; its backlog and anything sent during
+  // the outage wait in the transport/pending queue for recovery.
   if (down_.count(site) > 0) return 0;
   // Pull everything the transport has for this site, stamp arrival epochs,
   // and merge into the site's pending queue. The transport may hand frames
@@ -461,62 +460,13 @@ void Network::TickReliability(Epoch now) {
   }
 }
 
-int64_t Network::SetSiteDown(SiteId site, bool down, bool purge) {
+void Network::SetSiteDown(SiteId site, bool down) {
   phase_.AssertHeld();
-  if (!down) {
+  if (down) {
+    down_.insert(site);
+  } else {
     down_.erase(site);
-    return 0;
   }
-  down_.insert(site);
-  // Durable crash: the process lost its memory, but nothing in the fabric
-  // is affected -- queued frames simply wait out the outage.
-  if (!purge) return 0;
-  int64_t lost = 0;
-  // Purge every copy already queued for the site: in the transport and in
-  // the stamped pending queue. Those copies were in flight.
-  std::vector<Frame> purged;
-  transport_->Drain(site, &purged);
-  for (const Frame& f : purged) {
-    in_flight_messages_ -= 1;
-    in_flight_bytes_ -=
-        static_cast<int64_t>(FrameWireSize(f.payload.size()));
-    ++lost;
-  }
-  auto pit = pending_.find(site);
-  if (pit != pending_.end()) {
-    while (!pit->second.empty()) {
-      in_flight_messages_ -= 1;
-      in_flight_bytes_ -= static_cast<int64_t>(
-          FrameWireSize(pit->second.top().frame.payload.size()));
-      pit->second.pop();
-      ++lost;
-    }
-  }
-  // Both directions of every link INTO the crashed site reset to a fresh
-  // link epoch: senders' unacked/deferred state toward it is discarded
-  // (the retained-envelope recovery path replaces retransmission -- see
-  // Site::HandleMessage kRecoveryRequest), and the site's own dedup state
-  // dies with it. Outbound (site -> peer) tracking survives: the fabric,
-  // not the crashed process, owns the reliability layer, and peers still
-  // hold dedup state for that direction.
-  for (auto sit = send_links_.begin(); sit != send_links_.end();) {
-    if (LinkTo(sit->first) == site) {
-      lost += static_cast<int64_t>(sit->second.deferred.size());
-      sit = send_links_.erase(sit);
-    } else {
-      ++sit;
-    }
-  }
-  for (auto rit = recv_links_.begin(); rit != recv_links_.end();) {
-    if (LinkTo(rit->first) == site) {
-      rit = recv_links_.erase(rit);
-    } else {
-      ++rit;
-    }
-  }
-  reliable_stats_.crash_frames_lost += lost;
-  BumpTelemetry("reliable/crash_frames_lost", lost);
-  return lost;
 }
 
 bool Network::HasReliabilityWork() const {

@@ -245,14 +245,11 @@ struct FaultStats {
 };
 
 /// Reliability-protocol counters: the retransmission tax Table 5 reports,
-/// plus receiver-side duplicate suppression and crash purges.
+/// plus receiver-side duplicate suppression.
 struct ReliableStats {
   int64_t retransmits = 0;
   int64_t retransmit_bytes = 0;
   int64_t dup_drops = 0;
-  /// Frames discarded by SetSiteDown (in the transport, the pending
-  /// queue, or unacked/deferred sender state) when a site crashed.
-  int64_t crash_frames_lost = 0;
 };
 
 /// The byte-accounted message fabric. Owns a Transport backend and the
@@ -342,21 +339,12 @@ class Network {
   /// No-op when the reliability protocol is off.
   void TickReliability(Epoch now);
 
-  /// Marks `site` crashed (down = true). With `purge` set (the
-  /// non-durable crash model): every frame currently queued for it -- in
-  /// the transport, in the pending arrival queue, or tracked/deferred
-  /// toward it by the reliability layer -- is discarded, and both
-  /// directions of every peer's link INTO the site reset to a fresh link
-  /// epoch (link_seq restarts; the crashed receiver's dedup state is
-  /// gone). The site's own outbound tracking survives -- the fabric, not
-  /// the site, owns it. With `purge` false (durable sites): only the
-  /// down mark is set; in-flight frames, pending arrivals, and link state
+  /// Marks `site` crashed (down = true) or recovered (false). Only the
+  /// down mark changes: in-flight frames, pending arrivals, and link state
   /// are retained -- the process died, the fabric did not. While down,
   /// DeliverDue delivers nothing and TickReliability does not retransmit
   /// toward it; frames sent to it queue for delivery after recovery.
-  /// Returns the number of frames discarded (also added to
-  /// reliable_stats().crash_frames_lost).
-  int64_t SetSiteDown(SiteId site, bool down, bool purge = true);
+  void SetSiteDown(SiteId site, bool down);
   /// Read concurrently by window/scan workers (BelievedContainer's
   /// degraded-mode check): shared access to serially-written state.
   bool IsSiteDown(SiteId site) const {

@@ -207,39 +207,15 @@ void Site::ObserveBatch(const RawReading* readings, size_t n) {
     pallet_streaming_->ObserveBatch(readings, n);
     return;
   }
-  // Mixed batch: stage the non-item slice in the split arena (rewound per
-  // batch) instead of a heap vector.
+  // Mixed batch: stage the non-item slice in the reused split buffer.
+  split_rows_.resize(upper_count);
   // lint:hot-loop-begin(batch-split-rows)
-  RawReading* upper = split_arena_.AllocateArray<RawReading>(upper_count);
   size_t m = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (!readings[i].tag.is_item()) upper[m++] = readings[i];
+    if (!readings[i].tag.is_item()) split_rows_[m++] = readings[i];
   }
   // lint:hot-loop-end
-  pallet_streaming_->ObserveBatch(upper, m);
-  split_arena_.Reset();
-}
-
-void Site::ObserveBatch(const ReadingColumnsView& view) {
-  streaming_.ObserveBatch(view);
-  if (pallet_streaming_ == nullptr) return;
-  size_t upper_count = 0;
-  for (size_t i = 0; i < view.size; ++i) {
-    if (!view.tag[i].is_item()) ++upper_count;
-  }
-  if (upper_count == 0) return;
-  // The pallet level rebuilds row form for its own buffer either way, so
-  // the split materializes rows in the arena (even in the all-non-item
-  // case -- the column view has no row storage to forward).
-  // lint:hot-loop-begin(batch-split-columns)
-  RawReading* upper = split_arena_.AllocateArray<RawReading>(upper_count);
-  size_t m = 0;
-  for (size_t i = 0; i < view.size; ++i) {
-    if (!view.tag[i].is_item()) upper[m++] = view.Row(i);
-  }
-  // lint:hot-loop-end
-  pallet_streaming_->ObserveBatch(upper, m);
-  split_arena_.Reset();
+  pallet_streaming_->ObserveBatch(split_rows_.data(), m);
 }
 
 bool Site::HasArrivalsDue(Epoch now) const {
@@ -412,9 +388,9 @@ void Site::ExportTransfer(const ObjectTransfer& tr) {
     if (pallet_streaming_ != nullptr) {
       case_states = collect(*pallet_streaming_, tr.cases);
     }
-    SendRetained(tr.to, MessageKind::kInferenceState,
-                 EncodeInferenceEnvelope(tr.arrive, states, case_states,
-                                         options_.compress_level));
+    network_->Send(id_, tr.to, MessageKind::kInferenceState,
+                   EncodeInferenceEnvelope(tr.arrive, states, case_states,
+                                           options_.compress_level));
   }
   if (queries_attached() && !tr.items.empty()) {
     TagStateList q1_states;
@@ -432,26 +408,12 @@ void Site::ExportTransfer(const ObjectTransfer& tr) {
       }
     }
     if (!q1_states.empty() || !q2_states.empty()) {
-      SendRetained(tr.to, MessageKind::kQueryState,
-                   EncodeQueryEnvelope(tr.arrive, q1_states, q2_states,
-                                       options_.share_query_state,
-                                       believed));
+      network_->Send(id_, tr.to, MessageKind::kQueryState,
+                     EncodeQueryEnvelope(tr.arrive, q1_states, q2_states,
+                                         options_.share_query_state,
+                                         believed));
     }
   }
-}
-
-size_t Site::SendRetained(SiteId to, MessageKind kind,
-                          std::vector<uint8_t> payload) {
-  const size_t wire = network_->Send(id_, to, kind, payload);
-  if (options_.retain_exports) {
-    RetainedSend rs;
-    rs.to = to;
-    rs.kind = kind;
-    rs.sent_at = network_->now();
-    rs.payload = std::move(payload);
-    retained_.push_back(std::move(rs));
-  }
-  return wire;
 }
 
 void Site::DropTransferState(const ObjectTransfer& tr) {
@@ -532,36 +494,6 @@ void Site::HandleMessage(SiteId from, MessageKind kind,
       // Acks are consumed by the Network's reliability layer inside
       // DeliverDue and never reach a handler; tolerate one defensively.
       break;
-    case MessageKind::kRecoveryRequest: {
-      // A rebuilt peer lost every envelope delivered before its crash
-      // epoch. Re-send the retained copies addressed to it that were sent
-      // strictly before that epoch -- frames sent at or after the crash
-      // were purged-then-requeued by the fabric and still deliver
-      // normally, so resending them too would double-install state
-      // (ImportObjectContext adds weights; each envelope must install
-      // exactly once).
-      BufferReader r(payload);
-      uint64_t crash_at = 0;
-      RFID_CHECK_OK(r.GetVarint(&crash_at));
-      int64_t resent = 0;
-      int64_t resent_bytes = 0;
-      for (const RetainedSend& rs : retained_) {
-        if (rs.to != from) continue;
-        if (rs.sent_at >= static_cast<Epoch>(crash_at)) continue;
-        resent_bytes += static_cast<int64_t>(
-            network_->Send(id_, from, rs.kind, rs.payload));
-        ++resent;
-      }
-      if (telemetry_ != nullptr && resent > 0) {
-        telemetry_->registry()
-            .GetCounter("recovery/envelopes_resent")
-            ->Add(resent);
-        telemetry_->registry()
-            .GetCounter("recovery/resent_bytes")
-            ->Add(resent_bytes);
-      }
-      break;
-    }
     case MessageKind::kCheckpoint:
       // Disk-only record kind: the durable checkpoint envelope reuses the
       // frame codec as its storage format (dist/durability.cc) but never

@@ -34,7 +34,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "dist/durability.h"
@@ -71,12 +70,6 @@ struct SiteOptions {
   /// A.4): a per-site pallet-level engine whose state also migrates on
   /// transfers and whose answers back BelievedPallet.
   bool hierarchical = false;
-  /// Keep a copy of every exported envelope so a crashed-and-rebuilt peer
-  /// can re-request the state it lost (MessageKind::kRecoveryRequest).
-  /// Enabled by DistributedSystem when a crash schedule is configured
-  /// *without* durability; a durable site recovers from its own disk and
-  /// never asks peers to re-send.
-  bool retain_exports = false;
   /// Cut a durable checkpoint every this many inference boundaries when
   /// durability is attached (dist/durability.h); 0 = WAL-only recovery
   /// (replay the full frame WAL and site trace from scratch).
@@ -136,9 +129,6 @@ class Site {
   /// the event-driven replay, which batches every reading between two
   /// scheduling events instead of delivering one reading per epoch.
   void ObserveBatch(const RawReading* readings, size_t n);
-
-  /// Struct-of-arrays form of ObserveBatch (same contract and results).
-  void ObserveBatch(const ReadingColumnsView& view);
 
   /// Advances local time, running inference at period boundaries and
   /// feeding any attached queries with the newly inferred events (sensor
@@ -237,20 +227,9 @@ class Site {
   }
 
  private:
-  /// One envelope this site sent, kept (under SiteOptions::retain_exports)
-  /// so a recovering peer can ask for it again.
-  struct RetainedSend {
-    SiteId to = kNoSite;
-    MessageKind kind = MessageKind::kInferenceState;
-    Epoch sent_at = 0;
-    std::vector<uint8_t> payload;
-  };
-
   void FeedQueries(const std::vector<ObjectEvent>& events);
   void InstallInference(const PendingArrival& arrival);
   void InstallQueryState(const PendingQueryState& pending);
-  size_t SendRetained(SiteId to, MessageKind kind,
-                      std::vector<uint8_t> payload);
 
   SiteId id_;
   Network* network_;
@@ -258,9 +237,9 @@ class Site {
   SiteDurability* durability_ = nullptr;
   SiteOptions options_;
   /// Scratch for the per-batch non-item split feeding the pallet level;
-  /// rewound at the end of every ObserveBatch, so steady-state batches
+  /// cleared per batch and its capacity reused, so steady-state batches
   /// allocate nothing.
-  Arena split_arena_;
+  std::vector<RawReading> split_rows_;
   StreamingInference streaming_;
   /// Second inference level (pallet containers, case objects); null unless
   /// options_.hierarchical.
@@ -276,7 +255,6 @@ class Site {
 
   std::vector<PendingArrival> pending_inference_;
   std::vector<PendingQueryState> pending_query_;
-  std::vector<RetainedSend> retained_;
 };
 
 // ---- Wire codecs shared by sites and the centralized driver ----

@@ -7,37 +7,35 @@ namespace rfid {
 
 namespace {
 
-// Scans canonical-ordered (time, tag, reader) columns; within one
-// (epoch, reader) run, pairs every object with every container. Offered a
-// struct-of-arrays view when the trace materialized one (so the inner loop
-// touches two contiguous same-typed columns) and an array-of-structs view
-// otherwise; both orders are the canonical order, so the counts are
-// identical.
+// Scans the canonical-ordered (time, reader, tag) readings; within one
+// (epoch, reader) run, pairs every object with every container.
 template <typename ContainerPred, typename ObjectPred>
-void CountColumns(const Epoch* time, const TagId* tag,
-                  const LocationId* reader, size_t n, Epoch begin, Epoch end,
-                  ContainerPred is_container, ObjectPred is_object,
-                  bool exclusivity_weighted,
-                  std::unordered_map<TagId, std::unordered_map<TagId, double>>*
-                      counts) {
+void CountRuns(const Trace& trace, Epoch begin, Epoch end,
+               ContainerPred is_container, ObjectPred is_object,
+               bool exclusivity_weighted,
+               std::unordered_map<TagId, std::unordered_map<TagId, double>>*
+                   counts) {
+  const auto& rs = trace.readings();
+  const size_t n = rs.size();
   size_t i = 0;
   std::vector<TagId> run_containers;
   std::vector<TagId> run_objects;
   // lint:hot-loop-begin(colocation-count)
   while (i < n) {
-    const Epoch t = time[i];
-    const LocationId rd = reader[i];
+    const Epoch t = rs[i].time;
+    const LocationId reader = rs[i].reader;
     size_t j = i;
     run_containers.clear();
     run_objects.clear();
-    while (j < n && time[j] == t && reader[j] == rd) {
+    while (j < n && rs[j].time == t && rs[j].reader == reader) {
       if (t >= begin && t <= end) {
+        const TagId tag = rs[j].tag;
         // lint:allow(hot-loop-alloc): cleared-and-reused across runs;
         // capacity hits the largest burst early, then pushes stop
         // allocating. A reserve would need a burst-size pre-scan.
-        if (is_container(tag[j])) run_containers.push_back(tag[j]);
+        if (is_container(tag)) run_containers.push_back(tag);
         // lint:allow(hot-loop-alloc): same steady-state capacity.
-        if (is_object(tag[j])) run_objects.push_back(tag[j]);
+        if (is_object(tag)) run_objects.push_back(tag);
       }
       ++j;
     }
@@ -57,49 +55,6 @@ void CountColumns(const Epoch* time, const TagId* tag,
     i = j;
   }
   // lint:hot-loop-end
-}
-
-template <typename ContainerPred, typename ObjectPred>
-void CountRuns(const Trace& trace, Epoch begin, Epoch end,
-               ContainerPred is_container, ObjectPred is_object,
-               bool exclusivity_weighted,
-               std::unordered_map<TagId, std::unordered_map<TagId, double>>*
-                   counts) {
-  if (trace.has_columns()) {
-    const ReadingColumnsView cols = trace.columns();
-    CountColumns(cols.time, cols.tag, cols.reader, cols.size, begin, end,
-                 is_container, is_object, exclusivity_weighted, counts);
-    return;
-  }
-  const auto& rs = trace.readings();
-  size_t i = 0;
-  std::vector<TagId> run_containers;
-  std::vector<TagId> run_objects;
-  while (i < rs.size()) {
-    const Epoch t = rs[i].time;
-    const LocationId reader = rs[i].reader;
-    size_t j = i;
-    run_containers.clear();
-    run_objects.clear();
-    while (j < rs.size() && rs[j].time == t && rs[j].reader == reader) {
-      if (t >= begin && t <= end) {
-        if (is_container(rs[j].tag)) run_containers.push_back(rs[j].tag);
-        if (is_object(rs[j].tag)) run_objects.push_back(rs[j].tag);
-      }
-      ++j;
-    }
-    if (!run_containers.empty()) {
-      const double weight =
-          exclusivity_weighted
-              ? 1.0 / static_cast<double>(run_containers.size())
-              : 1.0;
-      for (TagId o : run_objects) {
-        auto& per_object = (*counts)[o];
-        for (TagId c : run_containers) per_object[c] += weight;
-      }
-    }
-    i = j;
-  }
 }
 
 }  // namespace

@@ -13,8 +13,6 @@ StreamingInference::StreamingInference(const ReadRateModel* model,
     : model_(model), schedule_(schedule), options_(options) {
   engine_ = std::make_unique<RFInfer>(model_, schedule_, options_.inference);
   next_run_ = options_.inference_period;
-  if (options_.arena_index) buffer_.SetArena(&window_arena_);
-  buffer_.EnableColumns(options_.soa_columns);
 }
 
 void StreamingInference::SetUniverse(std::vector<TagId> containers,
@@ -39,10 +37,6 @@ void StreamingInference::Observe(const RawReading& reading) {
 
 void StreamingInference::ObserveBatch(const RawReading* readings, size_t n) {
   buffer_.Append(readings, n);
-}
-
-void StreamingInference::ObserveBatch(const ReadingColumnsView& view) {
-  buffer_.Append(view);
 }
 
 int StreamingInference::AdvanceTo(Epoch now) {
@@ -210,8 +204,8 @@ void StreamingInference::CompactBuffer(Epoch next_window_begin) {
       keep[container].push_back(*ctx.critical_region);
     }
   }
-  // In place so the buffer keeps its arena binding and columns setting;
-  // the trace is resealed (and the index rebuilt) at the next run.
+  // In place so the buffer keeps its capacity; the trace is resealed (and
+  // the index rebuilt) at the next run.
   buffer_.RetainIf([&](const RawReading& r) {
     if (r.time >= next_window_begin) return true;
     auto it = keep.find(r.tag);

@@ -57,13 +57,6 @@ struct StreamingOptions {
   bool detect_changes = false;
   /// Detection threshold delta; calibrate offline (calibration.h).
   double change_threshold = 25.0;
-  /// Build the per-tag history index in a bump arena rewound every run
-  /// (zero steady-state heap traffic). Results are bit-identical with the
-  /// flag off; off exists for the determinism matrix and for debugging.
-  bool arena_index = true;
-  /// Materialize struct-of-arrays reading columns at Seal time so the
-  /// inner inference scans run over contiguous columns. Bit-identical off.
-  bool soa_columns = true;
   InferenceOptions inference;
 };
 
@@ -99,9 +92,6 @@ class StreamingInference {
   /// Observe calls: the history buffer is canonically re-sorted before
   /// every inference run, so ingest order never matters.
   void ObserveBatch(const RawReading* readings, size_t n);
-
-  /// Buffers a struct-of-arrays batch (same contract as ObserveBatch).
-  void ObserveBatch(const ReadingColumnsView& view);
 
   /// Advances stream time; runs inference whenever a period boundary is
   /// crossed. Returns the number of inference runs performed.
@@ -188,9 +178,6 @@ class StreamingInference {
   StreamingOptions options_;
   std::unique_ptr<RFInfer> engine_;
 
-  // Declared before buffer_: the buffer's index points into the arena, so
-  // the arena must be the longer-lived of the two.
-  Arena window_arena_;
   Trace buffer_;
   Epoch next_run_ = 0;
   Epoch last_run_at_ = -1;

@@ -44,11 +44,11 @@ enum class Phase : uint8_t {
   kKernelWrite,       ///< socket backend: write(2) loop
   kKernelRead,        ///< socket backend: accept/read/decode pump
   // Fault-tolerance phases (kDriverTrack; appended to keep values stable).
-  kCrashRecovery,     ///< rebuild of a crashed site from its raw trace
-  // Pipelined-flush overlap (appended to keep values stable). Runs on a
-  // per-site track: the flush encode of a remote site's batch overlapping
-  // the server's window compute on the executor.
-  kFlushOverlap,      ///< centralized: batch encode overlapped on workers
+  kCrashRecovery,     ///< rebuild of a crashed site from checkpoint + WAL
+  // Never recorded since the pipelined centralized flush was removed (the
+  // flush encodes serially under kFlushEncode). Kept only because
+  // e2ebench/bench_e2e.cc reads its histogram; values stay stable.
+  kFlushOverlap,      ///< unused: formerly the overlapped batch encode
   // Durability phases (dist/durability.h; appended to keep values stable).
   // kWalAppend runs on the driver track (the WAL absorbs inbound frames
   // during the serial drain sweep); kCheckpoint likewise (checkpoints cut

@@ -93,21 +93,6 @@ class TagReadSpan {
   size_t size_ = 0;
 };
 
-/// Struct-of-arrays view over a sealed trace's readings: three parallel
-/// columns in canonical (time, reader, tag) order, so inner inference
-/// scans run over contiguous same-typed memory. Row i of the trace is
-/// (time[i], tag[i], reader[i]). Non-owning; valid until the trace is
-/// resealed, mutated, or destroyed.
-struct ReadingColumnsView {
-  const Epoch* time = nullptr;
-  const TagId* tag = nullptr;
-  const LocationId* reader = nullptr;
-  size_t size = 0;
-
-  bool empty() const { return size == 0; }
-  RawReading Row(size_t i) const { return RawReading{time[i], tag[i], reader[i]}; }
-};
-
 std::string ToString(const RawReading& r);
 std::string ToString(const ObjectEvent& e);
 

@@ -4,84 +4,6 @@
 
 namespace rfid {
 
-Trace::Trace(const Trace& other)
-    : readings_(other.readings_),
-      sealed_(other.sealed_),
-      columns_enabled_(other.columns_enabled_) {
-  // The copy never shares the source's arena: a bound arena is rewound by
-  // every Seal, so sharing one across live traces would corrupt the source.
-  if (sealed_) BuildIndex();
-}
-
-Trace& Trace::operator=(const Trace& other) {
-  if (this == &other) return *this;
-  readings_ = other.readings_;
-  sealed_ = other.sealed_;
-  columns_enabled_ = other.columns_enabled_;
-  if (sealed_) {
-    BuildIndex();
-  } else {
-    InvalidateIndex();
-  }
-  return *this;
-}
-
-// Moving a vector transfers its heap buffer, so CSR pointers into the own_*
-// vectors (or into the arena, which is unaffected) stay valid in the
-// destination.
-Trace::Trace(Trace&& other) noexcept
-    : readings_(std::move(other.readings_)),
-      sealed_(other.sealed_),
-      arena_(other.arena_),
-      columns_enabled_(other.columns_enabled_),
-      keys_(other.keys_),
-      offsets_(other.offsets_),
-      flat_(other.flat_),
-      key_count_(other.key_count_),
-      own_keys_(std::move(other.own_keys_)),
-      own_offsets_(std::move(other.own_offsets_)),
-      own_flat_(std::move(other.own_flat_)),
-      col_time_(std::move(other.col_time_)),
-      col_tag_(std::move(other.col_tag_)),
-      col_reader_(std::move(other.col_reader_)) {
-  other.readings_.clear();
-  other.InvalidateIndex();
-  other.sealed_ = true;
-  other.arena_ = nullptr;
-}
-
-Trace& Trace::operator=(Trace&& other) noexcept {
-  if (this == &other) return *this;
-  readings_ = std::move(other.readings_);
-  sealed_ = other.sealed_;
-  arena_ = other.arena_;
-  columns_enabled_ = other.columns_enabled_;
-  keys_ = other.keys_;
-  offsets_ = other.offsets_;
-  flat_ = other.flat_;
-  key_count_ = other.key_count_;
-  own_keys_ = std::move(other.own_keys_);
-  own_offsets_ = std::move(other.own_offsets_);
-  own_flat_ = std::move(other.own_flat_);
-  col_time_ = std::move(other.col_time_);
-  col_tag_ = std::move(other.col_tag_);
-  col_reader_ = std::move(other.col_reader_);
-  other.readings_.clear();
-  other.InvalidateIndex();
-  other.sealed_ = true;
-  other.arena_ = nullptr;
-  return *this;
-}
-
-void Trace::Append(const ReadingColumnsView& view) {
-  readings_.reserve(readings_.size() + view.size);
-  for (size_t i = 0; i < view.size; ++i) {
-    readings_.push_back(
-        RawReading{view.time[i], view.tag[i], view.reader[i]});
-  }
-  sealed_ = false;
-}
-
 std::vector<RawReading> Trace::TakeReadings() {
   std::vector<RawReading> out = std::move(readings_);
   readings_.clear();
@@ -99,111 +21,55 @@ void Trace::Seal() {
 }
 
 void Trace::InvalidateIndex() {
-  keys_ = nullptr;
-  offsets_ = nullptr;
-  flat_ = nullptr;
-  key_count_ = 0;
-  own_keys_.clear();
-  own_offsets_.clear();
-  own_flat_.clear();
-  col_time_.clear();
-  col_tag_.clear();
-  col_reader_.clear();
+  keys_.clear();
+  offsets_.clear();
+  flat_.clear();
 }
 
-// Precondition: readings_ is in canonical order. Three allocation-free
-// passes (after the arrays are carved out): collect+sort tags into
-// key runs, prefix-sum the offsets, then scatter TagReads into the flat
-// array. Per-tag entries land in (time, reader) order because the global
-// scan order is (time, reader, tag) -- identical to the old per-tag
-// push_back index.
+// Precondition: readings_ is in canonical order. Three passes: collect+sort
+// tags into key runs, prefix-sum the offsets, then scatter TagReads into
+// the flat array. Per-tag entries land in (time, reader) order because the
+// global scan order is (time, reader, tag).
 void Trace::BuildIndex() {
   const size_t n = readings_.size();
-  std::vector<TagId> heap_scratch;
-  std::vector<uint32_t> heap_cursor;
-  TagId* all = nullptr;
-  if (arena_ != nullptr) {
-    // Rewinding here is what makes the window cycle heap-free: every Seal
-    // reuses the same blocks. All spans from the previous Seal die now.
-    arena_->Reset();
-    all = arena_->AllocateArray<TagId>(n);
-  } else {
-    heap_scratch.resize(n);
-    all = heap_scratch.data();
-  }
+  std::vector<TagId> all(n);
   for (size_t i = 0; i < n; ++i) all[i] = readings_[i].tag;
-  std::sort(all, all + n);
+  std::sort(all.begin(), all.end());
   size_t k = 0;
   for (size_t i = 0; i < n; ++i) {
     if (i == 0 || all[i] != all[i - 1]) ++k;
   }
-
-  TagId* keys = nullptr;
-  uint32_t* offsets = nullptr;
-  TagRead* flat = nullptr;
-  uint32_t* cursor = nullptr;
-  if (arena_ != nullptr) {
-    keys = arena_->AllocateArray<TagId>(k);
-    offsets = arena_->AllocateArray<uint32_t>(k + 1);
-    flat = arena_->AllocateArray<TagRead>(n);
-    cursor = arena_->AllocateArray<uint32_t>(k);
-  } else {
-    own_keys_.resize(k);
-    own_offsets_.resize(k + 1);
-    own_flat_.resize(n);
-    heap_cursor.resize(k);
-    keys = own_keys_.data();
-    offsets = own_offsets_.data();
-    flat = own_flat_.data();
-    cursor = heap_cursor.data();
-  }
+  keys_.resize(k);
+  offsets_.resize(k + 1);
+  flat_.resize(n);
+  std::vector<uint32_t> cursor(k);
 
   // lint:hot-loop-begin(index-scatter)
-  offsets[0] = 0;
+  offsets_[0] = 0;
   size_t ki = 0;
   for (size_t i = 0; i < n;) {
     size_t j = i;
     while (j < n && all[j] == all[i]) ++j;
-    keys[ki] = all[i];
-    offsets[ki + 1] = offsets[ki] + static_cast<uint32_t>(j - i);
+    keys_[ki] = all[i];
+    offsets_[ki + 1] = offsets_[ki] + static_cast<uint32_t>(j - i);
     ++ki;
     i = j;
   }
-  std::copy(offsets, offsets + k, cursor);
-  for (size_t i = 0; i < n; ++i) {
-    const RawReading& r = readings_[i];
+  std::copy(offsets_.begin(), offsets_.end() - 1, cursor.begin());
+  for (const RawReading& r : readings_) {
     const size_t idx = static_cast<size_t>(
-        std::lower_bound(keys, keys + k, r.tag) - keys);
-    flat[cursor[idx]++] = TagRead{r.time, r.reader};
+        std::lower_bound(keys_.begin(), keys_.end(), r.tag) - keys_.begin());
+    flat_[cursor[idx]++] = TagRead{r.time, r.reader};
   }
   // lint:hot-loop-end
-
-  keys_ = keys;
-  offsets_ = offsets;
-  flat_ = flat;
-  key_count_ = k;
-
-  if (columns_enabled_) {
-    col_time_.resize(n);
-    col_tag_.resize(n);
-    col_reader_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      col_time_[i] = readings_[i].time;
-      col_tag_[i] = readings_[i].tag;
-      col_reader_[i] = readings_[i].reader;
-    }
-  } else {
-    col_time_.clear();
-    col_tag_.clear();
-    col_reader_.clear();
-  }
 }
 
 TagReadSpan Trace::HistoryOf(TagId tag) const {
-  const TagId* it = std::lower_bound(keys_, keys_ + key_count_, tag);
-  if (it == keys_ + key_count_ || *it != tag) return TagReadSpan{};
-  const size_t i = static_cast<size_t>(it - keys_);
-  return TagReadSpan{flat_ + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  auto it = std::lower_bound(keys_.begin(), keys_.end(), tag);
+  if (it == keys_.end() || *it != tag) return TagReadSpan{};
+  const size_t i = static_cast<size_t>(it - keys_.begin());
+  return TagReadSpan{flat_.data() + offsets_[i],
+                     offsets_[i + 1] - offsets_[i]};
 }
 
 Trace Trace::Slice(Epoch begin, Epoch end) const {

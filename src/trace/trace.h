@@ -4,18 +4,14 @@
 //
 // Seal() builds the per-tag index as a compressed-sparse-row (CSR) layout:
 // one sorted key array, one offset array, one flat TagRead array -- no
-// per-tag heap nodes. When an Arena is bound (SetArena) those three arrays
-// live in the arena and the arena is rewound at the start of every Seal, so
-// the steady-state window cycle performs zero per-reading heap traffic.
-// Optionally (EnableColumns) Seal also materializes a struct-of-arrays copy
-// of the readings for column scans.
+// per-tag heap nodes. The arrays are owned vectors whose capacity is reused
+// across Seals.
 #ifndef RFID_TRACE_TRACE_H_
 #define RFID_TRACE_TRACE_H_
 
 #include <algorithm>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "trace/reading.h"
@@ -23,19 +19,10 @@
 namespace rfid {
 
 /// A raw RFID trace: readings in canonical (time, reader, tag) order with a
-/// per-tag sparse history index rebuilt by Seal().
+/// per-tag sparse history index rebuilt by Seal(). Copies own their index;
+/// a move carries the index buffers, so spans taken before it stay valid.
 class Trace {
  public:
-  Trace() = default;
-
-  // The CSR index holds raw pointers (into the bound arena or the owned
-  // backing vectors); copies re-derive it and moves transfer the backing
-  // storage, so the pointers stay valid in both cases.
-  Trace(const Trace& other);
-  Trace& operator=(const Trace& other);
-  Trace(Trace&& other) noexcept;
-  Trace& operator=(Trace&& other) noexcept;
-
   /// Appends one reading. Readings may arrive unsorted; call Seal() before
   /// reading per-tag histories.
   void Add(const RawReading& r) {
@@ -52,13 +39,9 @@ class Trace {
     sealed_ = false;
   }
 
-  /// Appends `view.size` readings from parallel columns.
-  void Append(const ReadingColumnsView& view);
-
   /// Sorts readings into canonical order, removes exact duplicates, and
-  /// rebuilds the per-tag index (plus the columns when enabled). When an
-  /// arena is bound this rewinds it first: all spans handed out by previous
-  /// Seals of this trace are invalidated.
+  /// rebuilds the per-tag index. All spans handed out by previous Seals of
+  /// this trace are invalidated.
   void Seal();
 
   bool sealed() const { return sealed_; }
@@ -78,9 +61,7 @@ class Trace {
   TagReadSpan HistoryOf(TagId tag) const;
 
   /// All tags that appear in the trace, sorted. Precondition: sealed().
-  std::vector<TagId> Tags() const {
-    return std::vector<TagId>(keys_, keys_ + key_count_);
-  }
+  std::vector<TagId> Tags() const { return keys_; }
 
   /// First/last epoch present; [0, -1] when empty. Precondition: sealed().
   Epoch MinEpoch() const { return readings_.empty() ? 0 : readings_.front().time; }
@@ -90,8 +71,7 @@ class Trace {
   Trace Slice(Epoch begin, Epoch end) const;
 
   /// Drops every reading for which `pred` is false, in place (the relative
-  /// order of survivors is preserved). Leaves the trace unsealed; arena and
-  /// column bindings are untouched.
+  /// order of survivors is preserved). Leaves the trace unsealed.
   template <typename Pred>
   void RetainIf(Pred pred) {
     readings_.erase(
@@ -101,47 +81,17 @@ class Trace {
     sealed_ = false;
   }
 
-  /// Binds (or unbinds, with nullptr) a bump arena for the CSR index
-  /// arrays. Non-owning: the arena must outlive the trace's last Seal.
-  /// The arena is rewound by every Seal -- do not share one arena between
-  /// traces that are alive at the same time. Takes effect at the next Seal.
-  void SetArena(Arena* arena) { arena_ = arena; }
-  bool arena_bound() const { return arena_ != nullptr; }
-
-  /// Enables struct-of-arrays column materialization at Seal time.
-  void EnableColumns(bool on) { columns_enabled_ = on; }
-  bool has_columns() const { return columns_enabled_ && sealed_; }
-
-  /// Parallel (time, tag, reader) columns in canonical order.
-  /// Precondition: has_columns(). Valid until the next Seal or mutation.
-  ReadingColumnsView columns() const {
-    return ReadingColumnsView{col_time_.data(), col_tag_.data(),
-                              col_reader_.data(), col_time_.size()};
-  }
-
  private:
   void BuildIndex();
   void InvalidateIndex();
 
   std::vector<RawReading> readings_;
   bool sealed_ = true;
-  Arena* arena_ = nullptr;
-  bool columns_enabled_ = false;
 
   // CSR per-tag index: keys_[i] owns flat_[offsets_[i] .. offsets_[i+1]).
-  // The arrays live in *arena_ when bound, else in the own_* vectors.
-  const TagId* keys_ = nullptr;
-  const uint32_t* offsets_ = nullptr;
-  const TagRead* flat_ = nullptr;
-  size_t key_count_ = 0;
-  std::vector<TagId> own_keys_;
-  std::vector<uint32_t> own_offsets_;
-  std::vector<TagRead> own_flat_;
-
-  // SoA columns (owned; capacity is reused across Seals).
-  std::vector<Epoch> col_time_;
-  std::vector<TagId> col_tag_;
-  std::vector<LocationId> col_reader_;
+  std::vector<TagId> keys_;
+  std::vector<uint32_t> offsets_;
+  std::vector<TagRead> flat_;
 };
 
 }  // namespace rfid

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/compress.h"
 #include "common/log_space.h"
 #include "common/metrics.h"
@@ -482,74 +481,6 @@ TEST(MigrationPayloadTest, CompressRejectsBadLevelAndGarbage) {
   EXPECT_FALSE(Compress({1, 2, 3}, &out, /*level=*/10).ok());
   std::vector<uint8_t> garbage{0xde, 0xad, 0xbe, 0xef};
   EXPECT_FALSE(Decompress(garbage, &out).ok());
-}
-
-// ---- Arena (the per-window bump allocator of the replay hot path) ----
-
-TEST(ArenaTest, AlignmentAndNonOverlap) {
-  Arena arena;
-  // A zero-byte request on a fresh (blockless) arena must still yield a
-  // valid aligned pointer, per the never-nullptr contract.
-  EXPECT_NE(arena.Allocate(0), nullptr);
-  for (size_t align : {size_t{1}, size_t{8}, size_t{64}, size_t{256}}) {
-    void* p = arena.Allocate(24, align);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % align, 0u) << align;
-  }
-  // Consecutive allocations never alias: fill each region after
-  // allocating the next and check the first survives.
-  uint8_t* a = static_cast<uint8_t*>(arena.Allocate(100));
-  uint8_t* b = static_cast<uint8_t*>(arena.Allocate(100));
-  std::fill(a, a + 100, 0xAA);
-  std::fill(b, b + 100, 0xBB);
-  EXPECT_EQ(a[0], 0xAA);
-  EXPECT_EQ(a[99], 0xAA);
-}
-
-TEST(ArenaTest, ResetRetainsAndReusesBlocks) {
-  Arena arena(/*min_block_bytes=*/256);
-  // Force several geometric blocks.
-  for (int i = 0; i < 64; ++i) arena.Allocate(64);
-  const size_t blocks = arena.block_count();
-  const size_t reserved = arena.bytes_reserved();
-  EXPECT_GT(blocks, 1u);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  // Steady state: the same allocation pattern reuses the retained blocks
-  // and never grows the arena again.
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    for (int i = 0; i < 64; ++i) arena.Allocate(64);
-    arena.Reset();
-    EXPECT_EQ(arena.block_count(), blocks) << cycle;
-    EXPECT_EQ(arena.bytes_reserved(), reserved) << cycle;
-  }
-}
-
-TEST(ArenaTest, OversizeRequestsGetDedicatedBlocksFreedOnReset) {
-  Arena arena(/*min_block_bytes=*/256);
-  const size_t big = 64 * 1024;
-  uint8_t* p = static_cast<uint8_t*>(arena.Allocate(big));
-  ASSERT_NE(p, nullptr);
-  // Touch every byte: under ASan this proves the whole region is live.
-  std::fill(p, p + big, 0x5A);
-  EXPECT_EQ(p[big - 1], 0x5A);
-  EXPECT_GE(arena.bytes_reserved(), big);
-  const size_t reserved_with_large = arena.bytes_reserved();
-  arena.Reset();
-  // The dedicated block is released; retained capacity shrinks.
-  EXPECT_LT(arena.bytes_reserved(), reserved_with_large);
-}
-
-TEST(ArenaTest, AllocateArrayIsTypedAndWritable) {
-  Arena arena;
-  constexpr size_t kN = 1000;
-  int64_t* xs = arena.AllocateArray<int64_t>(kN);
-  ASSERT_NE(xs, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(xs) % alignof(int64_t), 0u);
-  for (size_t i = 0; i < kN; ++i) xs[i] = static_cast<int64_t>(i);
-  EXPECT_EQ(xs[0], 0);
-  EXPECT_EQ(xs[kN - 1], static_cast<int64_t>(kN - 1));
-  EXPECT_GE(arena.bytes_allocated(), kN * sizeof(int64_t));
 }
 
 }  // namespace

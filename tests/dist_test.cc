@@ -638,7 +638,7 @@ TEST(DistributedTest, LinkLatencyKeepsWireBytesInvariant) {
             instant.network().in_flight_messages());
 }
 
-// ---- Reading-batch codec + SoA column view (the PR 9 hot path) ----
+// ---- Reading-batch codec (the centralized flush payload) ----
 
 std::vector<RawReading> SampleBatch() {
   std::vector<RawReading> rs;
@@ -673,38 +673,6 @@ TEST(ReadingBatchTest, RoundTripsInSealCanonicalOrder) {
   std::sort(rs.begin(), rs.end(), RawReadingOrder());
   rs.erase(std::unique(rs.begin(), rs.end()), rs.end());
   EXPECT_EQ(decoded.value(), rs);
-}
-
-TEST(ReadingBatchTest, ColumnsViewMatchesRowIngest) {
-  const std::vector<RawReading> rs = SampleBatch();
-  std::vector<Epoch> time;
-  std::vector<TagId> tag;
-  std::vector<LocationId> reader;
-  for (const RawReading& r : rs) {
-    time.push_back(r.time);
-    tag.push_back(r.tag);
-    reader.push_back(r.reader);
-  }
-  const ReadingColumnsView view{time.data(), tag.data(), reader.data(),
-                                rs.size()};
-  for (size_t i = 0; i < rs.size(); ++i) {
-    EXPECT_EQ(view.Row(i), rs[i]) << i;
-  }
-  // Column-view ingest and row ingest seal to the same readings and the
-  // same per-tag histories.
-  Trace by_rows;
-  Trace by_view;
-  by_rows.Append(rs.data(), rs.size());
-  by_view.Append(view);
-  by_rows.Seal();
-  by_view.Seal();
-  ASSERT_EQ(by_rows.readings(), by_view.readings());
-  for (TagId t : by_rows.Tags()) {
-    const TagReadSpan a = by_rows.HistoryOf(t);
-    const TagReadSpan b = by_view.HistoryOf(t);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
 }
 
 }  // namespace

@@ -5,10 +5,9 @@
 //     every kill phase (mid-window / post-drain / mid-flush), under every
 //     checkpoint cadence (every boundary / sparse / WAL-only), restarted
 //     from its own disk -- final alerts, accuracy series, beliefs, and
-//     byte totals bit-identical to the uncrashed run, with zero
-//     kRecoveryRequest traffic;
-//   - a transfer departing DURING the outage (the state the non-durable
-//     path honestly loses) exported exactly by the catch-up replay;
+//     per-kind byte totals bit-identical to the uncrashed run;
+//   - a transfer departing DURING the outage (the dead process never sent
+//     it) exported exactly by the catch-up replay;
 //   - corruption handling: every single-byte flip of a checkpoint falls
 //     back to the previous cut, WAL truncation at every offset yields the
 //     longest complete-record prefix (torn tail counted) or fails loudly
@@ -31,30 +30,12 @@
 #include "dist/frame.h"
 #include "sim/sensors.h"
 #include "sim/supply_chain.h"
+#include "tests/scratch_dir.h"
 
 namespace rfid {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Unique scratch directory, removed on destruction.
-class ScratchDir {
- public:
-  ScratchDir() {
-    std::string tmpl = ::testing::TempDir() + "rfid_durability_XXXXXX";
-    char* got = mkdtemp(tmpl.data());
-    EXPECT_NE(got, nullptr);
-    path_ = got != nullptr ? got : tmpl;
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& str() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 DurabilityOptions QuietDurability(const std::string& dir) {
   DurabilityOptions o;
@@ -516,8 +497,8 @@ void ExpectSameAlerts(const std::vector<ExposureAlert>& a,
   }
 }
 
-/// The headline contract: results AND byte accounting bit-identical, and
-/// not a single recovery-request byte on the wire.
+/// The headline contract: results AND byte accounting bit-identical --
+/// equal per-kind and total bytes also prove recovery sent nothing extra.
 void ExpectDurableBitIdentity(const DistributedSystem& reference,
                               const DistributedSystem& durable,
                               const SupplyChainSim& sim,
@@ -538,8 +519,6 @@ void ExpectDurableBitIdentity(const DistributedSystem& reference,
               durable.network().BytesOfKind(kind))
         << label << " " << ToString(kind);
   }
-  EXPECT_EQ(durable.network().BytesOfKind(MessageKind::kRecoveryRequest), 0)
-      << label;
   for (TagId item : sim.all_items()) {
     EXPECT_EQ(reference.BelievedContainer(item),
               durable.BelievedContainer(item))
@@ -591,6 +570,18 @@ TEST(DurableReplayTest, CrashPointSweepIsBitIdenticalWithZeroPeerTraffic) {
       }
     }
   }
+}
+
+TEST(DurableReplayTest, CrashScheduleWithoutDurabilityIsRejected) {
+  // Recovery rebuilds a crashed site from its own checkpoint + WAL, so a
+  // crash schedule with nowhere to keep them is a configuration error.
+  SweepFixture fx;
+  DistributedOptions opts = SweepOptions();
+  opts.durability.dir.clear();
+  opts.crashes.push_back(CrashEvent{1, 600, 660});
+  EXPECT_DEATH(
+      { DistributedSystem sys(&fx.sim, opts, &fx.catalog, &fx.sensors); },
+      "crash schedule requires durability");
 }
 
 TEST(DurableReplayTest, WindowedOutageRecoversFromDiskBitIdentically) {

@@ -168,11 +168,13 @@ void ExpectBitIdentical(const DistributedSystem& reference,
   }
 }
 
-// Runs the full thread x shard matrix: within a shard count, every
-// num_threads value must be bit-identical down to per-link bytes; across
-// shard counts, everything except the per-link distribution (which is the
-// point of sharding) must also be identical -- totals, alerts, snapshots,
-// directory counters, and beliefs.
+// Runs the full mode x thread x shard matrix: within a processing mode and
+// shard count, every num_threads value must be bit-identical down to
+// per-link bytes; across shard counts, everything except the per-link
+// distribution (which is the point of sharding) must also be identical --
+// totals, alerts, snapshots, directory counters, and beliefs. The
+// centralized baseline has no directory, so its shard axis is a no-op
+// that must stay one.
 TEST(DeterminismTest, ThreadAndShardMatrixMatchesBitForBit) {
   SupplyChainConfig cfg = DeterminismConfig();
   SupplyChainSim sim(cfg);
@@ -195,71 +197,86 @@ TEST(DeterminismTest, ThreadAndShardMatrixMatchesBitForBit) {
   const std::vector<int> kThreads = {0, 1, 4};
   const std::vector<int> kShards = {1, 4};
 
-  std::vector<std::unique_ptr<DistributedSystem>> references;
-  for (int shards : kShards) {
-    std::unique_ptr<DistributedSystem> reference;
-    for (int threads : kThreads) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " shards=" + std::to_string(shards));
-      auto sys = std::make_unique<DistributedSystem>(
-          &sim, DeterminismOptions(threads, shards), &catalog, &sensors);
-      sys->Run();
-      if (reference == nullptr) {
-        ASSERT_FALSE(sys->snapshots().empty());
-        EXPECT_FALSE(sys->AllAlerts(0).empty());
-        EXPECT_GT(
-            sys->network().BytesOfKind(MessageKind::kInferenceState), 0);
-        EXPECT_GT(sys->network().BytesOfKind(MessageKind::kDirectory), 0);
-        EXPECT_EQ(sys->ons().num_shards(), shards);
-        reference = std::move(sys);
-        continue;
+  for (ProcessingMode mode :
+       {ProcessingMode::kDistributed, ProcessingMode::kCentralized}) {
+    SCOPED_TRACE("mode=" + ToString(mode));
+    auto options = [&](int threads, int shards) {
+      DistributedOptions opts = DeterminismOptions(threads, shards);
+      opts.mode = mode;
+      return opts;
+    };
+    std::vector<std::unique_ptr<DistributedSystem>> references;
+    for (int shards : kShards) {
+      std::unique_ptr<DistributedSystem> reference;
+      for (int threads : kThreads) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " shards=" + std::to_string(shards));
+        auto sys = std::make_unique<DistributedSystem>(
+            &sim, options(threads, shards), &catalog, &sensors);
+        sys->Run();
+        if (reference == nullptr) {
+          ASSERT_FALSE(sys->snapshots().empty());
+          EXPECT_FALSE(sys->AllAlerts(0).empty());
+          if (mode == ProcessingMode::kDistributed) {
+            EXPECT_GT(
+                sys->network().BytesOfKind(MessageKind::kInferenceState), 0);
+            EXPECT_GT(sys->network().BytesOfKind(MessageKind::kDirectory),
+                      0);
+            EXPECT_EQ(sys->ons().num_shards(), shards);
+          } else {
+            EXPECT_GT(sys->network().BytesOfKind(MessageKind::kRawReadings),
+                      0);
+          }
+          reference = std::move(sys);
+          continue;
+        }
+        ExpectBitIdentical(*reference, *sys, sim);
       }
-      ExpectBitIdentical(*reference, *sys, sim);
+      references.push_back(std::move(reference));
     }
-    references.push_back(std::move(reference));
-  }
 
-  // ---- Transport matrix: {in-process, socket} x num_threads {0, 1, 4} ----
-  // The socket backend pushes every frame through real loopback sockets
-  // (encode, kernel, decode); alerts, accuracy, directory state, and byte
-  // accounting must still match the in-process replay bit for bit. The
-  // in-process half of the matrix is references[1] and the loop above
-  // (same options: directory_shards = 4).
-  for (int threads : kThreads) {
-    SCOPED_TRACE("transport=socket threads=" + std::to_string(threads));
-    DistributedOptions opts = DeterminismOptions(threads, /*shards=*/4);
-    opts.transport = TransportKind::kSocket;
-    auto sys = std::make_unique<DistributedSystem>(&sim, opts, &catalog,
-                                                   &sensors);
-    sys->Run();
-    EXPECT_EQ(sys->network().transport_kind(), TransportKind::kSocket);
-    ExpectBitIdentical(*references[1], *sys, sim);
-  }
+    // ---- Transport matrix: {in-process, socket} x num_threads {0, 1, 4} --
+    // The socket backend pushes every frame through real loopback sockets
+    // (encode, kernel, decode); alerts, accuracy, directory state, and byte
+    // accounting must still match the in-process replay bit for bit. The
+    // in-process half of the matrix is references[1] and the loop above
+    // (same options: directory_shards = 4).
+    for (int threads : kThreads) {
+      SCOPED_TRACE("transport=socket threads=" + std::to_string(threads));
+      DistributedOptions opts = options(threads, /*shards=*/4);
+      opts.transport = TransportKind::kSocket;
+      auto sys = std::make_unique<DistributedSystem>(&sim, opts, &catalog,
+                                                     &sensors);
+      sys->Run();
+      EXPECT_EQ(sys->network().transport_kind(), TransportKind::kSocket);
+      ExpectBitIdentical(*references[1], *sys, sim);
+    }
 
-  // Across shard counts: routing must not change what happens, only where
-  // the directory bytes land. Compare the shard-independent surface of
-  // the serial runs.
-  ASSERT_EQ(references.size(), 2u);
-  const DistributedSystem* single = references[0].get();
-  const DistributedSystem* sharded = references[1].get();
-  EXPECT_EQ(single->snapshots(), sharded->snapshots());
-  ExpectSameAlerts(single->AllAlerts(0), sharded->AllAlerts(0));
-  ExpectSameAlerts(single->AllAlerts(1), sharded->AllAlerts(1));
-  EXPECT_EQ(single->network().total_bytes(),
-            sharded->network().total_bytes());
-  for (int k = 0; k < kNumMessageKinds; ++k) {
-    const MessageKind kind = static_cast<MessageKind>(k);
-    EXPECT_EQ(single->network().BytesOfKind(kind),
-              sharded->network().BytesOfKind(kind))
-        << ToString(kind);
-  }
-  EXPECT_EQ(single->ons().updates(), sharded->ons().updates());
-  EXPECT_EQ(single->ons().charged_lookups(),
-            sharded->ons().charged_lookups());
-  EXPECT_EQ(single->ons().cache_hits(), sharded->ons().cache_hits());
-  for (TagId item : sim.all_items()) {
-    EXPECT_EQ(single->BelievedContainer(item),
-              sharded->BelievedContainer(item));
+    // Across shard counts: routing must not change what happens, only where
+    // the directory bytes land. Compare the shard-independent surface of
+    // the serial runs.
+    ASSERT_EQ(references.size(), 2u);
+    const DistributedSystem* single = references[0].get();
+    const DistributedSystem* sharded = references[1].get();
+    EXPECT_EQ(single->snapshots(), sharded->snapshots());
+    ExpectSameAlerts(single->AllAlerts(0), sharded->AllAlerts(0));
+    ExpectSameAlerts(single->AllAlerts(1), sharded->AllAlerts(1));
+    EXPECT_EQ(single->network().total_bytes(),
+              sharded->network().total_bytes());
+    for (int k = 0; k < kNumMessageKinds; ++k) {
+      const MessageKind kind = static_cast<MessageKind>(k);
+      EXPECT_EQ(single->network().BytesOfKind(kind),
+                sharded->network().BytesOfKind(kind))
+          << ToString(kind);
+    }
+    EXPECT_EQ(single->ons().updates(), sharded->ons().updates());
+    EXPECT_EQ(single->ons().charged_lookups(),
+              sharded->ons().charged_lookups());
+    EXPECT_EQ(single->ons().cache_hits(), sharded->ons().cache_hits());
+    for (TagId item : sim.all_items()) {
+      EXPECT_EQ(single->BelievedContainer(item),
+                sharded->BelievedContainer(item));
+    }
   }
 }
 
@@ -360,70 +377,6 @@ TEST(DeterminismTest, TelemetryOnOffMatchesBitForBit) {
     }
   }
   std::remove(trace_path.c_str());
-}
-
-// PR 9 determinism matrix: the hot-path machinery -- the arena-backed
-// window index (StreamingOptions::arena_index), SoA columns
-// (soa_columns), and the pipelined centralized flush (pipeline_flush) --
-// must be pure optimization. Every toggle combination, alone and
-// together, across threads {0, 4} and both transports, in both
-// processing modes, must match the everything-off serial replay bit for
-// bit (alerts, accuracy samples, per-kind/per-link bytes, directory
-// counters, beliefs). CI additionally re-runs this binary with
-// RFID_TRANSPORT=socket and under ASan/TSan.
-TEST(DeterminismTest, HotPathTogglesMatchBitForBit) {
-  SupplyChainConfig cfg = DeterminismConfig();
-  SupplyChainSim sim(cfg);
-  sim.Run();
-  ASSERT_FALSE(sim.transfers().empty());
-
-  struct Toggles {
-    bool arena;
-    bool soa;
-    bool pipeline;
-    int threads;
-    TransportKind transport;
-  };
-  const std::vector<Toggles> matrix = {
-      {true, false, false, 0, TransportKind::kInProcess},
-      {false, true, false, 0, TransportKind::kInProcess},
-      {false, false, true, 0, TransportKind::kInProcess},
-      {true, true, true, 0, TransportKind::kInProcess},
-      {false, false, false, 4, TransportKind::kInProcess},
-      {true, true, true, 4, TransportKind::kInProcess},
-      {true, true, true, 0, TransportKind::kSocket},
-      {true, true, true, 4, TransportKind::kSocket},
-  };
-  for (ProcessingMode mode :
-       {ProcessingMode::kCentralized, ProcessingMode::kDistributed}) {
-    auto run = [&](const Toggles& tg) {
-      DistributedOptions opts = DeterminismOptions(tg.threads);
-      opts.mode = mode;
-      opts.transport = tg.transport;
-      opts.site.streaming.arena_index = tg.arena;
-      opts.site.streaming.soa_columns = tg.soa;
-      opts.pipeline_flush = tg.pipeline;
-      auto sys = std::make_unique<DistributedSystem>(&sim, opts);
-      sys->Run();
-      return sys;
-    };
-    const auto reference =
-        run({false, false, false, 0, TransportKind::kInProcess});
-    ASSERT_FALSE(reference->snapshots().empty());
-    if (mode == ProcessingMode::kCentralized) {
-      ASSERT_GT(reference->network().BytesOfKind(MessageKind::kRawReadings),
-                0);
-    }
-    for (const Toggles& tg : matrix) {
-      SCOPED_TRACE("mode=" + ToString(mode) +
-                   " arena=" + std::to_string(tg.arena) +
-                   " soa=" + std::to_string(tg.soa) +
-                   " pipeline=" + std::to_string(tg.pipeline) +
-                   " threads=" + std::to_string(tg.threads) +
-                   " transport=" + ToString(tg.transport));
-      ExpectBitIdentical(*reference, *run(tg), sim);
-    }
-  }
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // seeded deterministic fault fates, exactly-once delivery under drop/
 // duplicate/reorder/corrupt faults, partition healing, wire-level CRC
 // drops on the socket backend, bit-identical faulty replays across
-// backends and thread counts, and a mid-window site crash whose recovery
-// converges back to the uncrashed run at fault rate 0.
+// backends and thread counts, and a site crash on the lossy fabric that
+// recovers from the site's own disk deterministically.
 #include <gtest/gtest.h>
 
 #include <string.h>
@@ -25,6 +25,7 @@
 #include "dist/transport_socket.h"
 #include "sim/sensors.h"
 #include "sim/supply_chain.h"
+#include "tests/scratch_dir.h"
 
 namespace rfid {
 namespace {
@@ -557,69 +558,13 @@ TEST(FaultyReplayTest, FaultsOffMatchesTheSeedFabricByteForByte) {
   EXPECT_EQ(system.reliability_flush_epochs(), 0);
 }
 
-/// A crash window for `site` during which no transfer departs it: the only
-/// state a crash irrecoverably loses is an outage-window export, so this
-/// is the window shape under which recovery can be exact.
-bool FindQuietCrashWindow(const SupplyChainSim& sim, SiteId site,
-                          Epoch outage, Epoch* at, Epoch* recover_at) {
-  const Epoch horizon = sim.config().horizon;
-  for (Epoch start = 310; start + outage < horizon - 100; start += 10) {
-    bool quiet = true;
-    for (const ObjectTransfer& tr : sim.transfers()) {
-      if (tr.from == site && tr.depart >= start &&
-          tr.depart < start + outage) {
-        quiet = false;
-        break;
-      }
-    }
-    if (quiet) {
-      *at = start;
-      *recover_at = start + outage;
-      return true;
-    }
-  }
-  return false;
-}
-
-TEST(CrashRecoveryTest, RecoveryIsBitIdenticalAtZeroFaults) {
-  ReplayFixture fx;
-  Epoch at = 0;
-  Epoch recover_at = 0;
-  ASSERT_TRUE(FindQuietCrashWindow(fx.sim, /*site=*/1, /*outage=*/150, &at,
-                                   &recover_at));
-
-  DistributedOptions base = ReplayOptions(0);
-  DistributedSystem reference(&fx.sim, base, &fx.catalog, &fx.sensors);
-  reference.Run();
-
-  DistributedOptions crashed_opts = ReplayOptions(0);
-  crashed_opts.crashes.push_back(CrashEvent{1, at, recover_at});
-  DistributedSystem crashed(&fx.sim, crashed_opts, &fx.catalog, &fx.sensors);
-  crashed.Run();
-
-  // Results converge exactly: accuracy series, alerts, and final beliefs.
-  // Byte totals legitimately differ (the recovery request and the re-sent
-  // envelopes are extra traffic) -- assert they exist instead.
-  EXPECT_EQ(reference.snapshots(), crashed.snapshots());
-  ExpectSameAlerts(reference.AllAlerts(0), crashed.AllAlerts(0));
-  ExpectSameAlerts(reference.AllAlerts(1), crashed.AllAlerts(1));
-  for (TagId item : fx.sim.all_items()) {
-    EXPECT_EQ(reference.BelievedContainer(item),
-              crashed.BelievedContainer(item));
-  }
-  for (TagId c : fx.sim.all_cases()) {
-    EXPECT_EQ(reference.BelievedContainer(c), crashed.BelievedContainer(c));
-  }
-  EXPECT_GT(crashed.network().BytesOfKind(MessageKind::kRecoveryRequest), 0);
-  EXPECT_EQ(reference.network().BytesOfKind(MessageKind::kRecoveryRequest),
-            0);
-}
-
 TEST(CrashRecoveryTest, CrashUnderFaultsCompletesAndIsDeterministic) {
   ReplayFixture fx;
-  auto run = [&](int threads) {
+  auto run = [&](int threads, const ScratchDir& dir) {
     DistributedOptions opts = ReplayOptions(threads);
     opts.network.faults = ReplayFaults();
+    opts.durability.dir = dir.str();
+    opts.durability.fsync = DurabilityOptions::FsyncPolicy::kOff;
     opts.crashes = SeededCrashSchedule(/*seed=*/5, fx.sim.config().num_warehouses,
                                        fx.sim.config().horizon, /*count=*/1,
                                        /*outage=*/200);
@@ -629,18 +574,18 @@ TEST(CrashRecoveryTest, CrashUnderFaultsCompletesAndIsDeterministic) {
     system->Run();
     return system;
   };
-  const auto a = run(0);
+  const ScratchDir dir_a;
+  const auto a = run(0, dir_a);
   ASSERT_FALSE(a->snapshots().empty());
   EXPECT_FALSE(std::isnan(a->AverageContainmentErrorPercent(300)));
   EXPECT_GT(a->network().reliable_stats().retransmits, 0);
-  EXPECT_GT(a->network().BytesOfKind(MessageKind::kRecoveryRequest), 0);
+  EXPECT_TRUE(a->network().AllReliableDelivered());
+  EXPECT_GT(a->DurabilityTotals().replayed_frames, 0);
 
   // Same seed, same crash schedule, different thread count: identical.
-  const auto b = run(4);
-  EXPECT_EQ(a->snapshots(), b->snapshots());
-  ExpectSameAlerts(a->AllAlerts(0), b->AllAlerts(0));
-  ExpectSameAlerts(a->AllAlerts(1), b->AllAlerts(1));
-  EXPECT_EQ(a->network().total_bytes(), b->network().total_bytes());
+  const ScratchDir dir_b;
+  const auto b = run(4, dir_b);
+  ExpectBitIdentical(*a, *b, fx.sim);
 }
 
 TEST(CrashRecoveryTest, SeededScheduleIsValidAndDeterministic) {
@@ -660,50 +605,6 @@ TEST(CrashRecoveryTest, SeededScheduleIsValidAndDeterministic) {
     prev = a[i].at;
   }
   EXPECT_TRUE(SeededCrashSchedule(9, 0, 2000, 3, 100).empty());
-}
-
-// Pinned regression for the peer-assisted recovery's documented gap: a
-// transfer that departs WHILE its source site is down is never exported
-// (the dead process can't send, and the restarted one no longer owns the
-// state), so the non-durable run provably diverges from the uncrashed
-// run in wire bytes. The durable path (tests/durability_test.cc) closes
-// exactly this gap: its catch-up replay exports the envelope from
-// checkpoint + WAL state, bit-identically and with zero recovery
-// traffic.
-TEST(CrashRecoveryTest, DepartureDuringOutageIsLostWithoutDurability) {
-  ReplayFixture fx;
-  const ObjectTransfer* victim = nullptr;
-  for (const ObjectTransfer& tr : fx.sim.transfers()) {
-    if (tr.from > 0 && tr.to != kNoSite && tr.depart >= 400 &&
-        tr.arrive > tr.depart + 20 && tr.arrive <= 1400) {
-      victim = &tr;
-      break;
-    }
-  }
-  ASSERT_NE(victim, nullptr);
-  const Epoch at = victim->depart - 5;
-  const Epoch recover_at = victim->depart + 15;
-  ASSERT_LT(recover_at, victim->arrive);
-
-  DistributedOptions base = ReplayOptions(0);
-  DistributedSystem reference(&fx.sim, base, &fx.catalog, &fx.sensors);
-  reference.Run();
-
-  DistributedOptions crashed_opts = ReplayOptions(0);
-  crashed_opts.crashes.push_back(CrashEvent{victim->from, at, recover_at});
-  DistributedSystem crashed(&fx.sim, crashed_opts, &fx.catalog, &fx.sensors);
-  crashed.Run();
-
-  // The replacement process asked its peers for help...
-  EXPECT_GT(crashed.network().BytesOfKind(MessageKind::kRecoveryRequest), 0);
-  // ...but the departed envelope never crossed the wire, and with it the
-  // migrated tags' reading histories: the destination cannot merge each
-  // item's pre-move exposure with its post-move exposure, so every
-  // migrated item's alert splits in two and the alert sets diverge. This
-  // inequality is the contract the durable path's bit-identity suite
-  // (tests/durability_test.cc) tightens to equality.
-  EXPECT_NE(reference.AllAlerts(0).size(), crashed.AllAlerts(0).size());
-  EXPECT_NE(reference.AllAlerts(1).size(), crashed.AllAlerts(1).size());
 }
 
 }  // namespace

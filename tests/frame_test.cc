@@ -148,6 +148,25 @@ TEST(FrameTest, UnsupportedVersionIsFatal) {
   EXPECT_EQ(consumed, 0u);
 }
 
+TEST(FrameTest, UnknownKindWithValidChecksumIsResyncable) {
+  // The encoder checksums whatever kind byte it is given, so this frame
+  // passes the CRC and only the kind check rejects it: in-frame
+  // corruption with a trustworthy length, like a checksum mismatch.
+  Frame f = SampleFrame();
+  f.kind = static_cast<MessageKind>(kNumMessageKinds);
+  const std::vector<uint8_t> wire = EncodeFrameToBytes(f);
+  ASSERT_EQ(wire[5], kNumMessageKinds);
+  Frame decoded;
+  size_t consumed = 0;
+  const Status st = DecodeFrame(wire.data(), wire.size(), &decoded,
+                                &consumed);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_NE(st.ToString().find("unknown message kind"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(consumed, wire.size());
+}
+
 // ---- FrameView: the zero-copy decode the transports use ----
 
 TEST(FrameViewTest, ViewMatchesOwningDecodeAndPointsIntoBuffer) {

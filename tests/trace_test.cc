@@ -264,7 +264,7 @@ TEST(ReadingTest, ToStringFormats) {
             "(3, item:1, loc 2, container case:4)");
 }
 
-// ---- Arena-backed CSR index + SoA columns (the PR 9 window layout) ----
+// ---- CSR per-tag index ----
 
 Trace ScrambledTrace(int tags, int epochs) {
   Trace t;
@@ -289,60 +289,35 @@ void ExpectSameIndex(const Trace& a, const Trace& b) {
   }
 }
 
-TEST(TraceArenaTest, ArenaIndexMatchesHeapIndex) {
-  Trace heap = ScrambledTrace(12, 50);
-  Trace arena_backed = heap;
-  Arena arena;
-  arena_backed.SetArena(&arena);
-  arena_backed.EnableColumns(true);
-  heap.Seal();
-  arena_backed.Seal();
-  EXPECT_GT(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(heap.readings(), arena_backed.readings());
-  ExpectSameIndex(heap, arena_backed);
-  // Columns mirror the canonical rows exactly.
-  ASSERT_TRUE(arena_backed.has_columns());
-  const ReadingColumnsView cols = arena_backed.columns();
-  ASSERT_EQ(cols.size, arena_backed.size());
-  for (size_t i = 0; i < cols.size; ++i) {
-    EXPECT_EQ(cols.Row(i), arena_backed.readings()[i]) << i;
-  }
-  // Reseal after more readings: the arena is rewound and reused, and the
-  // rebuilt index still matches a heap-indexed twin.
-  const RawReading extra{999, TagId::Item(3), 2};
-  heap.Add(extra);
-  arena_backed.Add(extra);
-  heap.Seal();
-  arena_backed.Seal();
-  ExpectSameIndex(heap, arena_backed);
-}
-
-TEST(TraceArenaTest, CopyDoesNotShareTheArena) {
-  Arena arena;
+TEST(TraceIndexTest, HistorySpansSurviveCopyAndMove) {
   Trace original = ScrambledTrace(8, 30);
-  original.SetArena(&arena);
   original.Seal();
-  const Trace copy = original;  // re-derives its index off-arena
+  // A copy owns its index: resealing the source later must not disturb it.
+  const Trace copy = original;
   ExpectSameIndex(original, copy);
-  // Resealing the original rewinds the arena; the copy's index must
-  // survive that (it owns its backing storage).
-  original.Add(RawReading{500, TagId::Item(0), 1});
-  original.Seal();
+
+  // A move adopts the source's buffers, so a span taken before the move
+  // still points into the moved-to trace's index.
+  const TagReadSpan before = original.HistoryOf(TagId::Item(0));
+  ASSERT_FALSE(before.empty());
+  Trace moved = std::move(original);
+  EXPECT_TRUE(moved.sealed());
+  ExpectSameIndex(copy, moved);
+  EXPECT_EQ(moved.HistoryOf(TagId::Item(0)).data(), before.data());
+
+  Trace assigned;
+  assigned = copy;
+  ExpectSameIndex(copy, assigned);
+  Trace move_assigned;
+  move_assigned = std::move(assigned);
+  ExpectSameIndex(copy, move_assigned);
+
+  moved.Add(RawReading{500, TagId::Item(0), 1});
+  moved.Seal();
   const TagReadSpan h = copy.HistoryOf(TagId::Item(0));
   ASSERT_FALSE(h.empty());
   EXPECT_LT(h.back().time, 500);
-}
-
-TEST(TraceArenaTest, MoveTransfersTheIndexIntact) {
-  Trace original = ScrambledTrace(8, 30);
-  original.EnableColumns(true);
-  original.Seal();
-  const Trace reference = original;
-  const Trace moved = std::move(original);
-  EXPECT_TRUE(moved.sealed());
-  ExpectSameIndex(reference, moved);
-  ASSERT_TRUE(moved.has_columns());
-  EXPECT_EQ(moved.columns().size, moved.size());
+  EXPECT_EQ(moved.HistoryOf(TagId::Item(0)).back().time, 500);
 }
 
 }  // namespace

@@ -152,13 +152,17 @@ def run_protocol(bench, build_dir, warmup, repeat, pin, env_extra):
 
 
 def rate_rows(report):
-    """(section, index, field, value) for every rate field in the report."""
+    """(section, label, field, value) for every rate field in the report.
+
+    Rows pair across reports by (section, label), so a renamed or dropped
+    configuration is never compared against a different one that happens
+    to sit at the same index."""
     out = []
     for section, entries in report.get("rows", {}).items():
         for i, entry in enumerate(entries):
             for field in RATE_FIELDS:
                 if isinstance(entry.get(field), (int, float)):
-                    out.append((section, i, entry.get("label", str(i)),
+                    out.append((section, entry.get("label", str(i)),
                                 field, float(entry[field])))
                     break  # one rate per row
     return out
@@ -185,24 +189,25 @@ def check_regression(bench, merged, results_dir):
         log(f"{bench}: no previous tracked result; skipping regression "
             "check")
         return
-    prev_rates = {(s, i): (label, field, v)
-                  for s, i, label, field, v in rate_rows(prev)}
+    prev_rates = {(s, label): v for s, label, _, v in rate_rows(prev)}
     warned = False
-    for s, i, label, field, now in rate_rows(merged):
-        if (s, i) not in prev_rates:
+    compared = 0
+    for s, label, field, now in rate_rows(merged):
+        before = prev_rates.get((s, label))
+        if before is None or before <= 0:
             continue
-        _, _, before = prev_rates[(s, i)]
-        if before <= 0:
-            continue
+        compared += 1
         drop = (before - now) / before
         if drop > REGRESSION_THRESHOLD:
             warned = True
             log(f"WARNING: {bench} [{s}] '{label}' {field} regressed "
                 f"{100 * drop:.1f}% vs {prev_name} "
                 f"({before:.1f} -> {now:.1f})")
-    if not warned:
+    if compared == 0:
+        log(f"{bench}: no row label matches {prev_name}; nothing compared")
+    elif not warned:
         log(f"{bench}: no >{100 * REGRESSION_THRESHOLD:.0f}% regression "
-            f"vs {prev_name}")
+            f"over {compared} row(s) vs {prev_name}")
 
 
 def record_result(bench, merged, results_dir, commit, utc_date, label=None):
@@ -220,7 +225,7 @@ def record_result(bench, merged, results_dir, commit, utc_date, label=None):
         "commit": commit,
         "bench": bench,
         "rates": {f"{s}/{label_}/{field}": v
-                  for s, _, label_, field, v in rate_rows(merged)},
+                  for s, label_, field, v in rate_rows(merged)},
     }
     with open(os.path.join(results_dir, "trajectory.jsonl"), "a",
               encoding="utf-8") as f:
@@ -255,9 +260,9 @@ def remove_worktree(repo_root, tmp, wt):
 
 def compare(bench, ours, theirs, ref):
     log(f"{bench}: HEAD vs {ref}")
-    theirs_rates = {(s, i): v for s, i, _, _, v in rate_rows(theirs)}
-    for s, i, label, field, now in rate_rows(ours):
-        before = theirs_rates.get((s, i))
+    theirs_rates = {(s, label): v for s, label, _, v in rate_rows(theirs)}
+    for s, label, field, now in rate_rows(ours):
+        before = theirs_rates.get((s, label))
         if before is None or before <= 0:
             continue
         delta = 100.0 * (now - before) / before

@@ -73,8 +73,8 @@ Enforces domain rules no generic analyzer knows (registered as the
                      `new` / `make_unique` / `make_shared`, and no
                      `push_back`/`emplace_back` into a container that
                      was not `reserve`d earlier in the file. These loops
-                     run once per reading per window -- the arena/SoA
-                     hot path exists precisely so they don't allocate.
+                     run once per reading per window, so they must not
+                     allocate per element.
                      Amortized-constant pushes (cleared-and-reused
                      vectors at steady-state capacity) carry
                      `// lint:allow(hot-loop-alloc): <reason>`.
@@ -596,7 +596,7 @@ def check_hot_loops(root, findings):
                             path, idx + 1, "hot-loop-alloc",
                             f"{what} inside hot loop '{region[0]}': "
                             "this runs once per reading per window -- "
-                            "provision up front (arena / reserve) or "
+                            "provision up front (reserve / reused buffer) or "
                             "suppress with a reason if amortized"))
             if region is not None:
                 findings.append(Finding(
