@@ -9,14 +9,17 @@
 //    warehouses); 1.21M items/warehouse with a mobile reader (12.1M over
 //    10), because mobile scanning thins the shelf readings.
 //
-// 2. The distributed replay itself: wall-clock of the bulk-synchronous
+// 2. The replay itself: wall-clock of the bulk-synchronous
 //    DistributedSystem::Run as worker threads grow, for several site
-//    counts. Per-site inference between transfer boundaries is
-//    embarrassingly parallel, so epochs/sec should scale with threads up
-//    to the site count (on sufficiently many cores) while alerts, accuracy
-//    and byte accounting stay bit-identical to the serial replay. Each run
+//    counts, in distributed and centralized mode. Threads run sites'
+//    windows concurrently and split each inference run's E-step, M-step
+//    and evidence scan, so even the one centralized server gains from
+//    them; alerts, accuracy and byte accounting stay bit-identical to the
+//    serial replay. Site imbalance (max over mean of per-site inference
+//    seconds) shows how far one site's inference dominates. Each run
 //    rewrites BENCH_scalability.json with its machine-readable sweep;
 //    per-machine snapshots accumulate into a trajectory in EXPERIMENTS.md.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -62,11 +65,14 @@ struct ReplayResult {
   double seconds = 0.0;
   int64_t total_bytes = 0;
   double avg_error = 0.0;
+  /// Max over mean of the per-site inference seconds (1 = even).
+  double site_imbalance = 0.0;
 };
 
-ReplayResult RunReplay(const SupplyChainSim& sim, int num_threads,
-                       bool collect_metrics = true) {
+ReplayResult RunReplay(const SupplyChainSim& sim, ProcessingMode mode,
+                       int num_threads, bool collect_metrics = true) {
   DistributedOptions opts;
+  opts.mode = mode;
   opts.site.migration = MigrationMode::kCollapsed;
   opts.site.streaming.inference_period = 300;
   opts.site.streaming.recent_history = 400;
@@ -82,6 +88,14 @@ ReplayResult RunReplay(const SupplyChainSim& sim, int num_threads,
   r.seconds = timer.ElapsedSeconds();
   r.total_bytes = sys.network().total_bytes();
   r.avg_error = sys.AverageContainmentErrorPercent();
+  double busy = 0.0;
+  double max_busy = 0.0;
+  for (SiteId s = 0; s < sys.num_processors(); ++s) {
+    const double t = sys.site(s).streaming().total_inference_seconds();
+    busy += t;
+    max_busy = std::max(max_busy, t);
+  }
+  r.site_imbalance = busy > 0.0 ? max_busy * sys.num_processors() / busy : 0.0;
   return r;
 }
 
@@ -119,12 +133,13 @@ int Main() {
       "so it sustains a larger population at the same per-run budget\n"
       "(the paper: 150k items/warehouse static vs 1.21M mobile).\n\n");
 
-  // ---- Distributed replay: threads x sites ----
-  std::printf("--- distributed replay: wall-clock vs worker threads ---\n");
+  // ---- Replay: mode x sites x threads ----
+  std::printf("--- replay: wall-clock vs worker threads ---\n");
   std::printf("hardware concurrency: %u\n",
               std::thread::hardware_concurrency());
-  TablePrinter dist_table({"Sites", "Threads", "Wall(s)", "Epochs/s",
-                           "Speedup", "Bytes", "Deterministic"});
+  TablePrinter dist_table({"Mode", "Sites", "Threads", "Wall(s)", "Epochs/s",
+                           "Speedup", "Imbalance", "Bytes",
+                           "Deterministic"});
   // The replay sweep honors RFID_TRANSPORT, so the same binary measures
   // the in-process fabric or the loopback socket backend.
   const std::string transport = ToString(TransportKindFromEnv());
@@ -135,44 +150,54 @@ int Main() {
                                                sites)));
     sim.Run();
     const Epoch horizon = sim.config().horizon;
-    const ReplayResult serial = RunReplay(sim, /*num_threads=*/0);
-    for (int threads : {0, 1, 2, 4, 8}) {
-      const ReplayResult r =
-          threads == 0 ? serial : RunReplay(sim, threads);
-      const double eps = r.seconds > 0.0 ? horizon / r.seconds : 0.0;
-      const double speedup =
-          r.seconds > 0.0 ? serial.seconds / r.seconds : 0.0;
-      // avg_error is NaN when a run recorded no accuracy samples; NaN !=
-      // NaN, so compare it as "both NaN or bitwise equal".
-      const bool same_error =
-          r.avg_error == serial.avg_error ||
-          (std::isnan(r.avg_error) && std::isnan(serial.avg_error));
-      const bool deterministic =
-          r.total_bytes == serial.total_bytes && same_error;
-      dist_table.AddRow({std::to_string(sites), std::to_string(threads),
-                         TablePrinter::Fmt(r.seconds, 3),
-                         TablePrinter::Fmt(eps, 1),
-                         TablePrinter::Fmt(speedup, 2),
-                         std::to_string(r.total_bytes),
-                         deterministic ? "yes" : "NO"});
-      obs::JsonValue row = obs::JsonValue::Object();
-      row.Set("sites", sites);
-      row.Set("threads", threads);
-      row.Set("seconds", r.seconds);
-      row.Set("epochs_per_sec", eps);
-      row.Set("speedup_vs_serial", speedup);
-      row.Set("total_bytes", r.total_bytes);
-      row.Set("bytes_match_serial", r.total_bytes == serial.total_bytes);
-      row.Set("matches_serial", deterministic);
-      report.AddRow("replay", std::move(row));
+    for (ProcessingMode mode :
+         {ProcessingMode::kDistributed, ProcessingMode::kCentralized}) {
+      const ReplayResult serial = RunReplay(sim, mode, /*num_threads=*/0);
+      for (int threads : {0, 1, 2, 4, 8}) {
+        const ReplayResult r =
+            threads == 0 ? serial : RunReplay(sim, mode, threads);
+        const double eps = r.seconds > 0.0 ? horizon / r.seconds : 0.0;
+        const double speedup =
+            r.seconds > 0.0 ? serial.seconds / r.seconds : 0.0;
+        // avg_error is NaN when a run recorded no accuracy samples; NaN !=
+        // NaN, so compare it as "both NaN or bitwise equal".
+        const bool same_error =
+            r.avg_error == serial.avg_error ||
+            (std::isnan(r.avg_error) && std::isnan(serial.avg_error));
+        const bool deterministic =
+            r.total_bytes == serial.total_bytes && same_error;
+        dist_table.AddRow({ToString(mode), std::to_string(sites),
+                           std::to_string(threads),
+                           TablePrinter::Fmt(r.seconds, 3),
+                           TablePrinter::Fmt(eps, 1),
+                           TablePrinter::Fmt(speedup, 2),
+                           TablePrinter::Fmt(r.site_imbalance, 2),
+                           std::to_string(r.total_bytes),
+                           deterministic ? "yes" : "NO"});
+        obs::JsonValue row = obs::JsonValue::Object();
+        row.Set("mode", ToString(mode));
+        row.Set("sites", sites);
+        row.Set("threads", threads);
+        row.Set("seconds", r.seconds);
+        row.Set("epochs_per_sec", eps);
+        row.Set("speedup_vs_serial", speedup);
+        row.Set("site_imbalance", r.site_imbalance);
+        row.Set("total_bytes", r.total_bytes);
+        row.Set("bytes_match_serial", r.total_bytes == serial.total_bytes);
+        row.Set("matches_serial", deterministic);
+        report.AddRow("replay", std::move(row));
+      }
     }
   }
   dist_table.Print();
   std::printf(
-      "expected shape: epochs/s grows with threads up to min(cores, sites)\n"
-      "-- per-site windows run concurrently and join at transfer/flush\n"
-      "boundaries -- while bytes and error stay bit-identical (the\n"
-      "determinism contract; enforced by executor_test).\n\n");
+      "expected shape: epochs/s grows with threads up to the core count in\n"
+      "both modes -- sites' windows run concurrently and each inference\n"
+      "run's E-step, M-step and evidence scan split across the pool -- so\n"
+      "the centralized server gains too; what stays serial (trace sealing,\n"
+      "query feeding, flush encoding) caps the speedup. Bytes and error\n"
+      "stay bit-identical (the determinism contract; enforced by\n"
+      "executor_test).\n\n");
 
   // ---- Telemetry overhead: collect_metrics on vs off ----
   // The instrumentation budget is "<2% when off, low single digits when
@@ -186,8 +211,12 @@ int Main() {
     constexpr int kReps = 3;
     OnlineStats on_s, off_s;
     for (int rep = 0; rep < kReps; ++rep) {
-      on_s.Add(RunReplay(sim, 4, /*collect_metrics=*/true).seconds);
-      off_s.Add(RunReplay(sim, 4, /*collect_metrics=*/false).seconds);
+      on_s.Add(RunReplay(sim, ProcessingMode::kDistributed, 4,
+                         /*collect_metrics=*/true)
+                   .seconds);
+      off_s.Add(RunReplay(sim, ProcessingMode::kDistributed, 4,
+                          /*collect_metrics=*/false)
+                    .seconds);
     }
     const double overhead_pct =
         off_s.Mean() > 0.0

@@ -194,17 +194,19 @@ cmake --build build-asan -j "${JOBS}"
   -R '^(dist_test|executor_test|frame_test|fault_test|durability_test)$')
 
 echo "==> Debug + TSan: distributed executor + determinism + ONS tests"
-# TSan and ASan cannot share a build; only the threaded distributed layer
-# needs the data-race pass, so build and run just those binaries.
+# TSan and ASan cannot share a build; only the threaded code needs the
+# data-race pass, so build and run just those binaries. inference_test
+# runs the inference engine's loops on a 4-thread pool (pinned digest).
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DRFID_TSAN=ON
 # obs_test rides along: the metrics registry's lock-free hot path and
 # concurrent-registration contract are exactly what TSan is for.
 cmake --build build-tsan -j "${JOBS}" \
-  --target dist_test executor_test fault_test ons_test obs_test
+  --target dist_test executor_test inference_test fault_test ons_test \
+  obs_test
 (cd build-tsan && \
   ctest --output-on-failure \
-  -R '^(dist_test|executor_test|fault_test|ons_test|obs_test)$')
+  -R '^(dist_test|executor_test|inference_test|fault_test|ons_test|obs_test)$')
 
 echo "==> CI green"

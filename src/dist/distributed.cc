@@ -154,6 +154,7 @@ std::unique_ptr<Site> DistributedSystem::MakeSite(SiteId s) {
                                      &network_, options_.site);
   Site* raw = site.get();
   raw->SetTelemetry(telemetry_.get());
+  raw->set_pool(pool_);
   if (!durabilities_.empty()) {
     raw->AttachDurability(durabilities_[static_cast<size_t>(s)].get());
   }
@@ -251,12 +252,13 @@ void DistributedSystem::Run() {
   std::sort(events.begin(), events.end());
   events.erase(std::unique(events.begin(), events.end()), events.end());
 
-  // At most one thread per site can ever be useful. Centralized mode has
-  // one processor, so its replay is serial: a wider pool (e.g.
-  // kAutoThreads on a many-core box) only adds wakeup contention.
-  SiteExecutor executor(
-      std::min(SiteExecutor::ResolveThreads(options_.num_threads),
-               static_cast<int>(sites_.size())));
+  // Built here rather than in the constructor, so setup does not pay for
+  // thread spawn. Threads beyond the site count still pay off: they split
+  // the inference runs of the sites still computing (in centralized mode,
+  // the one server's).
+  SiteExecutor executor(options_.num_threads);
+  pool_ = &executor;
+  for (auto& site : sites_) site->set_pool(pool_);
   std::vector<size_t>& cursor = cursors_;
   // Centralized mode: a remote site's un-flushed readings pend as the
   // range [flush_begin[s], cursor[s]) of its immutable simulator trace --
@@ -400,7 +402,7 @@ void DistributedSystem::Run() {
           ready.push_back(s);
         }
       }
-      executor.Run(ready.size(), [&](size_t i) {
+      executor.Run(ready.size(), [&](size_t i, int) {
         const size_t s = ready[i];
         obs::PhaseTimer span(telemetry_.get(), obs::Phase::kWindowCompute,
                              t, obs::kFirstSiteTrack + static_cast<int>(s));
@@ -456,7 +458,7 @@ void DistributedSystem::Run() {
     // (AdvanceTo is a no-op elsewhere, so the fan-out is skipped).
     bool any_ran = false;
     if (boundary) {
-      executor.Run(sites_.size(), [&](size_t s) {
+      executor.Run(sites_.size(), [&](size_t s, int) {
         if (network_.IsSiteDown(static_cast<SiteId>(s))) {
           ran[s] = 0;
           return;
@@ -557,6 +559,9 @@ void DistributedSystem::Run() {
     }
     reliability_flush_epochs_ = t - horizon;
   }
+  // The pool ends with Run; inference calls made afterwards run serially.
+  for (auto& site : sites_) site->set_pool(nullptr);
+  pool_ = nullptr;
 
   // Final durability flush (audit records from the last window pend until
   // here), then surface the counters alongside the run's other metrics.
@@ -825,7 +830,7 @@ ErrorRate DistributedSystem::ScanContainment(const std::vector<TagId>& tags,
     scan_range(0, n, err);
   } else {
     std::vector<ErrorRate> partial(num_chunks);
-    executor->Run(num_chunks, [&](size_t chunk) {
+    executor->Run(num_chunks, [&](size_t chunk, int) {
       scan_range(chunk * n / num_chunks, (chunk + 1) * n / num_chunks,
                  partial[chunk]);
     });

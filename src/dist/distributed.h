@@ -30,12 +30,14 @@
 // messages sent at earlier events are in flight until this point, however
 // the transport backend carried them). Per-site work (DeliverArrivals +
 // ObserveBatch, then AdvanceTo at boundaries) then fans out across a
-// SiteExecutor worker pool and joins before the serial boundary phase (ONS
-// shard updates/resolves, ExportTransfer, Network::Send, accuracy
-// snapshots). Because parallel work touches only site-local state and all
-// cross-site effects -- including every sharded-directory mutation, cache
-// fill, and frame drain -- are serial, results are bit-identical for every
-// num_threads (and directory_shards, and transport backend) value.
+// SiteExecutor worker pool, whose threads also split each inference run's
+// E-step, M-step and evidence scan, and joins before the serial boundary
+// phase (ONS shard updates/resolves, ExportTransfer, Network::Send,
+// accuracy snapshots). Because parallel work touches only site-local state
+// and all cross-site effects -- including every sharded-directory
+// mutation, cache fill, and frame drain -- are serial, results are
+// bit-identical for every num_threads (and directory_shards, and transport
+// backend) value.
 #ifndef RFID_DIST_DISTRIBUTED_H_
 #define RFID_DIST_DISTRIBUTED_H_
 
@@ -43,9 +45,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/metrics.h"
 #include "common/thread_annotations.h"
-#include "dist/executor.h"
 #include "dist/network.h"
 #include "dist/ons.h"
 #include "dist/site.h"
@@ -120,9 +122,10 @@ struct DistributedOptions {
   bool attach_queries = false;
   ExposureQueryConfig q1 = ExposureQuery::Q1Config();
   ExposureQueryConfig q2 = ExposureQuery::Q2Config();
-  /// Threads executing per-site windows: 0 (or 1) = serial on the replay
-  /// thread, kAutoThreads = hardware concurrency. Alerts, accuracy
-  /// snapshots, and byte counts are bit-identical across all values.
+  /// Threads executing per-site windows and the loops inside each
+  /// inference run, in both modes: 0 (or 1) = serial on the replay thread,
+  /// kAutoThreads = hardware concurrency. Alerts, accuracy snapshots, and
+  /// byte counts are bit-identical across all values.
   int num_threads = kAutoThreads;
   /// ONS directory shards (hash partition of the tag->site map, each shard
   /// hosted by a real site); 0 = one shard per site. Shard count changes
@@ -318,6 +321,9 @@ class DistributedSystem {
   Network network_;
   Ons ons_;
   std::vector<std::unique_ptr<Site>> sites_;
+  /// Run's worker pool while Run executes (null otherwise); every site,
+  /// including a crashed site's replacement, runs its inference on it.
+  SiteExecutor* pool_ = nullptr;
   /// Per-site durable stores (empty when durability is disabled). Owned
   /// here -- not by the Site -- so the WAL/audit state survives a crashed
   /// site's teardown and the replacement process reopens the same files.

@@ -254,7 +254,7 @@ struct ReliableStats {
 
 /// The byte-accounted message fabric. Owns a Transport backend and the
 /// per-destination arrival queues. Unsynchronized by design: under the
-/// bulk-synchronous executor (dist/executor.h) every Send and DeliverDue
+/// bulk-synchronous executor (common/executor.h) every Send and DeliverDue
 /// happens in a serial boundary phase -- never concurrently with per-site
 /// parallel work -- which keeps the per-link/per-kind accounting race-free
 /// without locks. That contract is machine-checked: the fabric state is

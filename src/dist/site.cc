@@ -171,6 +171,11 @@ Site::Site(SiteId id, const ReadRateModel* model,
 
 Site::~Site() = default;
 
+void Site::set_pool(SiteExecutor* pool) {
+  streaming_.set_pool(pool);
+  if (pallet_streaming_ != nullptr) pallet_streaming_->set_pool(pool);
+}
+
 void Site::AttachQueries(const ProductCatalog* catalog,
                          const ExposureQueryConfig& q1,
                          const ExposureQueryConfig& q2) {

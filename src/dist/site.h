@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "dist/durability.h"
@@ -96,7 +97,8 @@ struct PendingQueryState {
 /// One site's processor. Owned and driven by DistributedSystem in epoch
 /// order. The site itself is unsynchronized: under the bulk-synchronous
 /// executor, Observe/ObserveBatch/AdvanceTo/DeliverArrivals run inside
-/// parallel windows (at most one thread per site at a time), while every
+/// parallel windows (one call per site at a time; an inference run inside
+/// it may fan its loops out on the pool, see set_pool), while every
 /// method that crosses sites -- ExportTransfer, Retire, and HandleMessage
 /// (invoked by Network::DeliverDue when a queued frame's arrival epoch
 /// passes) -- only runs from the serial phases between windows.
@@ -113,6 +115,10 @@ class Site {
 
   Site(const Site&) = delete;
   Site& operator=(const Site&) = delete;
+
+  /// Runs both containment levels' inference loops on `pool` (see
+  /// RFInfer::set_pool); nullptr runs them on the caller.
+  void set_pool(SiteExecutor* pool);
 
   /// Instantiates Q1/Q2 against `catalog` (must outlive the site).
   void AttachQueries(const ProductCatalog* catalog,

@@ -3,40 +3,49 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "common/status.h"
+
 namespace rfid {
 
 namespace {
 
-// Scans the canonical-ordered (time, reader, tag) readings; within one
-// (epoch, reader) run, pairs every object with every container.
+// Scans the canonical-ordered (time, reader, tag) readings of epochs
+// [begin, end] -- a binary search finds the first, the scan stops after
+// the last; within one (epoch, reader) run, pairs every object with every
+// container.
 template <typename ContainerPred, typename ObjectPred>
 void CountRuns(const Trace& trace, Epoch begin, Epoch end,
                ContainerPred is_container, ObjectPred is_object,
                bool exclusivity_weighted,
                std::unordered_map<TagId, std::unordered_map<TagId, double>>*
                    counts) {
+  RFID_CHECK_OK(trace.sealed() ? Status::OK()
+                               : Status::InvalidArgument(
+                                     "co-location needs a sealed trace"));
   const auto& rs = trace.readings();
   const size_t n = rs.size();
-  size_t i = 0;
+  const auto first =
+      std::partition_point(rs.begin(), rs.end(), [&](const RawReading& r) {
+        return r.time < begin;
+      });
+  size_t i = static_cast<size_t>(first - rs.begin());
   std::vector<TagId> run_containers;
   std::vector<TagId> run_objects;
   // lint:hot-loop-begin(colocation-count)
-  while (i < n) {
+  while (i < n && rs[i].time <= end) {
     const Epoch t = rs[i].time;
     const LocationId reader = rs[i].reader;
     size_t j = i;
     run_containers.clear();
     run_objects.clear();
     while (j < n && rs[j].time == t && rs[j].reader == reader) {
-      if (t >= begin && t <= end) {
-        const TagId tag = rs[j].tag;
-        // lint:allow(hot-loop-alloc): cleared-and-reused across runs;
-        // capacity hits the largest burst early, then pushes stop
-        // allocating. A reserve would need a burst-size pre-scan.
-        if (is_container(tag)) run_containers.push_back(tag);
-        // lint:allow(hot-loop-alloc): same steady-state capacity.
-        if (is_object(tag)) run_objects.push_back(tag);
-      }
+      const TagId tag = rs[j].tag;
+      // lint:allow(hot-loop-alloc): cleared-and-reused across runs;
+      // capacity hits the largest burst early, then pushes stop
+      // allocating. A reserve would need a burst-size pre-scan.
+      if (is_container(tag)) run_containers.push_back(tag);
+      // lint:allow(hot-loop-alloc): same steady-state capacity.
+      if (is_object(tag)) run_objects.push_back(tag);
       ++j;
     }
     if (!run_containers.empty()) {

@@ -97,7 +97,7 @@ void MergeRuns(std::vector<T>* buf, std::vector<size_t>* ends,
 RFInfer::RFInfer(const ReadRateModel* model,
                  const InterrogationSchedule* schedule,
                  InferenceOptions options)
-    : model_(model), schedule_(schedule), options_(options) {
+    : model_(model), schedule_(schedule), options_(options), scratch_(1) {
   assert(model_->num_locations() == schedule_->num_locations());
 }
 
@@ -115,6 +115,29 @@ void RFInfer::SetObjectContext(TagId object, ObjectContext context) {
 }
 
 void RFInfer::ClearObjectContexts() { contexts_.clear(); }
+
+void RFInfer::set_pool(SiteExecutor* pool) {
+  // A serial pool would only add dispatch to the single-chunk loops.
+  pool_ = pool != nullptr && !pool->serial() ? pool : nullptr;
+  scratch_.resize(pool_ == nullptr ? 1 : static_cast<size_t>(
+                                             pool_->num_threads()));
+}
+
+template <typename Body>
+void RFInfer::ForChunks(size_t n, const Body& body) const {
+  if (pool_ == nullptr) {
+    body(size_t{0}, n, 0);
+    return;
+  }
+  // A few chunks per thread: dynamic claiming evens out skewed items
+  // (one crowded container can outweigh a dozen quiet ones).
+  constexpr size_t kChunksPerThread = 4;
+  const size_t chunks = std::min(
+      n, kChunksPerThread * static_cast<size_t>(pool_->num_threads()));
+  pool_->Run(chunks, [&](size_t k, int thread) {
+    body(k * n / chunks, (k + 1) * n / chunks, thread);
+  });
+}
 
 int RFInfer::ObjectIndexOf(TagId tag) const {
   auto it = object_index_.find(tag);
@@ -195,29 +218,25 @@ void RFInfer::BuildCandidates(const Trace& trace) {
     }
   }
 
-  CoLocationCounter full;
-  CoLocationCounter init;
-  CoLocationCounter recent;
+  // The three counting passes are independent reads of the trace.
+  const Epoch begins[3] = {span_begin, window_.begin, recent_begin};
+  const Epoch ends[3] = {window_.end, init_end, window_.end};
+  CoLocationCounter counters[3];
   const bool weighted = options_.exclusivity_weighted_init;
-  if (explicit_universe_) {
-    full = CoLocationCounter::FromTraceWithRoles(
-        trace, span_begin, window_.end, container_tags_, object_tags_,
-        weighted);
-    init = CoLocationCounter::FromTraceWithRoles(
-        trace, window_.begin, init_end, container_tags_, object_tags_,
-        weighted);
-    recent = CoLocationCounter::FromTraceWithRoles(
-        trace, recent_begin, window_.end, container_tags_, object_tags_,
-        weighted);
+  auto count = [&](size_t pass, int) {
+    counters[pass] =
+        explicit_universe_
+            ? CoLocationCounter::FromTraceWithRoles(
+                  trace, begins[pass], ends[pass], container_tags_,
+                  object_tags_, weighted)
+            : CoLocationCounter::FromTrace(trace, begins[pass], ends[pass],
+                                           weighted);
+  };
+  if (pool_ == nullptr) {
+    for (size_t pass = 0; pass < 3; ++pass) count(pass, 0);
   } else {
-    full = CoLocationCounter::FromTrace(trace, span_begin, window_.end,
-                                        weighted);
-    init = CoLocationCounter::FromTrace(trace, window_.begin, init_end,
-                                        weighted);
-    recent = CoLocationCounter::FromTrace(trace, recent_begin, window_.end,
-                                          weighted);
+    pool_->Run(3, count);
   }
-
   const int k = options_.max_candidates;
   for (ObjectData& o : objects_) {
     std::vector<TagId> cand_tags;
@@ -229,9 +248,9 @@ void RFInfer::BuildCandidates(const Trace& trace) {
         }
       }
     };
-    add_from(full.TopCandidates(o.tag, k));
-    add_from(init.TopCandidates(o.tag, k));
-    add_from(recent.TopCandidates(o.tag, k));
+    for (const CoLocationCounter& counter : counters) {
+      add_from(counter.TopCandidates(o.tag, k));
+    }
     // Imported collapsed priors name containers that must stay candidates.
     auto ctx = contexts_.find(o.tag);
     if (ctx != contexts_.end()) {
@@ -349,7 +368,7 @@ void RFInfer::BuildReadCaches(const Trace& trace) {
 }
 
 // lint:hot-loop-begin(e-step)
-void RFInfer::ComputeContainer(ContainerData& c) {
+void RFInfer::ComputeContainer(ContainerData& c, EStepScratch* scratch) {
   const uint64_t hash = HashIndices(c.objects);
   c.recomputed = !(options_.memoize && c.computed && hash == c.member_hash);
   if (!c.recomputed) return;
@@ -368,19 +387,19 @@ void RFInfer::ComputeContainer(ContainerData& c) {
   for (int oi : c.objects) {
     n_reads += objects_[static_cast<size_t>(oi)].reads.size();
   }
-  group_reads_.resize(n_reads);
-  run_ends_.clear();
-  run_ends_.reserve(c.objects.size() + 1);
-  auto out = std::copy(c.own_reads.begin(), c.own_reads.end(),
-                       group_reads_.begin());
-  run_ends_.push_back(c.own_reads.size());
+  std::vector<TagRead>& reads = scratch->group_reads;
+  std::vector<size_t>& run_ends = scratch->run_ends;
+  reads.resize(n_reads);
+  run_ends.clear();
+  run_ends.reserve(c.objects.size() + 1);
+  auto out = std::copy(c.own_reads.begin(), c.own_reads.end(), reads.begin());
+  run_ends.push_back(c.own_reads.size());
   for (int oi : c.objects) {
     const auto& ors = objects_[static_cast<size_t>(oi)].reads;
     out = std::copy(ors.begin(), ors.end(), out);
-    run_ends_.push_back(static_cast<size_t>(out - group_reads_.begin()));
+    run_ends.push_back(static_cast<size_t>(out - reads.begin()));
   }
-  MergeRuns(&group_reads_, &run_ends_, &merge_tmp_);
-  const std::vector<TagRead>& reads = group_reads_;
+  MergeRuns(&reads, &run_ends, &scratch->merge_tmp);
 
   size_t n_act = 0;
   for (size_t k = 0; k < reads.size(); ++k) {
@@ -396,7 +415,7 @@ void RFInfer::ComputeContainer(ContainerData& c) {
   c.act_m.reserve(n_act);
   c.sum_act_lz = 0.0;
 
-  std::vector<double>& logw = logw_;
+  std::vector<double>& logw = scratch->logw;
   logw.resize(static_cast<size_t>(R));
   size_t i = 0;
   while (i < reads.size()) {
@@ -472,9 +491,14 @@ void RFInfer::ComputeContainer(ContainerData& c) {
 }
 
 void RFInfer::EStep() {
-  for (ContainerData& c : containers_) {
-    ComputeContainer(c);
-  }
+  // A container's posterior reads only its own reads and its members'
+  // (fixed by the previous M-step), so containers are independent.
+  ForChunks(containers_.size(), [&](size_t begin, size_t end, int thread) {
+    EStepScratch* scratch = &scratch_[static_cast<size_t>(thread)];
+    for (size_t ci = begin; ci < end; ++ci) {
+      ComputeContainer(containers_[ci], scratch);
+    }
+  });
 }
 // lint:hot-loop-end
 
@@ -533,32 +557,39 @@ double RFInfer::ComputeWeight(const ObjectData& o, int container_index) const {
 }
 
 bool RFInfer::MStep() {
-  bool changed = false;
-  for (ObjectData& o : objects_) {
-    // ComputeWeight reads only the candidates' E-step outputs, so an object
-    // none of whose candidates was recomputed keeps its weights and argmax.
-    bool stale = false;
-    for (int ci : o.candidates) {
-      stale = stale || containers_[static_cast<size_t>(ci)].recomputed;
-    }
-    if (!stale) continue;
-    double best = kNegInf;
-    int best_j = -1;
-    for (size_t j = 0; j < o.candidates.size(); ++j) {
-      const double w =
-          o.priors[j] + ComputeWeight(o, o.candidates[j]);
-      o.weights[j] = w;
-      if (w > best) {
-        best = w;
-        best_j = static_cast<int>(j);
+  // Objects are independent: each writes only its own weights, assignment
+  // and moved flag.
+  ForChunks(objects_.size(), [&](size_t begin, size_t end, int) {
+    for (size_t oi = begin; oi < end; ++oi) {
+      ObjectData& o = objects_[oi];
+      moved_[oi] = 0;
+      // ComputeWeight reads only the candidates' E-step outputs, so an
+      // object none of whose candidates was recomputed keeps its weights
+      // and argmax.
+      bool stale = false;
+      for (int ci : o.candidates) {
+        stale = stale || containers_[static_cast<size_t>(ci)].recomputed;
+      }
+      if (!stale) continue;
+      double best = kNegInf;
+      int best_j = -1;
+      for (size_t j = 0; j < o.candidates.size(); ++j) {
+        const double w = o.priors[j] + ComputeWeight(o, o.candidates[j]);
+        o.weights[j] = w;
+        if (w > best) {
+          best = w;
+          best_j = static_cast<int>(j);
+        }
+      }
+      if (best_j != o.assigned) {
+        o.assigned = best_j;
+        moved_[oi] = 1;
       }
     }
-    if (best_j != o.assigned) {
-      o.assigned = best_j;
-      changed = true;
-    }
-  }
+  });
   // lint:hot-loop-end
+  bool changed = false;
+  for (uint8_t m : moved_) changed = changed || m != 0;
   if (changed) RebuildMembership();
   return changed;
 }
@@ -598,6 +629,7 @@ Status RFInfer::Run(const Trace& trace, Epoch window_begin, Epoch window_end) {
   BuildUniverse(trace);
   BuildCandidates(trace);
   BuildReadCaches(trace);
+  moved_.assign(objects_.size(), 0);
 
   bool changed = true;
   for (int iter = 0; iter < options_.max_iterations && changed; ++iter) {
@@ -992,16 +1024,26 @@ EvidenceFindings RFInfer::ScanEvidence(
     std::optional<CriticalRegionSearch> regions) const {
   EvidenceFindings out;
   if (!change_threshold.has_value() && !regions.has_value()) return out;
-  ScanResult scan;
-  for (const ObjectData& o : objects_) {
-    ScanObject(o, &scan);
-    if (change_threshold.has_value()) {
-      auto cp = ChangePointFor(o, scan, *change_threshold);
-      if (cp.has_value()) out.changes.push_back(*cp);
+  // Objects scan independently into their own result slots (one scan
+  // buffer per thread); the slots are concatenated in object order.
+  std::vector<ScanResult> scans(scratch_.size());
+  std::vector<std::optional<ChangePointResult>> changes(objects_.size());
+  std::vector<std::optional<CriticalRegion>> crs(objects_.size());
+  ForChunks(objects_.size(), [&](size_t begin, size_t end, int thread) {
+    ScanResult* scan = &scans[static_cast<size_t>(thread)];
+    for (size_t oi = begin; oi < end; ++oi) {
+      const ObjectData& o = objects_[oi];
+      ScanObject(o, scan);
+      if (change_threshold.has_value()) {
+        changes[oi] = ChangePointFor(o, *scan, *change_threshold);
+      }
+      if (regions.has_value()) crs[oi] = CriticalRegionFor(o, *regions, scan);
     }
-    if (regions.has_value()) {
-      auto cr = CriticalRegionFor(o, *regions, &scan);
-      if (cr.has_value()) out.critical_regions.emplace_back(o.tag, *cr);
+  });
+  for (size_t oi = 0; oi < objects_.size(); ++oi) {
+    if (changes[oi].has_value()) out.changes.push_back(*changes[oi]);
+    if (crs[oi].has_value()) {
+      out.critical_regions.emplace_back(objects_[oi].tag, *crs[oi]);
     }
   }
   return out;

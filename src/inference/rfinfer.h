@@ -20,7 +20,14 @@
 //                            and assignment without being re-weighed;
 //  * single evidence scan -- change-point detection and the critical-region
 //                            search share one evidence scan per object per
-//                            run (ScanEvidence).
+//                            run (ScanEvidence);
+//  * data-parallel EM     -- given a pool (set_pool), the E-step (per
+//                            container), the M-step and the evidence scan
+//                            (per object) run as chunked jobs and the three
+//                            candidate-counting passes as three tasks. Each
+//                            item reads only the previous phase's outputs
+//                            and writes only its own slot, so results are
+//                            bit-identical for any thread count.
 //
 // The same engine exposes the evidence quantities of Section 4.1 (point and
 // cumulative evidence of co-location, Eq 7), the change-point statistic
@@ -29,10 +36,12 @@
 #ifndef RFID_INFERENCE_RFINFER_H_
 #define RFID_INFERENCE_RFINFER_H_
 
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "model/read_rate.h"
@@ -144,6 +153,11 @@ class RFInfer {
   /// priors). Cleared by ClearObjectContexts, not by Run.
   void SetObjectContext(TagId object, ObjectContext context);
   void ClearObjectContexts();
+
+  /// Runs the independent loops of later runs and evidence scans on `pool`
+  /// (nullptr: serially on the caller). The pool must outlive its use;
+  /// results do not depend on it.
+  void set_pool(SiteExecutor* pool);
 
   /// Runs EM over readings of `trace` with epochs in [window_begin,
   /// window_end], plus each object's critical region if one is installed.
@@ -300,9 +314,22 @@ class RFInfer {
   /// Rebuilds every container's object list from the assignment.
   void RebuildMembership();
 
+  /// Per-thread scratch of the E-step, reused across containers and runs.
+  struct EStepScratch {
+    std::vector<TagRead> group_reads;
+    std::vector<TagRead> merge_tmp;
+    std::vector<size_t> run_ends;
+    std::vector<double> logw;
+  };
+
+  /// Calls body(begin, end, thread) over [0, n): as chunks on the pool, or
+  /// as the single chunk [0, n) on thread 0 without one.
+  template <typename Body>
+  void ForChunks(size_t n, const Body& body) const;
+
   // EM steps.
   void EStep();
-  void ComputeContainer(ContainerData& c);
+  void ComputeContainer(ContainerData& c, EStepScratch* scratch);
   bool MStep();  ///< returns true if any assignment changed
   double ComputeWeight(const ObjectData& o, int container_index) const;
   double ComputeLogLikelihood() const;
@@ -369,11 +396,11 @@ class RFInfer {
   double log_likelihood_ = 0.0;
   std::vector<double> likelihood_history_;
 
-  // E-step scratch, reused across containers and runs.
-  std::vector<TagRead> group_reads_;
-  std::vector<TagRead> merge_tmp_;
-  std::vector<size_t> run_ends_;
-  std::vector<double> logw_;
+  SiteExecutor* pool_ = nullptr;
+  /// One per pool thread.
+  std::vector<EStepScratch> scratch_;
+  /// Per-object "assignment changed" flags of the latest M-step.
+  std::vector<uint8_t> moved_;
 };
 
 }  // namespace rfid

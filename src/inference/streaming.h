@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/serde.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -83,6 +84,10 @@ class StreamingInference {
   /// item→case level consumes with the default (kCase, kItem) roles.
   /// Mutually exclusive with an explicit SetUniverse.
   void SetUniverseKinds(TagKind container_kind, TagKind object_kind);
+
+  /// Runs the engine's independent loops on `pool` (RFInfer::set_pool);
+  /// nullptr runs them on the caller.
+  void set_pool(SiteExecutor* pool) { engine_->set_pool(pool); }
 
   /// Buffers one reading. Readings may arrive in any order within the
   /// current inference period.

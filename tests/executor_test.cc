@@ -4,13 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/executor.h"
 #include "dist/distributed.h"
-#include "dist/executor.h"
 #include "sim/sensors.h"
 #include "sim/supply_chain.h"
 
@@ -29,7 +31,7 @@ TEST(SiteExecutorTest, SerialModeRunsInline) {
   EXPECT_TRUE(exec.serial());
   EXPECT_EQ(exec.num_threads(), 1);
   std::vector<size_t> order;
-  exec.Run(5, [&](size_t i) { order.push_back(i); });
+  exec.Run(5, [&](size_t i, int) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
 }
 
@@ -38,7 +40,7 @@ TEST(SiteExecutorTest, RunsEveryIndexExactlyOnce) {
   EXPECT_EQ(exec.num_threads(), 4);
   constexpr size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  exec.Run(kN, [&](size_t i) { hits[i].fetch_add(1); });
+  exec.Run(kN, [&](size_t i, int) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -50,7 +52,7 @@ TEST(SiteExecutorTest, ReusableAcrossManyRuns) {
   int64_t expected = 0;
   for (int round = 1; round <= 50; ++round) {
     const size_t n = static_cast<size_t>(round % 7);  // exercises n == 0
-    exec.Run(n, [&](size_t i) {
+    exec.Run(n, [&](size_t i, int) {
       sum.fetch_add(static_cast<int64_t>(i) + 1);
     });
     expected += static_cast<int64_t>(n) * (static_cast<int64_t>(n) + 1) / 2;
@@ -61,8 +63,81 @@ TEST(SiteExecutorTest, ReusableAcrossManyRuns) {
 TEST(SiteExecutorTest, FewerItemsThanThreads) {
   SiteExecutor exec(8);
   std::atomic<int> count{0};
-  exec.Run(2, [&](size_t) { count.fetch_add(1); });
+  exec.Run(2, [&](size_t, int) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 2);
+}
+
+// ---- Nested Run: inference loops inside a site's task ----
+
+TEST(SiteExecutorTest, NestedRunCoversEveryInnerIndexOnce) {
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 37;
+  for (int threads : {1, 4}) {
+    SiteExecutor exec(threads);
+    int misses = 0;
+    for (int rep = 0; rep < 200; ++rep) {
+      std::vector<std::atomic<int>> hits(kOuter * kInner);
+      exec.Run(kOuter, [&](size_t o, int) {
+        exec.Run(kInner, [&](size_t i, int) {
+          hits[o * kInner + i].fetch_add(1);
+        });
+      });
+      for (const std::atomic<int>& h : hits) misses += h.load() != 1;
+    }
+    EXPECT_EQ(misses, 0) << "threads " << threads;
+  }
+}
+
+TEST(SiteExecutorTest, ConcurrentBodiesNeverShareAThreadIndex) {
+  constexpr int kThreads = 4;
+  SiteExecutor exec(kThreads);
+  std::vector<std::atomic<int>> busy(kThreads);
+  std::atomic<int> clashes{0};
+  std::atomic<int> out_of_range{0};
+  // Marks `thread` busy for a short stretch of leaf work; a second body on
+  // the same index at the same time is a clash.
+  auto work_as = [&](int thread) {
+    if (thread < 0 || thread >= kThreads) {
+      out_of_range.fetch_add(1);
+      return;
+    }
+    if (busy[static_cast<size_t>(thread)].exchange(1) != 0) {
+      clashes.fetch_add(1);
+    }
+    std::this_thread::yield();
+    busy[static_cast<size_t>(thread)].store(0);
+  };
+  for (int rep = 0; rep < 100; ++rep) {
+    exec.Run(16, [&](size_t, int thread) {
+      work_as(thread);
+      exec.Run(8, [&](size_t, int inner) { work_as(inner); });
+      work_as(thread);
+    });
+  }
+  EXPECT_EQ(clashes.load(), 0);
+  EXPECT_EQ(out_of_range.load(), 0);
+}
+
+// Outer bodies open one nested job each; the counter is how many of this
+// thread's nested jobs are still open.
+thread_local int open_nested_jobs = 0;
+
+TEST(SiteExecutorTest, WaitingThreadNeverClaimsAnOutermostIndex) {
+  SiteExecutor exec(4);
+  std::atomic<int> violations{0};
+  for (int rep = 0; rep < 50; ++rep) {
+    exec.Run(32, [&](size_t, int) {
+      if (open_nested_jobs != 0) violations.fetch_add(1);
+      ++open_nested_jobs;
+      // Uneven inner items keep the owner waiting on the slow one, which
+      // is when it looks for other work to help with.
+      exec.Run(6, [&](size_t i, int) {
+        if (i == 5) std::this_thread::sleep_for(std::chrono::microseconds(50));
+      });
+      --open_nested_jobs;
+    });
+  }
+  EXPECT_EQ(violations.load(), 0);
 }
 
 // ---- Determinism of the parallel replay ----

@@ -6,8 +6,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/rng.h"
 #include "inference/calibration.h"
 #include "inference/colocation.h"
@@ -523,9 +525,27 @@ TEST(CoLocationTest, WindowRestricts) {
     t.Add(RawReading{i, TagId::Item(1), 0});
     t.Add(RawReading{i, TagId::Case(1), 0});
   }
+  // A second reader pairs Item(2) with Case(2) before, inside, at the
+  // edges of, and after the windows below.
+  for (Epoch e : {1, 2, 4, 6, 8}) {
+    t.Add(RawReading{e, TagId::Item(2), 1});
+    t.Add(RawReading{e, TagId::Case(2), 1});
+  }
   t.Seal();
   auto counter = CoLocationCounter::FromTrace(t, 3, 5);
   EXPECT_EQ(counter.CountOf(TagId::Item(1), TagId::Case(1)), 3);
+  EXPECT_EQ(counter.CountOf(TagId::Item(2), TagId::Case(2)), 1);
+  // Both window edges are inclusive.
+  auto edges = CoLocationCounter::FromTrace(t, 2, 6);
+  EXPECT_EQ(edges.CountOf(TagId::Item(1), TagId::Case(1)), 5);
+  EXPECT_EQ(edges.CountOf(TagId::Item(2), TagId::Case(2)), 3);
+  // Windows reaching past either end of the trace.
+  auto tail = CoLocationCounter::FromTrace(t, 9, 20);
+  EXPECT_EQ(tail.CountOf(TagId::Item(1), TagId::Case(1)), 1);
+  EXPECT_EQ(tail.CountOf(TagId::Item(2), TagId::Case(2)), 0);
+  auto head = CoLocationCounter::FromTrace(t, -5, 0);
+  EXPECT_EQ(head.CountOf(TagId::Item(1), TagId::Case(1)), 1);
+  EXPECT_EQ(head.CountOf(TagId::Item(2), TagId::Case(2)), 0);
 }
 
 TEST(CoLocationTest, MergeAddsCounts) {
@@ -675,7 +695,8 @@ struct BitDigest {
 // likelihood -- over 25 boundaries with change detection and critical-region
 // truncation. The constant was computed before the evidence pass was fused
 // and the M-step learned to skip unchanged objects; any kernel rewrite must
-// reproduce it bit for bit.
+// reproduce it bit for bit, serially and with the engine's loops split
+// across a 4-thread pool.
 TEST(InferenceIntegrationTest, StreamingOutputIsBitIdenticalToPinnedDigest) {
   SupplyChainConfig cfg;
   cfg.num_warehouses = 1;
@@ -694,48 +715,55 @@ TEST(InferenceIntegrationTest, StreamingOutputIsBitIdenticalToPinnedDigest) {
   opts.truncation = TruncationMethod::kCriticalRegion;
   opts.recent_history = 300;
   opts.detect_changes = true;
-  StreamingInference si(&sim.model(), &sim.schedule(), opts);
 
-  BitDigest d;
-  size_t regions = 0;
-  const std::vector<RawReading>& rs = sim.site_trace(0).readings();
-  size_t cursor = 0;
-  for (Epoch b = opts.inference_period; b <= cfg.horizon;
-       b += opts.inference_period) {
-    const size_t begin = cursor;
-    while (cursor < rs.size() && rs[cursor].time <= b) ++cursor;
-    si.ObserveBatch(rs.data() + begin, cursor - begin);
-    ASSERT_EQ(si.AdvanceTo(b), 1);
-    for (double ll : si.engine().likelihood_history()) d.Double(ll);
-    for (TagId o : si.engine().object_tags()) {
-      const ObjectContext ctx = si.ExportObjectContext(o);
-      d.Tag(o);
-      d.Int(ctx.barrier);
-      d.Int(ctx.critical_region.has_value() ? 1 : 0);
-      if (ctx.critical_region.has_value()) {
-        ++regions;
-        d.Int(ctx.critical_region->begin);
-        d.Int(ctx.critical_region->end);
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    std::unique_ptr<SiteExecutor> pool;
+    if (threads > 0) pool = std::make_unique<SiteExecutor>(threads);
+    StreamingInference si(&sim.model(), &sim.schedule(), opts);
+    si.set_pool(pool.get());
+
+    BitDigest d;
+    size_t regions = 0;
+    const std::vector<RawReading>& rs = sim.site_trace(0).readings();
+    size_t cursor = 0;
+    for (Epoch b = opts.inference_period; b <= cfg.horizon;
+         b += opts.inference_period) {
+      const size_t begin = cursor;
+      while (cursor < rs.size() && rs[cursor].time <= b) ++cursor;
+      si.ObserveBatch(rs.data() + begin, cursor - begin);
+      ASSERT_EQ(si.AdvanceTo(b), 1);
+      for (double ll : si.engine().likelihood_history()) d.Double(ll);
+      for (TagId o : si.engine().object_tags()) {
+        const ObjectContext ctx = si.ExportObjectContext(o);
+        d.Tag(o);
+        d.Int(ctx.barrier);
+        d.Int(ctx.critical_region.has_value() ? 1 : 0);
+        if (ctx.critical_region.has_value()) {
+          ++regions;
+          d.Int(ctx.critical_region->begin);
+          d.Int(ctx.critical_region->end);
+        }
+        d.Double(ctx.critical_region_gap);
+        for (const auto& [c, w] : si.engine().ExportWeights(o)) {
+          d.Tag(c);
+          d.Double(w);
+        }
+        d.Tag(si.ContainerOf(o));
       }
-      d.Double(ctx.critical_region_gap);
-      for (const auto& [c, w] : si.engine().ExportWeights(o)) {
-        d.Tag(c);
-        d.Double(w);
-      }
-      d.Tag(si.ContainerOf(o));
     }
+    for (const ChangePointResult& cp : si.all_changes()) {
+      d.Tag(cp.object);
+      d.Int(cp.time);
+      d.Tag(cp.old_container);
+      d.Tag(cp.new_container);
+      d.Double(cp.delta);
+    }
+    EXPECT_EQ(si.runs(), 25);
+    EXPECT_FALSE(si.all_changes().empty());
+    EXPECT_GT(regions, 0u);
+    EXPECT_EQ(d.h, 0x437a6969fd1eef1fULL) << std::hex << "digest 0x" << d.h;
   }
-  for (const ChangePointResult& cp : si.all_changes()) {
-    d.Tag(cp.object);
-    d.Int(cp.time);
-    d.Tag(cp.old_container);
-    d.Tag(cp.new_container);
-    d.Double(cp.delta);
-  }
-  EXPECT_EQ(si.runs(), 25);
-  EXPECT_FALSE(si.all_changes().empty());
-  EXPECT_GT(regions, 0u);
-  EXPECT_EQ(d.h, 0x437a6969fd1eef1fULL) << std::hex << "digest 0x" << d.h;
 }
 
 // Integration: full supply-chain trace, stable containment.
