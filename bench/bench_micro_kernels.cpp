@@ -2,7 +2,7 @@
 // planted worlds, the change-point scan, the per-run evidence pass (EM
 // plus fused change-point and critical-region search), trace
 // serialization, gzip (the
-// centralized baseline's compressor), pattern-matcher pushes, the
+// centralized baseline's compressor), exposure-query events, the
 // centroid diff codec, the window index build, zero-copy frame decode, and
 // the span flush encode.
 #include <benchmark/benchmark.h>
@@ -15,8 +15,8 @@
 #include "model/generative.h"
 #include "model/read_rate.h"
 #include "model/schedule.h"
+#include "query/queries.h"
 #include "query/state_sharing.h"
-#include "stream/pattern.h"
 #include "trace/trace_io.h"
 
 namespace rfid {
@@ -133,18 +133,18 @@ void BM_GzipReadings(benchmark::State& state) {
 BENCHMARK(BM_GzipReadings);
 
 void BM_PatternPush(benchmark::State& state) {
-  PatternOptions opts;
-  opts.partition_col = 0;
-  opts.value_col = 1;
-  opts.min_duration = 1 << 30;  // never fire; measure the state machine
-  PatternSeqOp pattern(opts);
-  Tuple t;
-  t.values = {Value{TagId::Item(1)}, Value{20.0}};
-  Epoch now = 0;
+  ProductCatalog catalog;
+  catalog.RegisterProduct(TagId::Item(1),
+                          ProductInfo{"frozen_food", true, false, false});
+  // Never fire; measure the selection, the join and the state machine.
+  ExposureQuery query(&catalog, ExposureQuery::Q2Config(/*duration=*/1 << 30));
+  query.OnSensor(SensorReading{0, 0, 20.0});
+  ObjectEvent event{0, TagId::Item(1), 0, kNoTag};
   for (auto _ : state) {
-    t.time = ++now;
-    pattern.Push(t);
+    ++event.time;
+    query.OnEvent(event);
   }
+  benchmark::DoNotOptimize(query.ExportState(event.tag));
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PatternPush);

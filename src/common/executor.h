@@ -20,6 +20,7 @@
 #ifndef RFID_COMMON_EXECUTOR_H_
 #define RFID_COMMON_EXECUTOR_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <thread>
@@ -103,6 +104,26 @@ class SiteExecutor {
   std::vector<Job*> jobs_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
 };
+
+/// Calls body(begin, end, thread) over contiguous chunks covering [0, n)
+/// exactly once: a few chunks per thread on `pool`, or the single chunk
+/// [0, n) on thread 0 when `pool` is null or serial. `thread` is as in
+/// SiteExecutor::Task, so per-thread scratch or partials need no lock.
+template <typename Body>
+void ForChunks(SiteExecutor* pool, size_t n, const Body& body) {
+  if (pool == nullptr || pool->serial()) {
+    body(size_t{0}, n, 0);
+    return;
+  }
+  // A few chunks per thread: dynamic claiming evens out skewed items (one
+  // crowded container can outweigh a dozen quiet ones).
+  constexpr size_t kChunksPerThread = 4;
+  const size_t chunks = std::min(
+      n, kChunksPerThread * static_cast<size_t>(pool->num_threads()));
+  pool->Run(chunks, [&](size_t k, int thread) {
+    body(k * n / chunks, (k + 1) * n / chunks, thread);
+  });
+}
 
 }  // namespace rfid
 

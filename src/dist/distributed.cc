@@ -94,7 +94,6 @@ DistributedSystem::DistributedSystem(
                               : num_processors;
     ons_opts.num_sites = num_processors;
     ons_opts.resolver_cache = options_.directory_cache;
-    ons_opts.cache_ttl = options_.directory_cache_ttl;
     ons_.Configure(ons_opts);
     ons_.AttachNetwork(&network_);
   }
@@ -277,13 +276,12 @@ void DistributedSystem::Run() {
   std::vector<SiteId> recovered;        // recovered at this event
   std::vector<CrashEvent> deferred;     // this event's post-drain kills
   for (Epoch t : events) {
-    // -- Serial: advance the wall clocks (send epochs, TTL expiry), then
-    // drain every processor's delivery queue of frames whose arrival
-    // epoch has passed. Messages sent at earlier events were in flight
-    // until now; handlers (HandleMessage) run here, serially, so the
-    // parallel phases below only ever see site-local pending queues.
+    // -- Serial: advance the wall clock (send epochs), then drain every
+    // processor's delivery queue of frames whose arrival epoch has
+    // passed. Messages sent at earlier events were in flight until now;
+    // handlers (HandleMessage) run here, serially, so the parallel phases
+    // below only ever see site-local pending queues.
     network_.AdvanceClock(t);
-    ons_.AdvanceClock(t);
 
     // -- Serial: scheduled failures. Recovering sites stay marked down
     // through the drain -- the replacement must restore its checkpoint and
@@ -484,11 +482,8 @@ void DistributedSystem::Run() {
           // real deployment resolves an object's current owner; the
           // destination (or, for supply-chain exits, the departing site)
           // is the charged requester. The Resolve is wire traffic; the
-          // export itself is driven by the transfer record: with exact
-          // invalidation the two always agree, while a TTL-stale answer
-          // may name a *previous* owner -- which a real deployment handles
-          // by chasing that site's redirect. Either way the state leaves
-          // the site that holds it.
+          // export itself is driven by the transfer record, and with exact
+          // cache invalidation the two always agree.
           ons_.Resolve(tr.pallet, tr.to != kNoSite ? tr.to : tr.from);
           const SiteId from = tr.from;
           // A transfer departing a down site is exported by that site's
@@ -809,14 +804,12 @@ ErrorRate DistributedSystem::ScanContainment(const std::vector<TagId>& tags,
   const GroundTruth& truth = sim_->truth();
   // Fan the per-tag scan across the executor pool: every evaluation is
   // read-only (ground-truth intervals, owner map, site beliefs), and the
-  // per-chunk integer counts sum exactly, so the sampled percentage is
+  // per-thread integer counts sum exactly, so the sampled percentage is
   // bit-identical to the serial scan for any thread or chunk count.
-  const size_t n = tags.size();
-  const size_t num_chunks =
-      executor == nullptr || executor->serial() || n == 0
-          ? 1
-          : std::min(n, static_cast<size_t>(executor->num_threads()) * 4);
-  auto scan_range = [&](size_t begin, size_t end, ErrorRate& out) {
+  std::vector<ErrorRate> partial(
+      executor == nullptr ? 1 : static_cast<size_t>(executor->num_threads()));
+  ForChunks(executor, tags.size(), [&](size_t begin, size_t end, int thread) {
+    ErrorRate& out = partial[static_cast<size_t>(thread)];
     for (size_t i = begin; i < end; ++i) {
       const TagId tag = tags[i];
       if (!truth.PresentAt(tag, t)) continue;
@@ -824,18 +817,9 @@ ErrorRate DistributedSystem::ScanContainment(const std::vector<TagId>& tags,
       if (contained_only && !want.valid()) continue;
       out.Add(BelievedContainer(tag) == want);
     }
-  };
+  });
   ErrorRate err;
-  if (num_chunks <= 1) {
-    scan_range(0, n, err);
-  } else {
-    std::vector<ErrorRate> partial(num_chunks);
-    executor->Run(num_chunks, [&](size_t chunk, int) {
-      scan_range(chunk * n / num_chunks, (chunk + 1) * n / num_chunks,
-                 partial[chunk]);
-    });
-    for (const ErrorRate& p : partial) err.AddCounts(p.errors(), p.total());
-  }
+  for (const ErrorRate& p : partial) err.AddCounts(p.errors(), p.total());
   return err;
 }
 

@@ -134,12 +134,6 @@ struct DistributedOptions {
   /// Per-site resolver caching of directory lookups (invalidated on
   /// moves); repeat resolutions of an unmoved object cost zero wire bytes.
   bool directory_cache = true;
-  /// TTL-based resolver-cache expiry in epochs (OnsOptions::cache_ttl);
-  /// 0 = exact invalidation. Nonzero values trade staleness for DNS
-  /// fidelity; the replay tolerates it because exports are driven by the
-  /// transfer record (a stale directory answer costs the same wire bytes
-  /// but never mis-routes the state).
-  Epoch directory_cache_ttl = 0;
   /// Collect phase histograms and per-kind wire counters during Run
   /// (obs/telemetry.h). Off = no Telemetry is constructed and every
   /// instrumentation point reduces to a null check -- the configuration

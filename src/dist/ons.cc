@@ -39,7 +39,6 @@ void Ons::Configure(OnsOptions options) {
   caches_.assign(
       options_.resolver_cache ? static_cast<size_t>(options_.num_sites) : 0,
       {});
-  now_ = 0;
   diagnostic_lookups_ = 0;
 }
 
@@ -99,14 +98,8 @@ SiteId Ons::Resolve(TagId tag, SiteId requester) {
     auto& cache = caches_[static_cast<size_t>(requester)];
     auto hit = cache.find(tag);
     if (hit != cache.end()) {
-      // TTL mode serves whatever was cached -- stale or not -- until the
-      // entry expires; exact mode (ttl == 0) never holds a stale entry.
-      if (options_.cache_ttl <= 0 ||
-          now_ - hit->second.cached_at < options_.cache_ttl) {
-        ++st.cache_hits;
-        return hit->second.site;
-      }
-      cache.erase(hit);  // expired: fall through to a charged re-fetch
+      ++st.cache_hits;
+      return hit->second;
     }
   }
   ++st.charged_lookups;
@@ -121,7 +114,7 @@ SiteId Ons::Resolve(TagId tag, SiteId requester) {
                        EncodeDirectorySite(site)));
   }
   if (CacheableRequester(requester)) {
-    caches_[static_cast<size_t>(requester)][tag] = CacheEntry{site, now_};
+    caches_[static_cast<size_t>(requester)][tag] = site;
   }
   return site;
 }
@@ -133,9 +126,6 @@ SiteId Ons::Lookup(TagId tag) const {
 }
 
 void Ons::InvalidateCaches(TagId tag) {
-  // DNS fidelity: a TTL-governed cache is never proactively invalidated;
-  // consumers tolerate staleness until the record expires.
-  if (options_.cache_ttl > 0) return;
   // lint:allow(unordered-iter): iterates the outer per-site vector (in
   // site order); each step is a keyed erase on the inner map.
   for (auto& cache : caches_) cache.erase(tag);

@@ -12,8 +12,7 @@
 // load instead of a single synthetic hotspot. A per-site resolver cache
 // (invalidated whenever a mapping changes) makes repeat resolutions of an
 // unmoved object free of wire bytes, the way a DNS resolver caches records
-// until they change; OnsOptions::cache_ttl instead ages entries out like
-// real DNS TTLs (stale answers served until expiry, no invalidation).
+// until they change.
 //
 // The distributed driver registers objects on arrival, re-registers them as
 // they move, and unregisters them when they leave the tracked supply chain;
@@ -45,12 +44,6 @@ struct OnsOptions {
   /// the current mapping costs zero wire bytes. Caches are invalidated
   /// exactly when a mapping changes, so results never go stale.
   bool resolver_cache = true;
-  /// TTL-based cache expiry (DNS fidelity). 0 = exact invalidation as
-  /// above. When > 0, cached answers live for `cache_ttl` epochs of the
-  /// clock advanced via AdvanceClock and are NOT invalidated on moves --
-  /// like a DNS record, a stale answer is served until it expires, then
-  /// the next Resolve is charged and re-fetches the current mapping.
-  Epoch cache_ttl = 0;
 };
 
 /// Load counters of one directory shard. `bytes` is the wire traffic
@@ -82,11 +75,6 @@ class Ons {
   /// Routes directory traffic accounting to `network` (must outlive the
   /// Ons).
   void AttachNetwork(Network* network) { network_ = network; }
-
-  /// Advances the directory clock (drives TTL cache expiry; the replay
-  /// calls this once per event epoch, in step with Network::AdvanceClock).
-  void AdvanceClock(Epoch now) { now_ = now; }
-  Epoch now() const { return now_; }
 
   /// Points `tag` at `site`, replacing any existing registration. Charged
   /// as one kDirectory message from `site` to the owning shard's host;
@@ -137,15 +125,7 @@ class Ons {
   void ResetCounters();
 
  private:
-  /// One cached resolver answer: the resolved owner (possibly a negative
-  /// kNoSite answer) and the clock epoch it was fetched at (TTL mode).
-  struct CacheEntry {
-    SiteId site = kNoSite;
-    Epoch cached_at = 0;
-  };
-
   /// Drops cached resolutions of `tag` at every site (mapping changed).
-  /// No-op in TTL mode: stale answers live until they expire.
   void InvalidateCaches(TagId tag);
   bool CacheableRequester(SiteId requester) const {
     return options_.resolver_cache && requester >= 0 &&
@@ -157,9 +137,8 @@ class Ons {
   std::vector<OnsShardStats> shards_;
   /// caches_[site]: that site's resolver cache (tag -> last resolved
   /// owner, including negative kNoSite answers).
-  std::vector<std::unordered_map<TagId, CacheEntry>> caches_;
+  std::vector<std::unordered_map<TagId, SiteId>> caches_;
   Network* network_ = nullptr;
-  Epoch now_ = 0;
   mutable int64_t diagnostic_lookups_ = 0;
 };
 

@@ -188,15 +188,6 @@ void Site::AddSensor(const SensorReading& reading) {
   sensors_.push_back(reading);
 }
 
-void Site::Observe(const RawReading& reading) {
-  streaming_.Observe(reading);
-  // The pallet level only reasons over case and pallet tags; item readings
-  // (the overwhelming bulk of the stream) never enter its history buffer.
-  if (pallet_streaming_ != nullptr && !reading.tag.is_item()) {
-    pallet_streaming_->Observe(reading);
-  }
-}
-
 void Site::ObserveBatch(const RawReading* readings, size_t n) {
   streaming_.ObserveBatch(readings, n);
   if (pallet_streaming_ == nullptr) return;
@@ -237,19 +228,8 @@ int Site::AdvanceTo(Epoch now) {
   if (pallet_streaming_ != nullptr) pallet_streaming_->AdvanceTo(now);
   const int ran = streaming_.AdvanceTo(now);
   if (ran > 0 && queries_attached()) {
-    // Consecutive run windows overlap (a run re-reads recent history), so
-    // drop events at or before the previous run's boundary: the pattern
-    // automaton requires per-partition event time to be monotone.
-    std::vector<ObjectEvent> events;
-    for (const ObjectEvent& e : streaming_.engine().EmitEvents()) {
-      if (e.tag.is_item() && e.time > event_watermark_) events.push_back(e);
-    }
+    FeedQueries(streaming_.engine().EmitEvents());
     event_watermark_ = now;
-    std::stable_sort(events.begin(), events.end(),
-                     [](const ObjectEvent& a, const ObjectEvent& b) {
-                       return a.time < b.time;
-                     });
-    FeedQueries(events);
   }
   return ran;
 }
@@ -257,7 +237,13 @@ int Site::AdvanceTo(Epoch now) {
 void Site::FeedQueries(const std::vector<ObjectEvent>& events) {
   const size_t q1_fired = q1_->alerts().size();
   const size_t q2_fired = q2_->alerts().size();
+  // `events` is sorted by (time, tag), so item events reach the queries in
+  // time order. Consecutive run windows overlap (a run re-reads recent
+  // history), so events at or before the previous run's boundary were
+  // already fed: the pattern automaton requires per-tag event time to be
+  // monotone.
   for (const ObjectEvent& e : events) {
+    if (!e.tag.is_item() || e.time <= event_watermark_) continue;
     // Temperature[Partition By sensor Rows 1]: each event joins with the
     // latest sample at or before its own epoch.
     while (sensor_cursor_ < sensors_.size() &&
@@ -690,9 +676,9 @@ Status Site::RestoreCheckpoint(Epoch epoch,
     return Status::Corruption("checkpoint query attachment mismatch");
   }
   if (queries_attached()) {
-    // Re-feed the consumed sensor prefix first: the query joins' latest
-    // per-sensor row is a function of that prefix alone (sensor rows
-    // never propagate downstream), restoring the join state the pattern
+    // Re-feed the consumed sensor prefix first: each query's latest
+    // temperature per location is a function of that prefix alone (a
+    // sample changes nothing else), restoring the join state the pattern
     // imports below continue from.
     for (size_t i = 0; i < cursor; ++i) {
       q1_->OnSensor(sensors_[i]);

@@ -96,7 +96,7 @@ struct PendingQueryState {
 
 /// One site's processor. Owned and driven by DistributedSystem in epoch
 /// order. The site itself is unsynchronized: under the bulk-synchronous
-/// executor, Observe/ObserveBatch/AdvanceTo/DeliverArrivals run inside
+/// executor, ObserveBatch/AdvanceTo/DeliverArrivals run inside
 /// parallel windows (one call per site at a time; an inference run inside
 /// it may fan its loops out on the pool, see set_pool), while every
 /// method that crosses sites -- ExportTransfer, Retire, and HandleMessage
@@ -127,9 +127,6 @@ class Site {
 
   /// Appends one site-local sensor sample; must arrive time-ordered.
   void AddSensor(const SensorReading& reading);
-
-  /// Buffers one raw reading into the streaming engine.
-  void Observe(const RawReading& reading);
 
   /// Buffers a whole window of raw readings in one call -- the hot path of
   /// the event-driven replay, which batches every reading between two

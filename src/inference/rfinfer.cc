@@ -117,26 +117,9 @@ void RFInfer::SetObjectContext(TagId object, ObjectContext context) {
 void RFInfer::ClearObjectContexts() { contexts_.clear(); }
 
 void RFInfer::set_pool(SiteExecutor* pool) {
-  // A serial pool would only add dispatch to the single-chunk loops.
-  pool_ = pool != nullptr && !pool->serial() ? pool : nullptr;
-  scratch_.resize(pool_ == nullptr ? 1 : static_cast<size_t>(
-                                             pool_->num_threads()));
-}
-
-template <typename Body>
-void RFInfer::ForChunks(size_t n, const Body& body) const {
-  if (pool_ == nullptr) {
-    body(size_t{0}, n, 0);
-    return;
-  }
-  // A few chunks per thread: dynamic claiming evens out skewed items
-  // (one crowded container can outweigh a dozen quiet ones).
-  constexpr size_t kChunksPerThread = 4;
-  const size_t chunks = std::min(
-      n, kChunksPerThread * static_cast<size_t>(pool_->num_threads()));
-  pool_->Run(chunks, [&](size_t k, int thread) {
-    body(k * n / chunks, (k + 1) * n / chunks, thread);
-  });
+  pool_ = pool;
+  scratch_.resize(pool == nullptr ? 1 : static_cast<size_t>(
+                                            pool->num_threads()));
 }
 
 int RFInfer::ObjectIndexOf(TagId tag) const {
@@ -493,7 +476,7 @@ void RFInfer::ComputeContainer(ContainerData& c, EStepScratch* scratch) {
 void RFInfer::EStep() {
   // A container's posterior reads only its own reads and its members'
   // (fixed by the previous M-step), so containers are independent.
-  ForChunks(containers_.size(), [&](size_t begin, size_t end, int thread) {
+  ForChunks(pool_, containers_.size(), [&](size_t begin, size_t end, int thread) {
     EStepScratch* scratch = &scratch_[static_cast<size_t>(thread)];
     for (size_t ci = begin; ci < end; ++ci) {
       ComputeContainer(containers_[ci], scratch);
@@ -559,7 +542,7 @@ double RFInfer::ComputeWeight(const ObjectData& o, int container_index) const {
 bool RFInfer::MStep() {
   // Objects are independent: each writes only its own weights, assignment
   // and moved flag.
-  ForChunks(objects_.size(), [&](size_t begin, size_t end, int) {
+  ForChunks(pool_, objects_.size(), [&](size_t begin, size_t end, int) {
     for (size_t oi = begin; oi < end; ++oi) {
       ObjectData& o = objects_[oi];
       moved_[oi] = 0;
@@ -1029,7 +1012,7 @@ EvidenceFindings RFInfer::ScanEvidence(
   std::vector<ScanResult> scans(scratch_.size());
   std::vector<std::optional<ChangePointResult>> changes(objects_.size());
   std::vector<std::optional<CriticalRegion>> crs(objects_.size());
-  ForChunks(objects_.size(), [&](size_t begin, size_t end, int thread) {
+  ForChunks(pool_, objects_.size(), [&](size_t begin, size_t end, int thread) {
     ScanResult* scan = &scans[static_cast<size_t>(thread)];
     for (size_t oi = begin; oi < end; ++oi) {
       const ObjectData& o = objects_[oi];

@@ -322,11 +322,6 @@ class RFInfer {
     std::vector<double> logw;
   };
 
-  /// Calls body(begin, end, thread) over [0, n): as chunks on the pool, or
-  /// as the single chunk [0, n) on thread 0 without one.
-  template <typename Body>
-  void ForChunks(size_t n, const Body& body) const;
-
   // EM steps.
   void EStep();
   void ComputeContainer(ContainerData& c, EStepScratch* scratch);

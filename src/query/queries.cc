@@ -1,109 +1,121 @@
 #include "query/queries.h"
 
+#include <algorithm>
+
+#include "common/serde.h"
+
 namespace rfid {
 
-namespace {
-// Tuple layout of the Products stream: [tag, loc, container].
-constexpr int kTagCol = 0;
-constexpr int kLocCol = 1;
-constexpr int kContainerCol = 2;
-// After the join, the Temperature values [loc, temp] are appended.
-constexpr int kTempCol = 4;
-// Sensor stream layout: [loc, temp].
-constexpr int kSensorLocCol = 0;
-}  // namespace
+std::vector<uint8_t> PatternState::Encode() const {
+  BufferWriter w;
+  w.PutU8(static_cast<uint8_t>(phase));
+  w.PutSignedVarint(first_time);
+  w.PutSignedVarint(last_time);
+  w.PutVarint(value_log.size());
+  Epoch prev = 0;
+  for (const auto& [t, v] : value_log) {
+    w.PutSignedVarint(t - prev);
+    w.PutDouble(v);
+    prev = t;
+  }
+  return w.Release();
+}
+
+Result<PatternState> PatternState::Decode(const std::vector<uint8_t>& bytes) {
+  BufferReader r(bytes);
+  PatternState s;
+  uint8_t phase = 0;
+  RFID_RETURN_NOT_OK(r.GetU8(&phase));
+  if (phase > static_cast<uint8_t>(RunPhase::kAlerted)) {
+    return Status::Corruption("bad pattern phase");
+  }
+  s.phase = static_cast<RunPhase>(phase);
+  RFID_RETURN_NOT_OK(r.GetSignedVarint(&s.first_time));
+  RFID_RETURN_NOT_OK(r.GetSignedVarint(&s.last_time));
+  uint64_t n = 0;
+  RFID_RETURN_NOT_OK(r.GetVarint(&n));
+  Epoch prev = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    int64_t dt = 0;
+    double v = 0;
+    RFID_RETURN_NOT_OK(r.GetSignedVarint(&dt));
+    RFID_RETURN_NOT_OK(r.GetDouble(&v));
+    prev += dt;
+    s.value_log.emplace_back(prev, v);
+  }
+  return s;
+}
 
 ExposureQuery::ExposureQuery(const ProductCatalog* catalog,
                              ExposureQueryConfig config)
-    : catalog_(catalog), config_(config) {
-  // Inner block, stream R: frozen products whose container fails the
-  // freezer test (or is NULL) -- or all frozen products for Q2.
-  product_filter_ = std::make_unique<FilterOp>([this](const Tuple& t) {
-    const Value& tag_v = t.at(kTagCol);
-    if (!std::holds_alternative<TagId>(tag_v)) return false;
-    const ProductInfo* info = catalog_->FindProduct(std::get<TagId>(tag_v));
-    if (info == nullptr || !info->frozen) return false;
-    if (!config_.check_container) return true;
-    const Value& cont_v = t.at(kContainerCol);
-    if (IsNull(cont_v)) return true;  // "or R.container = NULL"
-    if (!std::holds_alternative<TagId>(cont_v)) return true;
-    return !catalog_->IsA(std::get<TagId>(cont_v), ContainerClass::kFreezer);
-  });
-
-  // Join R[Now] with Temperature[Partition By sensor Rows 1] on location.
-  join_ = std::make_unique<JoinLatestOp>(kLocCol, kSensorLocCol);
-
-  // "T.temp > threshold".
-  temp_filter_ = std::make_unique<FilterOp>([this](const Tuple& t) {
-    const Value& temp_v = t.at(kTempCol);
-    return std::holds_alternative<double>(temp_v) &&
-           std::get<double>(temp_v) > config_.temp_threshold;
-  });
-
-  // Outer block: SEQ(A+) per tag spanning `duration`.
-  PatternOptions popts;
-  popts.partition_col = kTagCol;
-  popts.value_col = kTempCol;
-  popts.min_duration = config_.duration;
-  popts.max_gap = config_.max_gap;
-  pattern_ = std::make_unique<PatternSeqOp>(popts);
-
-  sink_ = std::make_unique<CallbackOperator>([this](const Tuple& t) {
-    ExposureAlert alert;
-    alert.tag = std::get<TagId>(t.at(0));
-    alert.first_time = std::get<int64_t>(t.at(1));
-    alert.last_time = std::get<int64_t>(t.at(2));
-    alert.n_events = std::get<int64_t>(t.at(3));
-    alerts_.push_back(alert);
-  });
-
-  product_filter_->SetDownstream(join_.get());
-  join_->SetDownstream(temp_filter_.get());
-  temp_filter_->SetDownstream(pattern_.get());
-  pattern_->SetDownstream(sink_.get());
-}
+    : catalog_(catalog), config_(config) {}
 
 void ExposureQuery::OnEvent(const ObjectEvent& event) {
-  Tuple t;
-  t.time = event.time;
-  // Built element-wise: the initializer-list form trips GCC 12's
-  // -Wmaybe-uninitialized on the temporary variant array at -O2.
-  t.values.reserve(3);
-  t.values.emplace_back(event.tag);
-  t.values.emplace_back(static_cast<int64_t>(event.loc));
-  if (event.container.valid()) {
-    t.values.emplace_back(event.container);
-  } else {
-    t.values.emplace_back(std::monostate{});
+  // Inner block: frozen products whose container fails the freezer test
+  // (or is NULL) -- or every frozen product for Q2...
+  const ProductInfo* info = catalog_->FindProduct(event.tag);
+  if (info == nullptr || !info->frozen) return;
+  if (config_.check_container && event.container.valid() &&
+      catalog_->IsA(event.container, ContainerClass::kFreezer)) {
+    return;
   }
-  product_filter_->Push(t);
+  // ...joined with the latest sample at their location, "T.temp >
+  // threshold" (written so a NaN sample fails it).
+  auto sample = latest_temp_.find(event.loc);
+  if (sample == latest_temp_.end()) return;
+  const double temp = sample->second;
+  if (!(temp > config_.temp_threshold)) return;
+
+  // Outer block: advance the tag's SEQ(A+) run.
+  PatternState& s = runs_[event.tag];
+  if (s.phase != RunPhase::kIdle &&
+      event.time - s.last_time > config_.max_gap) {
+    s = PatternState{};  // the event stream went quiet: the run lapsed
+  }
+  if (s.phase == RunPhase::kIdle) {
+    s.phase = RunPhase::kAccumulating;
+    s.first_time = event.time;
+    s.value_log.clear();
+  }
+  s.last_time = event.time;
+  s.value_log.emplace_back(event.time, temp);
+  if (s.phase == RunPhase::kAccumulating &&
+      s.last_time > s.first_time + config_.duration) {
+    alerts_.push_back(ExposureAlert{event.tag, s.first_time, s.last_time,
+                                    static_cast<int64_t>(s.value_log.size())});
+    s.phase = RunPhase::kAlerted;  // fire once per run
+  }
 }
 
 void ExposureQuery::OnSensor(const SensorReading& reading) {
-  Tuple t;
-  t.time = reading.time;
-  t.values = {Value{static_cast<int64_t>(reading.loc)}, Value{reading.value}};
-  join_->right_port()->Push(t);
+  latest_temp_[reading.loc] = reading.value;
 }
 
 std::vector<uint8_t> ExposureQuery::ExportState(TagId tag) const {
-  return pattern_->StateOf(tag).Encode();
+  auto it = runs_.find(tag);
+  return it == runs_.end() ? PatternState{}.Encode() : it->second.Encode();
 }
 
 Status ExposureQuery::ImportState(TagId tag,
                                   const std::vector<uint8_t>& bytes) {
-  Result<PatternState> state = PatternState::Decode(bytes);
-  RFID_RETURN_NOT_OK(state.status());
-  pattern_->SetState(tag, std::move(state).value());
+  RFID_ASSIGN_OR_RETURN(runs_[tag], PatternState::Decode(bytes));
   return Status::OK();
 }
 
 std::vector<uint8_t> ExposureQuery::TakeState(TagId tag) {
-  return pattern_->TakeState(tag).Encode();
+  auto it = runs_.find(tag);
+  if (it == runs_.end()) return PatternState{}.Encode();
+  std::vector<uint8_t> bytes = it->second.Encode();
+  runs_.erase(it);
+  return bytes;
 }
 
 std::vector<TagId> ExposureQuery::StatefulObjects() const {
-  return pattern_->Partitions();
+  std::vector<TagId> tags;
+  tags.reserve(runs_.size());
+  for (const auto& [tag, unused] : runs_) tags.push_back(tag);
+  std::sort(tags.begin(), tags.end());
+  return tags;
 }
 
 }  // namespace rfid

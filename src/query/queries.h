@@ -1,25 +1,48 @@
-// The paper's example continuous queries, wired as operator pipelines.
+// The paper's example continuous queries, evaluated as one fixed plan.
 //
 // Q1 (Section 2): raise an alert when a frozen product is outside a freezer
 // container (or uncontained) at an above-freezing location for 6 hours.
 // The inner CQL block joins Products[Now] with Temperature[Partition By
-// sensor Rows 1] under the container/temperature predicates; the outer
-// block pattern-matches SEQ(A+) per tag over the 6-hour span.
+// sensor Rows 1] on location, keeping frozen products whose container is
+// NULL or not a freezer and whose location's temperature is above the
+// threshold. Here that is a selection on each event followed by a lookup
+// of the latest sample at the event's location: a newer sample replaces
+// the older one (Rows 1), and an event at a location with no sample yet
+// joins nothing. The outer block
+//
+//   [ Pattern SEQ(A+)
+//     Where A[i].tag_id = A[1].tag_id and
+//           A[A.len].time > A[1].time + 6 hrs ]
+//
+// runs one SASE-style automaton per tag (Gyllstrom et al.): Idle ->
+// Accumulating on the first matching event, stays Accumulating while
+// matching events keep arriving contiguously, and fires once when the
+// run's span exceeds the duration bound. Contiguity on a sampled stream
+// means "no gap larger than max_gap": an object that stops matching (back
+// inside a freezer) stops producing events, and its run must lapse rather
+// than bridge to a later exposure.
 //
 // Q2 (Section 5.4): report frozen food exposed to a temperature over 10
 // degrees for 10 hours -- the location-only variant (no containment
 // predicate), which the paper uses to isolate the effect of containment
 // accuracy on query quality.
+//
+// The per-tag automaton state is exactly the query state of Appendix B:
+// (i) the automaton phase, (ii) the minimum values needed for future
+// evaluation (first/last event time), and (iii) the values the query
+// returns (the logged temperatures). It serializes to a compact byte
+// string -- the unit of query-state migration, of centroid-based sharing
+// (Section 4.2), and of durable checkpoints.
 #ifndef RFID_QUERY_QUERIES_H_
 #define RFID_QUERY_QUERIES_H_
 
-#include <memory>
+#include <cstdint>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "common/types.h"
-#include "stream/operator.h"
-#include "stream/operators.h"
-#include "stream/pattern.h"
 #include "trace/product_catalog.h"
 #include "trace/reading.h"
 
@@ -42,6 +65,23 @@ struct ExposureAlert {
   Epoch first_time = 0;
   Epoch last_time = 0;
   int64_t n_events = 0;
+};
+
+/// Automaton phase of one tag's SEQ(A+) run.
+enum class RunPhase : uint8_t { kIdle = 0, kAccumulating = 1, kAlerted = 2 };
+
+/// Serializable per-tag query state.
+struct PatternState {
+  RunPhase phase = RunPhase::kIdle;
+  Epoch first_time = 0;
+  Epoch last_time = 0;
+  /// Logged (time, temperature) pairs of the current run (A[].temp in Q1).
+  std::vector<std::pair<Epoch, double>> value_log;
+
+  std::vector<uint8_t> Encode() const;
+  static Result<PatternState> Decode(const std::vector<uint8_t>& bytes);
+
+  friend bool operator==(const PatternState&, const PatternState&) = default;
 };
 
 /// A continuous query instance over one site's event + sensor streams.
@@ -67,7 +107,8 @@ class ExposureQuery {
     return cfg;
   }
 
-  /// Feeds one inferred object event (the Products stream).
+  /// Feeds one inferred object event (the Products stream). Events of one
+  /// tag must arrive in time order.
   void OnEvent(const ObjectEvent& event);
 
   /// Feeds one sensor sample (the Temperature stream).
@@ -93,17 +134,17 @@ class ExposureQuery {
   /// Removes and returns the state of a departing object.
   std::vector<uint8_t> TakeState(TagId tag);
 
-  /// Objects with live pattern state.
+  /// Objects with live pattern state, in tag order.
   std::vector<TagId> StatefulObjects() const;
 
  private:
   const ProductCatalog* catalog_;
   ExposureQueryConfig config_;
-  std::unique_ptr<FilterOp> product_filter_;
-  std::unique_ptr<JoinLatestOp> join_;
-  std::unique_ptr<FilterOp> temp_filter_;
-  std::unique_ptr<PatternSeqOp> pattern_;
-  std::unique_ptr<CallbackOperator> sink_;
+  /// Temperature[Partition By sensor Rows 1]: the latest sample per
+  /// location.
+  std::unordered_map<LocationId, double> latest_temp_;
+  /// The SEQ(A+) automaton of every tag that has matched an event.
+  std::unordered_map<TagId, PatternState> runs_;
   std::vector<ExposureAlert> alerts_;
 };
 

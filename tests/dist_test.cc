@@ -588,18 +588,49 @@ TEST(DistributedTest, QueriesRunAtSites) {
   auto sensors = GenerateSensorStream(scfg, sim.layout().num_locations(),
                                       cfg.horizon, rng);
 
-  DistributedOptions opts = DistOptions(MigrationMode::kCollapsed);
-  opts.attach_queries = true;
-  opts.q1 = ExposureQuery::Q1Config(/*duration=*/300);
-  opts.q1.max_gap = 400;
-  opts.q2 = ExposureQuery::Q2Config(/*duration=*/300);
-  opts.q2.max_gap = 400;
-  DistributedSystem sys(&sim, opts, &catalog, &sensors);
-  sys.Run();
-  // Items sit exposed on shelves for 600 epochs > 300: alerts must fire.
-  EXPECT_FALSE(sys.AllAlerts(0).empty());
-  EXPECT_FALSE(sys.AllAlerts(1).empty());
-  EXPECT_GT(sys.network().BytesOfKind(MessageKind::kQueryState), 0);
+  // Both queries' alerts and the migrated query-state bytes, raw and
+  // centroid-shared, pinned from the operator-pipeline implementation the
+  // typed query code replaced: the rewrite must match it exactly.
+  struct Pin {
+    bool share;
+    uint64_t alert_digest;
+    int64_t query_state_bytes;
+  };
+  for (const Pin& pin : {Pin{false, 0x2deddc838367c91bULL, 142292},
+                        Pin{true, 0x2deddc838367c91bULL, 26324}}) {
+    SCOPED_TRACE(testing::Message() << "share " << pin.share);
+    DistributedOptions opts = DistOptions(MigrationMode::kCollapsed);
+    opts.attach_queries = true;
+    opts.q1 = ExposureQuery::Q1Config(/*duration=*/300);
+    opts.q1.max_gap = 400;
+    opts.q2 = ExposureQuery::Q2Config(/*duration=*/300);
+    opts.q2.max_gap = 400;
+    opts.site.share_query_state = pin.share;
+    DistributedSystem sys(&sim, opts, &catalog, &sensors);
+    sys.Run();
+    // Items sit exposed on shelves for 600 epochs > 300: alerts must fire.
+    EXPECT_FALSE(sys.AllAlerts(0).empty());
+    EXPECT_FALSE(sys.AllAlerts(1).empty());
+    // FNV-1a over each alert's fields, Q1's alerts then Q2's.
+    uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](uint64_t x) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (x >> (8 * i)) & 0xFF;
+        h *= 1099511628211ULL;
+      }
+    };
+    for (int q : {0, 1}) {
+      for (const ExposureAlert& a : sys.AllAlerts(q)) {
+        mix(a.tag.raw());
+        mix(static_cast<uint64_t>(a.first_time));
+        mix(static_cast<uint64_t>(a.last_time));
+        mix(static_cast<uint64_t>(a.n_events));
+      }
+    }
+    EXPECT_EQ(h, pin.alert_digest);
+    EXPECT_EQ(sys.network().BytesOfKind(MessageKind::kQueryState),
+              pin.query_state_bytes);
+  }
 }
 
 TEST(DistributedTest, LinkLatencyKeepsWireBytesInvariant) {

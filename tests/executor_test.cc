@@ -67,6 +67,31 @@ TEST(SiteExecutorTest, FewerItemsThanThreads) {
   EXPECT_EQ(count.load(), 2);
 }
 
+TEST(SiteExecutorTest, ForChunksCoversEveryIndexOnceInThreadRange) {
+  for (int threads : {0, 1, 4}) {
+    // 0: no pool at all; 1: a serial pool.
+    std::unique_ptr<SiteExecutor> pool;
+    if (threads > 0) pool = std::make_unique<SiteExecutor>(threads);
+    const int max_thread = pool == nullptr ? 1 : pool->num_threads();
+    for (size_t n : {0, 1, 3, 1000}) {
+      SCOPED_TRACE(testing::Message() << "threads " << threads << " n " << n);
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<int> out_of_range{0};
+      ForChunks(pool.get(), n, [&](size_t begin, size_t end, int thread) {
+        if (thread < 0 || thread >= max_thread || begin > end || end > n) {
+          out_of_range.fetch_add(1);
+          return;
+        }
+        for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      });
+      EXPECT_EQ(out_of_range.load(), 0);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+      }
+    }
+  }
+}
+
 // ---- Nested Run: inference loops inside a site's task ----
 
 TEST(SiteExecutorTest, NestedRunCoversEveryInnerIndexOnce) {

@@ -117,63 +117,16 @@ TEST(OnsCacheTest, RepeatResolutionsAreFreeUntilTheMappingChanges) {
   EXPECT_EQ(ons.charged_lookups(), 5);
 }
 
-TEST(OnsCacheTest, TtlExpiryServesStaleAnswersUntilRefetch) {
-  // DNS fidelity mode (OnsOptions::cache_ttl > 0): cached answers are NOT
-  // invalidated when the mapping moves -- they are served stale until the
-  // TTL runs out, and the next Resolve is charged and re-fetches.
+TEST(OnsCacheTest, ExactInvalidationNeverServesStaleAnswers) {
+  // A cached answer lives until the mapping changes, and a move
+  // invalidates it at once: no Resolve ever returns a previous owner.
   Network net;
-  OnsOptions opts = ShardedOptions(2, 3, /*cache=*/true);
-  opts.cache_ttl = 100;
-  Ons ons(opts);
+  Ons ons(ShardedOptions(2, 3, /*cache=*/true));
   ons.AttachNetwork(&net);
   const TagId tag = TagId::Pallet(7);
 
-  ons.AdvanceClock(0);
-  ons.Register(tag, 1);
-  EXPECT_EQ(ons.Resolve(tag, 2), 1);  // charged fetch, cached at epoch 0
-  EXPECT_EQ(ons.charged_lookups(), 1);
-
-  // The pallet moves. Exact mode would invalidate site 2's cache; TTL
-  // mode serves the stale answer for free until the entry expires.
-  ons.Register(tag, 2);
-  ons.AdvanceClock(50);
-  const int64_t bytes_before_stale = net.total_bytes();
-  EXPECT_EQ(ons.Resolve(tag, 2), 1);  // stale hit: the *old* owner
-  EXPECT_EQ(net.total_bytes(), bytes_before_stale);
-  EXPECT_EQ(ons.cache_hits(), 1);
-  EXPECT_EQ(ons.charged_lookups(), 1);
-
-  // At cached_at + ttl the entry has expired: re-resolution is charged
-  // and returns the current owner.
-  ons.AdvanceClock(100);
-  EXPECT_EQ(ons.Resolve(tag, 2), 2);
-  EXPECT_EQ(ons.charged_lookups(), 2);
-  EXPECT_GT(net.total_bytes(), bytes_before_stale);
-
-  // The refreshed entry serves hits again for its own TTL window.
-  ons.AdvanceClock(150);
-  EXPECT_EQ(ons.Resolve(tag, 2), 2);
-  EXPECT_EQ(ons.cache_hits(), 2);
-
-  // Other sites' first resolutions are unaffected by site 2's cache.
-  EXPECT_EQ(ons.Resolve(tag, 0), 2);
-  EXPECT_EQ(ons.charged_lookups(), 3);
-}
-
-TEST(OnsCacheTest, ZeroTtlKeepsExactInvalidation) {
-  // cache_ttl = 0 is today's behavior: a move invalidates immediately and
-  // no answer is ever stale, regardless of how far the clock advances.
-  Network net;
-  OnsOptions opts = ShardedOptions(2, 3, /*cache=*/true);
-  opts.cache_ttl = 0;
-  Ons ons(opts);
-  ons.AttachNetwork(&net);
-  const TagId tag = TagId::Pallet(7);
-
-  ons.AdvanceClock(0);
   ons.Register(tag, 1);
   EXPECT_EQ(ons.Resolve(tag, 2), 1);
-  ons.AdvanceClock(1000000);  // an eternity: exact entries never expire
   EXPECT_EQ(ons.Resolve(tag, 2), 1);
   EXPECT_EQ(ons.cache_hits(), 1);
   ons.Register(tag, 2);  // move invalidates at once

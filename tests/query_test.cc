@@ -16,6 +16,8 @@ ProductCatalog MakeCatalog() {
                           ProductInfo{"frozen_food", true, false, false});
   catalog.RegisterProduct(TagId::Item(2),
                           ProductInfo{"screwdriver", false, false, false});
+  catalog.RegisterProduct(TagId::Item(3),
+                          ProductInfo{"frozen_peas", true, false, false});
   catalog.RegisterContainer(TagId::Case(1),
                             ContainerInfo{ContainerClass::kFreezer});
   catalog.RegisterContainer(TagId::Case(2),
@@ -137,7 +139,17 @@ TEST(ExposureQueryTest, StateExportImportAcrossInstances) {
   for (Epoch t = 10; t <= 60; t += 10) {
     site_a.OnEvent(ObjectEvent{t, TagId::Item(1), 2, TagId::Case(2)});
   }
+  // The migration payload, byte for byte: phase, zigzag first/last time,
+  // log size, then (zigzag time delta, little-endian double) per event.
+  const std::vector<uint8_t> kEntry{0x14, 0, 0, 0, 0, 0, 0, 0x34, 0x40};
+  std::vector<uint8_t> expected{0x01, 0x14, 0x78, 0x06};
+  for (int i = 0; i < 6; ++i) {
+    expected.insert(expected.end(), kEntry.begin(), kEntry.end());
+  }
+  EXPECT_EQ(site_a.ExportState(TagId::Item(1)), expected);
   auto bytes = site_a.TakeState(TagId::Item(1));
+  EXPECT_EQ(bytes, expected);
+  EXPECT_TRUE(site_a.StatefulObjects().empty());
 
   ExposureQuery site_b(&catalog, ShortQ1());
   WarmSensors(site_b, 20.0);
@@ -147,6 +159,139 @@ TEST(ExposureQueryTest, StateExportImportAcrossInstances) {
   }
   ASSERT_EQ(site_b.alerts().size(), 1u);
   EXPECT_EQ(site_b.alerts()[0].first_time, 10);  // run began on site A
+}
+
+TEST(ExposureQueryTest, EventAtUnsampledLocationStartsNoRun) {
+  ProductCatalog catalog = MakeCatalog();
+  ExposureQuery q(&catalog, ShortQ1());
+  WarmSensors(q, 20.0);  // locations 0-3 only
+  for (Epoch t = 10; t <= 200; t += 10) {
+    q.OnEvent(ObjectEvent{t, TagId::Item(1), 7, TagId::Case(2)});
+  }
+  EXPECT_TRUE(q.alerts().empty());
+  EXPECT_TRUE(q.StatefulObjects().empty());
+}
+
+TEST(ExposureQueryTest, SampleLeavesOtherLocationsJoinUnchanged) {
+  ProductCatalog catalog = MakeCatalog();
+  ExposureQuery q(&catalog, ShortQ1());
+  WarmSensors(q, 20.0);
+  for (Epoch t = 10; t <= 130; t += 10) {
+    // Location 3 cools below freezing; location 2 stays warm.
+    if (t == 50) q.OnSensor(SensorReading{t, 3, -5.0});
+    q.OnEvent(ObjectEvent{t, TagId::Item(1), 2, TagId::Case(2)});
+  }
+  ASSERT_EQ(q.alerts().size(), 1u);
+  EXPECT_EQ(q.alerts()[0].first_time, 10);
+}
+
+// The SEQ(A+) automaton alone: Q2 with a 100-epoch span and a 30-epoch gap
+// bound, every location at 20 degrees, so each frozen-item event matches.
+ExposureQuery SeqQuery(const ProductCatalog* catalog) {
+  ExposureQueryConfig cfg = ExposureQuery::Q2Config(/*duration=*/100);
+  cfg.max_gap = 30;
+  ExposureQuery q(catalog, cfg);
+  WarmSensors(q, 20.0);
+  return q;
+}
+
+void Match(ExposureQuery& q, Epoch t, TagId tag) {
+  q.OnEvent(ObjectEvent{t, tag, 2, kNoTag});
+}
+
+PatternState StateOf(const ExposureQuery& q, TagId tag) {
+  Result<PatternState> s = PatternState::Decode(q.ExportState(tag));
+  EXPECT_TRUE(s.ok());
+  return s.ok() ? *s : PatternState{};
+}
+
+TEST(ExposureQueryTest, FiresAfterDuration) {
+  ProductCatalog catalog = MakeCatalog();
+  ExposureQuery q = SeqQuery(&catalog);
+  const TagId tag = TagId::Item(1);
+  for (Epoch t = 0; t <= 120; t += 10) Match(q, t, tag);
+  ASSERT_EQ(q.alerts().size(), 1u);
+  EXPECT_EQ(q.alerts()[0].tag, tag);
+  EXPECT_EQ(q.alerts()[0].first_time, 0);
+  EXPECT_EQ(q.alerts()[0].last_time, 110);  // first span over 100
+  EXPECT_EQ(q.alerts()[0].n_events, 12);    // epochs 0, 10, ..., 110
+}
+
+TEST(ExposureQueryTest, EmitsOncePerRun) {
+  ProductCatalog catalog = MakeCatalog();
+  ExposureQuery q = SeqQuery(&catalog);
+  for (Epoch t = 0; t <= 300; t += 10) Match(q, t, TagId::Item(1));
+  EXPECT_EQ(q.alerts().size(), 1u);
+  EXPECT_EQ(StateOf(q, TagId::Item(1)).phase, RunPhase::kAlerted);
+}
+
+TEST(ExposureQueryTest, GapLapsesRun) {
+  ProductCatalog catalog = MakeCatalog();
+  ExposureQuery q = SeqQuery(&catalog);
+  const TagId tag = TagId::Item(1);
+  // Two 60-epoch runs separated by a 100-epoch gap: neither reaches the
+  // 100-epoch duration, so no alert fires.
+  for (Epoch t = 0; t <= 60; t += 10) Match(q, t, tag);
+  for (Epoch t = 160; t <= 220; t += 10) Match(q, t, tag);
+  EXPECT_TRUE(q.alerts().empty());
+  // The lapsed run restarted: state shows the second run's origin and log.
+  const PatternState s = StateOf(q, tag);
+  EXPECT_EQ(s.first_time, 160);
+  EXPECT_EQ(s.value_log.size(), 7u);
+}
+
+TEST(ExposureQueryTest, PartitionsIndependent) {
+  ProductCatalog catalog = MakeCatalog();
+  ExposureQuery q = SeqQuery(&catalog);
+  for (Epoch t = 0; t <= 120; t += 10) {
+    Match(q, t, TagId::Item(1));
+    if (t <= 50) Match(q, t, TagId::Item(3));
+  }
+  ASSERT_EQ(q.alerts().size(), 1u);
+  EXPECT_EQ(q.alerts()[0].tag, TagId::Item(1));
+  EXPECT_EQ(q.StatefulObjects(),
+            (std::vector<TagId>{TagId::Item(1), TagId::Item(3)}));
+}
+
+TEST(ExposureQueryTest, ValueLogAccumulates) {
+  ProductCatalog catalog = MakeCatalog();
+  ExposureQuery q = SeqQuery(&catalog);
+  const TagId tag = TagId::Item(1);
+  Match(q, 0, tag);
+  q.OnSensor(SensorReading{5, 2, 21.0});
+  Match(q, 10, tag);
+  const PatternState s = StateOf(q, tag);
+  EXPECT_EQ(s.phase, RunPhase::kAccumulating);
+  ASSERT_EQ(s.value_log.size(), 2u);
+  EXPECT_EQ(s.value_log[1].first, 10);
+  EXPECT_DOUBLE_EQ(s.value_log[1].second, 21.0);
+}
+
+TEST(PatternStateTest, EncodeDecodeRoundTrip) {
+  PatternState s;
+  s.phase = RunPhase::kAccumulating;
+  s.first_time = 100;
+  s.last_time = 250;
+  s.value_log = {{100, 20.5}, {150, 21.0}, {250, 19.0}};
+  auto back = PatternState::Decode(s.Encode());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, s);
+}
+
+TEST(PatternStateTest, DecodeRejectsGarbage) {
+  EXPECT_FALSE(PatternState::Decode({0x7f, 0x01}).ok());
+  EXPECT_FALSE(PatternState::Decode({}).ok());
+  // A valid phase with a truncated body.
+  EXPECT_FALSE(PatternState::Decode({0x01, 0x14}).ok());
+  // A well-formed state whose phase byte is one past kAlerted.
+  std::vector<uint8_t> bad_phase = PatternState{}.Encode();
+  bad_phase[0] = static_cast<uint8_t>(RunPhase::kAlerted) + 1;
+  EXPECT_FALSE(PatternState::Decode(bad_phase).ok());
+  // A query refuses it and installs nothing.
+  ProductCatalog catalog = MakeCatalog();
+  ExposureQuery q(&catalog, ShortQ1());
+  EXPECT_FALSE(q.ImportState(TagId::Item(1), bad_phase).ok());
+  EXPECT_TRUE(q.StatefulObjects().empty());
 }
 
 TEST(SensorSimTest, ColdAndAmbientLocations) {
