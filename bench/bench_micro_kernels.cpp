@@ -3,9 +3,11 @@
 // plus fused change-point and critical-region search), trace
 // serialization, gzip (the
 // centralized baseline's compressor), exposure-query events, the
-// centroid diff codec, the window index build, zero-copy frame decode, and
-// the span flush encode.
+// centroid diff codec, the window index build (cold and streaming),
+// zero-copy frame decode, and the span flush encode.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "common/compress.h"
 #include "common/rng.h"
@@ -184,6 +186,34 @@ void BM_WindowIndexSeal(benchmark::State& state) {
                           static_cast<int64_t>(rs.size()));
 }
 BENCHMARK(BM_WindowIndexSeal);
+
+// The same kernel on a streaming inference buffer, args (H, P): H retained
+// epochs sealed by the previous run are trimmed back to (RetainIf), one
+// period of P epochs is appended, and the buffer is sealed again.
+void BM_WindowIndexSealStreaming(benchmark::State& state) {
+  const Epoch retained = state.range(0);
+  Trace source = PlantedTrace(16, 10, retained + state.range(1), 0.8, 47);
+  const std::vector<RawReading>& rs = source.readings();
+  const size_t split = static_cast<size_t>(
+      std::partition_point(
+          rs.begin(), rs.end(),
+          [&](const RawReading& r) { return r.time < retained; }) -
+      rs.begin());
+  Trace buffer = source;
+  for (auto _ : state) {
+    buffer.RetainIf([&](const RawReading& r) { return r.time < retained; });
+    buffer.Append(rs.data() + split, rs.size() - split);
+    buffer.Seal();
+    size_t total = 0;
+    for (TagId tag : buffer.Tags()) total += buffer.HistoryOf(tag).size();
+    benchmark::DoNotOptimize(total);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rs.size()));
+}
+// H / P of site-stream (300 epochs of recent history, period 60) and of
+// the DAG workloads (600 and 300).
+BENCHMARK(BM_WindowIndexSealStreaming)->Args({240, 60})->Args({300, 300});
 
 // Frame decode, owning vs zero-copy view: the difference is the payload
 // copy the socket pump no longer pays per frame.

@@ -75,9 +75,7 @@ int main() {
     }
     if (inference.AdvanceTo(t) > 0) {
       // New inference results: push events and sensors in time order.
-      auto events = inference.engine().EmitEvents();
-      for (const ObjectEvent& e : events) {
-        if (e.time <= emitted_to || e.time > t) continue;
+      for (const ObjectEvent& e : inference.engine().EmitEvents(emitted_to)) {
         while (sensor_cursor < sensors.size() &&
                sensors[sensor_cursor].time <= e.time) {
           query.OnSensor(sensors[sensor_cursor++]);

@@ -24,6 +24,18 @@ using LocationId = int32_t;
 /// Index of a site (warehouse / hospital wing) in the distributed deployment.
 using SiteId = int32_t;
 
+/// Inclusive epoch interval.
+struct EpochInterval {
+  Epoch begin = 0;
+  Epoch end = -1;  ///< end < begin denotes the empty interval
+
+  bool empty() const { return end < begin; }
+  int64_t length() const { return empty() ? 0 : end - begin + 1; }
+  bool Contains(Epoch t) const { return t >= begin && t <= end; }
+
+  friend bool operator==(const EpochInterval&, const EpochInterval&) = default;
+};
+
 /// Sentinel for "location unknown / not applicable".
 inline constexpr LocationId kNoLocation = -1;
 

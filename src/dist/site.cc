@@ -225,11 +225,20 @@ bool Site::HasArrivalsDue(Epoch now) const {
 }
 
 int Site::AdvanceTo(Epoch now) {
-  if (pallet_streaming_ != nullptr) pallet_streaming_->AdvanceTo(now);
-  const int ran = streaming_.AdvanceTo(now);
-  if (ran > 0 && queries_attached()) {
-    FeedQueries(streaming_.engine().EmitEvents());
-    event_watermark_ = now;
+  // One boundary at a time, both levels, so every run's events reach the
+  // queries before the next run replaces the engine's results. Both levels
+  // share the streaming options, hence the boundaries.
+  int ran = 0;
+  for (Epoch b = streaming_.next_run(); b <= now; b = streaming_.next_run()) {
+    if (pallet_streaming_ != nullptr) pallet_streaming_->AdvanceTo(b);
+    ran += streaming_.AdvanceTo(b);
+    if (queries_attached()) {
+      // Consecutive run windows overlap (a run re-reads recent history):
+      // events at or before the previous boundary were already fed, and
+      // the pattern automaton requires per-tag event time to be monotone.
+      FeedQueries(streaming_.engine().EmitEvents(event_watermark_));
+      event_watermark_ = b;
+    }
   }
   return ran;
 }
@@ -238,12 +247,9 @@ void Site::FeedQueries(const std::vector<ObjectEvent>& events) {
   const size_t q1_fired = q1_->alerts().size();
   const size_t q2_fired = q2_->alerts().size();
   // `events` is sorted by (time, tag), so item events reach the queries in
-  // time order. Consecutive run windows overlap (a run re-reads recent
-  // history), so events at or before the previous run's boundary were
-  // already fed: the pattern automaton requires per-tag event time to be
-  // monotone.
+  // time order.
   for (const ObjectEvent& e : events) {
-    if (!e.tag.is_item() || e.time <= event_watermark_) continue;
+    if (!e.tag.is_item()) continue;
     // Temperature[Partition By sensor Rows 1]: each event joins with the
     // latest sample at or before its own epoch.
     while (sensor_cursor_ < sensors_.size() &&

@@ -133,9 +133,10 @@ class Site {
   /// scheduling events instead of delivering one reading per epoch.
   void ObserveBatch(const RawReading* readings, size_t n);
 
-  /// Advances local time, running inference at period boundaries and
-  /// feeding any attached queries with the newly inferred events (sensor
-  /// samples interleaved in time order). Returns inference runs performed.
+  /// Advances local time, running inference at every period boundary up to
+  /// `now` and, after each run, feeding any attached queries with that
+  /// run's events past the previous boundary (sensor samples interleaved in
+  /// time order). Returns inference runs performed.
   int AdvanceTo(Epoch now);
 
   /// Installs every inbound transfer whose arrival epoch has been reached.
@@ -253,7 +254,8 @@ class Site {
   std::unique_ptr<ExposureQuery> q2_;
   std::vector<SensorReading> sensors_;
   size_t sensor_cursor_ = 0;
-  /// Newest event epoch already fed to the queries (run windows overlap).
+  /// Boundary of the newest run whose events were fed to the queries (run
+  /// windows overlap).
   Epoch event_watermark_ = -1;
 
   std::vector<PendingArrival> pending_inference_;

@@ -12,7 +12,9 @@
 #ifndef RFID_INFERENCE_COLOCATION_H_
 #define RFID_INFERENCE_COLOCATION_H_
 
-#include <unordered_map>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -20,14 +22,13 @@
 
 namespace rfid {
 
-/// Per-object candidate containers ordered by decreasing co-location score.
-struct CandidateSet {
-  std::vector<TagId> containers;
-  std::vector<double> counts;  ///< aligned with `containers`
+/// A container and its co-location score with one object.
+struct ScoredContainer {
+  uint32_t container = 0;  ///< index into the counter's container list
+  double score = 0.0;
 };
 
-/// Counts (object, container) co-locations in `trace` restricted to epochs
-/// [begin, end].
+/// Counts (object, container) co-locations in a sealed trace.
 ///
 /// Scores are *exclusivity-weighted*: a co-occurrence within one
 /// (epoch, reader) burst adds 1/k when k containers appear in the burst.
@@ -36,37 +37,63 @@ struct CandidateSet {
 /// says little. Weighting keeps the EM's initial guess from locking onto a
 /// same-shelf confounder whose raw co-occurrence count rivals the true
 /// container's.
+///
+/// Scan() records once per span the (epoch, reader) bursts that read a
+/// container; Rank() then scores one object at a time by walking the
+/// object's own sparse history against those bursts, for several epoch
+/// ranges in one walk. Rank is const, so objects can be ranked on
+/// different threads, each with its own Scratch. Each score adds its
+/// bursts in trace order, so the sums do not depend on how objects are
+/// split.
 class CoLocationCounter {
  public:
-  /// Counts pairs where an item-kind tag and a case-kind tag were read by
-  /// the same reader in the same epoch. `exclusivity_weighted` selects the
-  /// 1/k weighting; false gives the paper's plain co-occurrence counts.
-  static CoLocationCounter FromTrace(const Trace& trace, Epoch begin,
-                                     Epoch end,
-                                     bool exclusivity_weighted = true);
+  /// Most epoch ranges one Rank call scores.
+  static constexpr size_t kMaxRanges = 3;
 
-  /// As above with explicit roles: `containers` and `objects` are disjoint
-  /// tag sets; other tags in the trace are ignored.
-  static CoLocationCounter FromTraceWithRoles(
-      const Trace& trace, Epoch begin, Epoch end,
-      const std::vector<TagId>& containers, const std::vector<TagId>& objects,
-      bool exclusivity_weighted = true);
+  /// Reused buffers of one thread's Rank calls.
+  struct Scratch {
+    /// score[r * containers + i]: range r's score of container i; all zero
+    /// between calls.
+    std::vector<double> score;
+    /// The containers each range has scored, in first-seen order.
+    std::vector<uint32_t> touched[kMaxRanges];
+    /// Rank's output: range r's containers ranked by (score desc, tag asc).
+    std::vector<ScoredContainer> ranked[kMaxRanges];
+  };
 
-  /// Top-k candidate containers for `object` (k <= 0 means all).
-  CandidateSet TopCandidates(TagId object, int k) const;
+  /// Records every (epoch, reader) burst of `trace` with epoch in `span`
+  /// that read at least one of `containers` (sorted, distinct; container i
+  /// is containers[i]). Other tags count in no role. `exclusivity_weighted`
+  /// selects the 1/k weighting; false gives the paper's plain
+  /// co-occurrence counts. The trace must be sealed; the counter keeps no
+  /// reference to it.
+  void Scan(const Trace& trace, EpochInterval span,
+            const std::vector<TagId>& containers, bool exclusivity_weighted);
 
-  /// All objects with at least one co-location.
-  std::vector<TagId> Objects() const;
-
-  /// Weighted score for a pair (0 when never co-located).
-  double CountOf(TagId object, TagId container) const;
-
-  /// Merges counts from another counter (e.g. recent-epoch counts) in place.
-  void Merge(const CoLocationCounter& other);
+  /// Scores the object whose sparse history is `history` against the
+  /// bursts of the latest Scan in each of `ranges` (at most kMaxRanges,
+  /// each inside the scanned span) and leaves in scratch->ranked[r] range
+  /// r's top `k` containers (k <= 0 means all) by decreasing score, equal
+  /// scores by ascending tag.
+  void Rank(TagReadSpan history, std::span<const EpochInterval> ranges,
+            int k, Scratch* scratch) const;
 
  private:
-  // object -> (container -> weighted score)
-  std::unordered_map<TagId, std::unordered_map<TagId, double>> counts_;
+  /// One burst that read at least one container: its containers are
+  /// members_[first, next burst's first).
+  struct Burst {
+    Epoch time = 0;
+    LocationId reader = kNoLocation;
+    uint32_t first = 0;
+  };
+
+  EpochInterval span_;
+  size_t num_containers_ = 0;
+  bool weighted_ = true;
+  /// In (time, reader) order, then a sentinel whose `first` ends the last
+  /// burst's members.
+  std::vector<Burst> bursts_;
+  std::vector<uint32_t> members_;
 };
 
 }  // namespace rfid

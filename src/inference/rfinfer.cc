@@ -97,7 +97,11 @@ void MergeRuns(std::vector<T>* buf, std::vector<size_t>* ends,
 RFInfer::RFInfer(const ReadRateModel* model,
                  const InterrogationSchedule* schedule,
                  InferenceOptions options)
-    : model_(model), schedule_(schedule), options_(options), scratch_(1) {
+    : model_(model),
+      schedule_(schedule),
+      options_(options),
+      scratch_(1),
+      colocation_scratch_(1) {
   assert(model_->num_locations() == schedule_->num_locations());
 }
 
@@ -107,6 +111,9 @@ void RFInfer::SetUniverse(std::vector<TagId> containers,
   container_tags_ = std::move(containers);
   object_tags_ = std::move(objects);
   std::sort(container_tags_.begin(), container_tags_.end());
+  container_tags_.erase(
+      std::unique(container_tags_.begin(), container_tags_.end()),
+      container_tags_.end());
   std::sort(object_tags_.begin(), object_tags_.end());
 }
 
@@ -118,8 +125,10 @@ void RFInfer::ClearObjectContexts() { contexts_.clear(); }
 
 void RFInfer::set_pool(SiteExecutor* pool) {
   pool_ = pool;
-  scratch_.resize(pool == nullptr ? 1 : static_cast<size_t>(
-                                            pool->num_threads()));
+  const size_t threads =
+      pool == nullptr ? 1 : static_cast<size_t>(pool->num_threads());
+  scratch_.resize(threads);
+  colocation_scratch_.resize(threads);
 }
 
 int RFInfer::ObjectIndexOf(TagId tag) const {
@@ -201,57 +210,60 @@ void RFInfer::BuildCandidates(const Trace& trace) {
     }
   }
 
-  // The three counting passes are independent reads of the trace.
-  const Epoch begins[3] = {span_begin, window_.begin, recent_begin};
-  const Epoch ends[3] = {window_.end, init_end, window_.end};
-  CoLocationCounter counters[3];
-  const bool weighted = options_.exclusivity_weighted_init;
-  auto count = [&](size_t pass, int) {
-    counters[pass] =
-        explicit_universe_
-            ? CoLocationCounter::FromTraceWithRoles(
-                  trace, begins[pass], ends[pass], container_tags_,
-                  object_tags_, weighted)
-            : CoLocationCounter::FromTrace(trace, begins[pass], ends[pass],
-                                           weighted);
-  };
-  if (pool_ == nullptr) {
-    for (size_t pass = 0; pass < 3; ++pass) count(pass, 0);
-  } else {
-    pool_->Run(3, count);
-  }
+  // The span is scanned once; each object then ranks the overall, first
+  // and recent ranges in one walk of its own history, into its own slot.
+  // Its candidates are the three top-k lists in that order, without
+  // repeats.
+  const EpochInterval ranges[3] = {{span_begin, window_.end},
+                                   {window_.begin, init_end},
+                                   {recent_begin, window_.end}};
+  colocation_.Scan(trace, ranges[0], container_tags_,
+                   options_.exclusivity_weighted_init);
   const int k = options_.max_candidates;
-  for (ObjectData& o : objects_) {
-    std::vector<TagId> cand_tags;
-    auto add_from = [&](const CandidateSet& set) {
-      for (TagId c : set.containers) {
-        if (std::find(cand_tags.begin(), cand_tags.end(), c) ==
-            cand_tags.end()) {
-          cand_tags.push_back(c);
+  const size_t stride =
+      k > 0 ? std::min(3 * static_cast<size_t>(k), containers_.size())
+            : containers_.size();
+  colocated_.resize(objects_.size() * stride);
+  colocated_count_.resize(objects_.size());
+  // lint:hot-loop-begin(candidate-rank)
+  ForChunks(pool_, objects_.size(), [&](size_t begin, size_t end, int thread) {
+    CoLocationCounter::Scratch* scratch =
+        &colocation_scratch_[static_cast<size_t>(thread)];
+    for (size_t oi = begin; oi < end; ++oi) {
+      colocation_.Rank(trace.HistoryOf(objects_[oi].tag), ranges, k,
+                       scratch);
+      int* slot = colocated_.data() + oi * stride;
+      uint32_t n = 0;
+      for (size_t r = 0; r < 3; ++r) {
+        for (const ScoredContainer& sc : scratch->ranked[r]) {
+          const int ci = static_cast<int>(sc.container);
+          if (std::find(slot, slot + n, ci) == slot + n) slot[n++] = ci;
         }
       }
-    };
-    for (const CoLocationCounter& counter : counters) {
-      add_from(counter.TopCandidates(o.tag, k));
+      colocated_count_[oi] = n;
     }
+  });
+  // lint:hot-loop-end
+
+  for (size_t oi = 0; oi < objects_.size(); ++oi) {
+    ObjectData& o = objects_[oi];
+    const int* slot = colocated_.data() + oi * stride;
+    o.candidates.assign(slot, slot + colocated_count_[oi]);
     // Imported collapsed priors name containers that must stay candidates.
     auto ctx = contexts_.find(o.tag);
     if (ctx != contexts_.end()) {
       for (const auto& [ctag, unused] : ctx->second.prior_weights) {
-        if (ContainerIndexOf(ctag) >= 0 &&
-            std::find(cand_tags.begin(), cand_tags.end(), ctag) ==
-                cand_tags.end()) {
-          cand_tags.push_back(ctag);
+        const int ci = ContainerIndexOf(ctag);
+        if (ci >= 0 && std::find(o.candidates.begin(), o.candidates.end(),
+                                 ci) == o.candidates.end()) {
+          o.candidates.push_back(ci);
         }
       }
     }
-    o.candidates.clear();
     o.priors.clear();
     bool has_prior = false;
-    for (TagId ctag : cand_tags) {
-      int ci = ContainerIndexOf(ctag);
-      if (ci < 0) continue;
-      o.candidates.push_back(ci);
+    for (int ci : o.candidates) {
+      const TagId ctag = containers_[static_cast<size_t>(ci)].tag;
       double prior = 0.0;
       if (ctx != contexts_.end()) {
         for (const auto& [ptag, w] : ctx->second.prior_weights) {
@@ -766,12 +778,15 @@ LocationId RFInfer::LocationOf(TagId tag, Epoch t) const {
   return last;
 }
 
-std::vector<ObjectEvent> RFInfer::EmitEvents() const {
+std::vector<ObjectEvent> RFInfer::EmitEvents(Epoch after) const {
   std::vector<ObjectEvent> events;
+  const Epoch from = std::max(window_.begin, after + 1);
   for (const ContainerData& c : containers_) {
-    for (size_t k = 0; k < c.act_epochs.size(); ++k) {
+    const auto first =
+        std::lower_bound(c.act_epochs.begin(), c.act_epochs.end(), from);
+    for (size_t k = static_cast<size_t>(first - c.act_epochs.begin());
+         k < c.act_epochs.size() && c.act_epochs[k] <= window_.end; ++k) {
       const Epoch t = c.act_epochs[k];
-      if (!window_.Contains(t)) continue;
       const LocationId loc = c.act_map[k];
       events.push_back(ObjectEvent{t, c.tag, loc, kNoTag});
       for (int oi : c.objects) {

@@ -21,13 +21,17 @@
 //  * single evidence scan -- change-point detection and the critical-region
 //                            search share one evidence scan per object per
 //                            run (ScanEvidence);
-//  * data-parallel EM     -- given a pool (set_pool), the E-step (per
-//                            container), the M-step and the evidence scan
-//                            (per object) run as chunked jobs and the three
-//                            candidate-counting passes as three tasks. Each
-//                            item reads only the previous phase's outputs
-//                            and writes only its own slot, so results are
-//                            bit-identical for any thread count.
+//  * one co-location scan  -- candidate counting records the span's
+//                            container bursts once; each object then scores
+//                            all three candidate ranges in one walk of its
+//                            own sparse history;
+//  * data-parallel EM     -- given a pool (set_pool), the candidate
+//                            ranking, the M-step and the evidence scan (per
+//                            object) and the E-step (per container) run as
+//                            chunked jobs. Each item reads only the
+//                            previous phase's outputs and writes only its
+//                            own slot, so results are bit-identical for any
+//                            thread count.
 //
 // The same engine exposes the evidence quantities of Section 4.1 (point and
 // cumulative evidence of co-location, Eq 7), the change-point statistic
@@ -44,24 +48,13 @@
 #include "common/executor.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "inference/colocation.h"
 #include "model/read_rate.h"
 #include "model/schedule.h"
 #include "trace/reading.h"
 #include "trace/trace.h"
 
 namespace rfid {
-
-/// Inclusive epoch interval.
-struct EpochInterval {
-  Epoch begin = 0;
-  Epoch end = -1;  ///< end < begin denotes the empty interval
-
-  bool empty() const { return end < begin; }
-  int64_t length() const { return empty() ? 0 : end - begin + 1; }
-  bool Contains(Epoch t) const { return t >= begin && t <= end; }
-
-  friend bool operator==(const EpochInterval&, const EpochInterval&) = default;
-};
 
 /// Tuning knobs for the EM engine.
 struct InferenceOptions {
@@ -215,8 +208,10 @@ class RFInfer {
 
   /// Materializes the inferred event stream (time, tag, location,
   /// container) for query processing, one event per container-active epoch
-  /// within the run window, for the container and each assigned object.
-  std::vector<ObjectEvent> EmitEvents() const;
+  /// within the run window and after epoch `after`, for the container and
+  /// each assigned object, sorted by (time, tag). `window().begin - 1`
+  /// gives the whole window.
+  std::vector<ObjectEvent> EmitEvents(Epoch after) const;
 
   // ---- Evidence, change points, truncation ----
 
@@ -394,6 +389,14 @@ class RFInfer {
   SiteExecutor* pool_ = nullptr;
   /// One per pool thread.
   std::vector<EStepScratch> scratch_;
+  std::vector<CoLocationCounter::Scratch> colocation_scratch_;
+  /// The latest run's container bursts.
+  CoLocationCounter colocation_;
+  /// Co-located candidates of each object in a fixed-stride slot (the
+  /// object's count in colocated_count_), ranked per object in parallel and
+  /// read serially.
+  std::vector<int> colocated_;
+  std::vector<uint32_t> colocated_count_;
   /// Per-object "assignment changed" flags of the latest M-step.
   std::vector<uint8_t> moved_;
 };

@@ -102,6 +102,9 @@ class StreamingInference {
   /// crossed. Returns the number of inference runs performed.
   int AdvanceTo(Epoch now);
 
+  /// The next period boundary, where AdvanceTo runs inference next.
+  Epoch next_run() const { return next_run_; }
+
   /// Forces an inference run over history up to `now`.
   Status RunNow(Epoch now);
 
@@ -127,7 +130,13 @@ class StreamingInference {
     return all_changes_;
   }
 
-  /// Wall-clock seconds spent inside inference (Appendix C "running cost").
+  /// Wall-clock seconds spent inside inference (Appendix C "running
+  /// cost"), over all runs / the latest run. A run's timer covers the EM
+  /// run, the evidence scan, and the bookkeeping of change points,
+  /// critical regions, location tracks and imported beliefs. It starts
+  /// after the buffer's Seal and the universe and context installs, and
+  /// it stops before CompactBuffer; a caller's EmitEvents and query
+  /// feeding (Site::AdvanceTo) are outside it too.
   double total_inference_seconds() const { return total_seconds_; }
   double last_inference_seconds() const { return last_seconds_; }
   int runs() const { return runs_; }

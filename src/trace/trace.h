@@ -4,12 +4,17 @@
 //
 // Seal() builds the per-tag index as a compressed-sparse-row (CSR) layout:
 // one sorted key array, one offset array, one flat TagRead array -- no
-// per-tag heap nodes. The arrays are owned vectors whose capacity is reused
-// across Seals.
+// per-tag heap nodes. A streaming window buffer is resealed once per
+// inference period with most of its readings already in order, so Seal
+// sorts only what was appended since the last Seal and merges it in. The
+// arrays are owned vectors whose capacity is reused across Seals.
 #ifndef RFID_TRACE_TRACE_H_
 #define RFID_TRACE_TRACE_H_
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -20,9 +25,16 @@ namespace rfid {
 
 /// A raw RFID trace: readings in canonical (time, reader, tag) order with a
 /// per-tag sparse history index rebuilt by Seal(). Copies own their index;
-/// a move carries the index buffers, so spans taken before it stay valid.
+/// a move carries the index buffers, so spans taken before it stay valid,
+/// and leaves the source an empty sealed trace.
 class Trace {
  public:
+  Trace() = default;
+  Trace(const Trace&) = default;
+  Trace& operator=(const Trace&) = default;
+  Trace(Trace&& other) noexcept { *this = std::move(other); }
+  Trace& operator=(Trace&& other) noexcept;
+
   /// Appends one reading. Readings may arrive unsorted; call Seal() before
   /// reading per-tag histories.
   void Add(const RawReading& r) {
@@ -42,6 +54,13 @@ class Trace {
   /// Sorts readings into canonical order, removes exact duplicates, and
   /// rebuilds the per-tag index. All spans handed out by previous Seals of
   /// this trace are invalidated.
+  ///
+  /// Cost: the readings of the last Seal that RetainIf kept form a sorted,
+  /// duplicate-free prefix. Only the readings appended since are sorted,
+  /// and prefix readings below the smallest of them are not touched again;
+  /// when all of them sort after the prefix (a stream's next period),
+  /// nothing moves. The index then costs one hash lookup per reading plus
+  /// a sort of the distinct tags. TakeReadings forgets the prefix.
   void Seal();
 
   bool sealed() const { return sealed_; }
@@ -71,21 +90,27 @@ class Trace {
   Trace Slice(Epoch begin, Epoch end) const;
 
   /// Drops every reading for which `pred` is false, in place (the relative
-  /// order of survivors is preserved). Leaves the trace unsealed.
+  /// order of survivors is preserved). Leaves the trace unsealed; the
+  /// survivors of the sorted prefix stay the sorted prefix.
   template <typename Pred>
   void RetainIf(Pred pred) {
-    readings_.erase(
-        std::remove_if(readings_.begin(), readings_.end(),
-                       [&](const RawReading& r) { return !pred(r); }),
-        readings_.end());
+    auto drop = [&](const RawReading& r) { return !pred(r); };
+    const auto mid = readings_.begin() + static_cast<ptrdiff_t>(sorted_);
+    const auto kept = std::remove_if(readings_.begin(), mid, drop);
+    const auto tail_end = std::remove_if(mid, readings_.end(), drop);
+    readings_.erase(std::move(mid, tail_end, kept), readings_.end());
+    sorted_ = static_cast<size_t>(kept - readings_.begin());
     sealed_ = false;
   }
 
  private:
+  void MergeTail();
   void BuildIndex();
   void InvalidateIndex();
 
   std::vector<RawReading> readings_;
+  /// readings_[0, sorted_) is in canonical order without duplicates.
+  size_t sorted_ = 0;
   bool sealed_ = true;
 
   // CSR per-tag index: keys_[i] owns flat_[offsets_[i] .. offsets_[i+1]).

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -275,6 +277,46 @@ DistributedOptions HierOptions(MigrationMode mode) {
   return opts;
 }
 
+/// FNV-1a over the bytes of 64-bit words, the digest behind the pinned
+/// outputs below.
+struct Fnv {
+  uint64_t h = 1469598103934665603ULL;
+  void Mix(uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+  void Snapshots(
+      const std::vector<DistributedSystem::ErrorSnapshot>& snapshots) {
+    for (const DistributedSystem::ErrorSnapshot& s : snapshots) {
+      Mix(static_cast<uint64_t>(s.epoch));
+      Mix(std::bit_cast<uint64_t>(s.error_percent));
+    }
+  }
+  void Alerts(const std::vector<ExposureAlert>& alerts) {
+    for (const ExposureAlert& a : alerts) {
+      Mix(a.tag.raw());
+      Mix(static_cast<uint64_t>(a.first_time));
+      Mix(static_cast<uint64_t>(a.last_time));
+      Mix(static_cast<uint64_t>(a.n_events));
+    }
+  }
+};
+
+/// Every item frozen and every case plain: any item on a shelf is exposed.
+ProductCatalog ExposedCatalog(const SupplyChainSim& sim) {
+  ProductCatalog catalog;
+  for (TagId item : sim.all_items()) {
+    catalog.RegisterProduct(item, ProductInfo{"frozen_food", true, false,
+                                              false});
+  }
+  for (TagId c : sim.all_cases()) {
+    catalog.RegisterContainer(c, ContainerInfo{ContainerClass::kPlain});
+  }
+  return catalog;
+}
+
 TEST(HierarchicalTest, CaseStateMigratesOnTransfers) {
   SupplyChainSim sim(ChainConfig(3, 1200));
   sim.Run();
@@ -304,6 +346,14 @@ TEST(HierarchicalTest, CaseStateMigratesOnTransfers) {
   EXPECT_LE(case_err, 100.0);
   EXPECT_EQ(flat.snapshots(), hier.snapshots());
   EXPECT_TRUE(std::isnan(flat.AverageCaseContainmentErrorPercent()));
+
+  // The pallet level is the only user of explicit roles
+  // (SetUniverseKinds): its case-level accuracy series and the two-level
+  // migration bytes are pinned bit for bit.
+  Fnv d;
+  d.Snapshots(hier.case_snapshots());
+  EXPECT_EQ(d.h, 0xf07deddd15d206eeULL) << std::hex << "digest 0x" << d.h;
+  EXPECT_EQ(hier.network().BytesOfKind(MessageKind::kInferenceState), 11772);
 }
 
 TEST(HierarchicalTest, NoneModeShipsNothingAtEitherLevel) {
@@ -574,15 +624,7 @@ TEST(DistributedTest, QueriesRunAtSites) {
   SupplyChainSim sim(cfg);
   sim.Run();
 
-  // All items frozen; all cases plain: everything on a shelf is exposed.
-  ProductCatalog catalog;
-  for (TagId item : sim.all_items()) {
-    catalog.RegisterProduct(item, ProductInfo{"frozen_food", true, false,
-                                              false});
-  }
-  for (TagId c : sim.all_cases()) {
-    catalog.RegisterContainer(c, ContainerInfo{ContainerClass::kPlain});
-  }
+  const ProductCatalog catalog = ExposedCatalog(sim);
   SensorConfig scfg;
   Rng rng(5);
   auto sensors = GenerateSensorStream(scfg, sim.layout().num_locations(),
@@ -611,26 +653,110 @@ TEST(DistributedTest, QueriesRunAtSites) {
     // Items sit exposed on shelves for 600 epochs > 300: alerts must fire.
     EXPECT_FALSE(sys.AllAlerts(0).empty());
     EXPECT_FALSE(sys.AllAlerts(1).empty());
-    // FNV-1a over each alert's fields, Q1's alerts then Q2's.
-    uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](uint64_t x) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (8 * i)) & 0xFF;
-        h *= 1099511628211ULL;
-      }
-    };
-    for (int q : {0, 1}) {
-      for (const ExposureAlert& a : sys.AllAlerts(q)) {
-        mix(a.tag.raw());
-        mix(static_cast<uint64_t>(a.first_time));
-        mix(static_cast<uint64_t>(a.last_time));
-        mix(static_cast<uint64_t>(a.n_events));
-      }
-    }
-    EXPECT_EQ(h, pin.alert_digest);
+    // Q1's alerts then Q2's.
+    Fnv d;
+    d.Alerts(sys.AllAlerts(0));
+    d.Alerts(sys.AllAlerts(1));
+    EXPECT_EQ(d.h, pin.alert_digest);
     EXPECT_EQ(sys.network().BytesOfKind(MessageKind::kQueryState),
               pin.query_state_bytes);
   }
+}
+
+// A call that crosses several inference boundaries must feed the queries
+// the events of every run it makes, exactly as one call per boundary does.
+// With recent_history == inference_period consecutive run windows do not
+// overlap, so no later run re-emits an earlier run's events.
+TEST(SiteTest, MultiPeriodAdvanceFeedsEveryRun) {
+  SupplyChainConfig cfg = ChainConfig(1, 1200);
+  cfg.shelf_stay = 600;
+  SupplyChainSim sim(cfg);
+  sim.Run();
+  const ProductCatalog catalog = ExposedCatalog(sim);
+  SensorConfig scfg;
+  Rng rng(5);
+  auto sensors = GenerateSensorStream(scfg, sim.layout().num_locations(),
+                                      cfg.horizon, rng);
+  SiteOptions so;
+  so.streaming.inference_period = 100;
+  so.streaming.recent_history = 100;
+  ExposureQueryConfig q1 = ExposureQuery::Q1Config(/*duration=*/300);
+  q1.max_gap = 400;
+  ExposureQueryConfig q2 = ExposureQuery::Q2Config(/*duration=*/300);
+  q2.max_gap = 400;
+  Network net;
+  Site stepped(0, &sim.model(), &sim.schedule(), &net, so);
+  Site jumped(0, &sim.model(), &sim.schedule(), &net, so);
+  for (Site* site : {&stepped, &jumped}) {
+    site->AttachQueries(&catalog, q1, q2);
+    for (const SensorReading& r : sensors) site->AddSensor(r);
+  }
+
+  // Both sites buffer the same readings; `stepped` then advances boundary
+  // by boundary and `jumped` across three boundaries in one call.
+  const Epoch period = so.streaming.inference_period;
+  const std::vector<RawReading>& rs = sim.site_trace(0).readings();
+  size_t cursor = 0;
+  for (Epoch b = 3 * period; b <= cfg.horizon; b += 3 * period) {
+    const size_t begin = cursor;
+    while (cursor < rs.size() && rs[cursor].time <= b) ++cursor;
+    stepped.ObserveBatch(rs.data() + begin, cursor - begin);
+    jumped.ObserveBatch(rs.data() + begin, cursor - begin);
+    for (Epoch t = b - 2 * period; t <= b; t += period) {
+      ASSERT_EQ(stepped.AdvanceTo(t), 1);
+    }
+    ASSERT_EQ(jumped.AdvanceTo(b), 3);
+  }
+
+  for (int q : {0, 1}) {
+    SCOPED_TRACE(testing::Message() << "query " << q);
+    const ExposureQuery& want = *stepped.query(q);
+    const ExposureQuery& got = *jumped.query(q);
+    EXPECT_FALSE(want.alerts().empty());
+    Fnv want_alerts;
+    Fnv got_alerts;
+    want_alerts.Alerts(want.alerts());
+    got_alerts.Alerts(got.alerts());
+    EXPECT_EQ(got.alerts().size(), want.alerts().size());
+    EXPECT_EQ(got_alerts.h, want_alerts.h);
+    ASSERT_EQ(got.StatefulObjects(), want.StatefulObjects());
+    for (TagId tag : want.StatefulObjects()) {
+      EXPECT_TRUE(got.ExportState(tag) == want.ExportState(tag))
+          << "tag " << tag.raw();
+    }
+  }
+}
+
+// The centralized server's buffer is where the interleaved per-site flush
+// batches meet: its accuracy series and both queries' alerts are pinned
+// bit for bit.
+TEST(DistributedTest, CentralizedOutputIsBitIdenticalToPinnedDigest) {
+  SupplyChainConfig cfg = ChainConfig(3, 1200);
+  cfg.shelf_stay = 600;
+  SupplyChainSim sim(cfg);
+  sim.Run();
+  const ProductCatalog catalog = ExposedCatalog(sim);
+  SensorConfig scfg;
+  Rng rng(5);
+  auto sensors = GenerateSensorStream(scfg, sim.layout().num_locations(),
+                                      cfg.horizon, rng);
+  DistributedOptions opts = DistOptions(MigrationMode::kCollapsed);
+  opts.mode = ProcessingMode::kCentralized;
+  opts.attach_queries = true;
+  opts.q1 = ExposureQuery::Q1Config(/*duration=*/300);
+  opts.q1.max_gap = 400;
+  opts.q2 = ExposureQuery::Q2Config(/*duration=*/300);
+  opts.q2.max_gap = 400;
+  DistributedSystem sys(&sim, opts, &catalog, &sensors);
+  sys.Run();
+  ASSERT_FALSE(sys.snapshots().empty());
+  EXPECT_FALSE(sys.AllAlerts(0).empty());
+  EXPECT_FALSE(sys.AllAlerts(1).empty());
+  Fnv d;
+  d.Snapshots(sys.snapshots());
+  d.Alerts(sys.AllAlerts(0));
+  d.Alerts(sys.AllAlerts(1));
+  EXPECT_EQ(d.h, 0xc2e11dc801c699f2ULL) << std::hex << "digest 0x" << d.h;
 }
 
 TEST(DistributedTest, LinkLatencyKeepsWireBytesInvariant) {

@@ -3,10 +3,13 @@
 // critical regions, collapsed priors, and the co-location counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/executor.h"
@@ -167,7 +170,7 @@ TEST(RFInferTest, EmitEventsCoversAssignedObjects) {
   TwoContainerWorld w;
   RFInfer engine(&w.model, &w.sched);
   ASSERT_TRUE(engine.Run(w.trace, 0, w.horizon - 1).ok());
-  auto events = engine.EmitEvents();
+  auto events = engine.EmitEvents(engine.window().begin - 1);
   ASSERT_FALSE(events.empty());
   bool saw_obj = false;
   for (const ObjectEvent& e : events) {
@@ -182,6 +185,27 @@ TEST(RFInferTest, EmitEventsCoversAssignedObjects) {
   // Sorted by time.
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_LE(events[i - 1].time, events[i].time);
+  }
+}
+
+TEST(RFInferTest, EmitEventsAfterFiltersTheWholeWindow) {
+  TwoContainerWorld w;
+  RFInfer engine(&w.model, &w.sched);
+  ASSERT_TRUE(engine.Run(w.trace, 20, w.horizon - 1).ok());
+  const std::vector<ObjectEvent> all =
+      engine.EmitEvents(engine.window().begin - 1);
+  ASSERT_FALSE(all.empty());
+  EXPECT_EQ(all.front().time, 20);
+  // Cuts before, at and inside the window, at its last epoch and past it.
+  const Epoch h = w.horizon;
+  for (Epoch after : std::vector<Epoch>{-5, 0, 19, 20, 57, 150, h - 2, h - 1,
+                                        h + 10}) {
+    SCOPED_TRACE(testing::Message() << "after " << after);
+    std::vector<ObjectEvent> want;
+    for (const ObjectEvent& e : all) {
+      if (e.time > after) want.push_back(e);
+    }
+    EXPECT_EQ(engine.EmitEvents(after), want);
   }
 }
 
@@ -471,6 +495,51 @@ TEST(RFInferTest, PeriodicScheduleStillRecovers) {
   for (TagId o : objs2) EXPECT_EQ(engine.ContainerOf(o), c2);
 }
 
+// A container tag and its co-location score.
+using RankedScores = std::vector<std::pair<TagId, double>>;
+
+// Ranks the containers co-located with `object` in each of `ranges` with
+// one scan of the ranges' union and one Rank call. The containers default
+// to the trace's case tags, RFInfer's kind-derived roles.
+std::vector<RankedScores> RankCoLocation(const Trace& t, TagId object,
+                                         std::vector<EpochInterval> ranges,
+                                         int k = 0, bool weighted = true,
+                                         std::vector<TagId> containers = {}) {
+  if (containers.empty()) {
+    for (TagId tag : t.Tags()) {
+      if (tag.is_case()) containers.push_back(tag);
+    }
+  }
+  EpochInterval span = ranges.front();
+  for (const EpochInterval& iv : ranges) {
+    span.begin = std::min(span.begin, iv.begin);
+    span.end = std::max(span.end, iv.end);
+  }
+  CoLocationCounter counter;
+  counter.Scan(t, span, containers, weighted);
+  CoLocationCounter::Scratch scratch;
+  counter.Rank(t.HistoryOf(object), ranges, k, &scratch);
+  std::vector<RankedScores> out(ranges.size());
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    for (const ScoredContainer& sc : scratch.ranked[r]) {
+      out[r].emplace_back(containers[sc.container], sc.score);
+    }
+  }
+  return out;
+}
+
+// Score of (object, container) over epochs [begin, end]; 0 when the pair
+// was never co-located there.
+double CountOf(const Trace& t, TagId object, TagId container, Epoch begin,
+               Epoch end, bool weighted = true) {
+  const std::vector<RankedScores> ranked =
+      RankCoLocation(t, object, {{begin, end}}, 0, weighted);
+  for (const auto& [tag, score] : ranked[0]) {
+    if (tag == container) return score;
+  }
+  return 0.0;
+}
+
 TEST(CoLocationTest, CountsSameReaderSameEpoch) {
   Trace t;
   t.Add(RawReading{1, TagId::Item(1), 0});
@@ -479,9 +548,8 @@ TEST(CoLocationTest, CountsSameReaderSameEpoch) {
   t.Add(RawReading{2, TagId::Item(1), 0});
   t.Add(RawReading{2, TagId::Case(1), 0});
   t.Seal();
-  auto counter = CoLocationCounter::FromTrace(t, 0, 10);
-  EXPECT_EQ(counter.CountOf(TagId::Item(1), TagId::Case(1)), 2);
-  EXPECT_EQ(counter.CountOf(TagId::Item(1), TagId::Case(2)), 0);
+  EXPECT_EQ(CountOf(t, TagId::Item(1), TagId::Case(1), 0, 10), 2);
+  EXPECT_EQ(CountOf(t, TagId::Item(1), TagId::Case(2), 0, 10), 0);
 }
 
 TEST(CoLocationTest, TopCandidatesOrdered) {
@@ -492,17 +560,15 @@ TEST(CoLocationTest, TopCandidatesOrdered) {
     if (i < 2) t.Add(RawReading{i, TagId::Case(2), 0});
   }
   t.Seal();
-  auto counter = CoLocationCounter::FromTrace(t, 0, 10);
-  auto top = counter.TopCandidates(TagId::Item(1), 2);
-  ASSERT_EQ(top.containers.size(), 2u);
-  EXPECT_EQ(top.containers[0], TagId::Case(1));
+  const RankedScores top = RankCoLocation(t, TagId::Item(1), {{0, 10}}, 2)[0];
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].first, TagId::Case(1));
   // Exclusivity weighting: 3 exclusive epochs at weight 1 plus 2 shared
   // epochs at weight 1/2.
-  EXPECT_DOUBLE_EQ(top.counts[0], 4.0);
-  EXPECT_EQ(top.containers[1], TagId::Case(2));
-  EXPECT_DOUBLE_EQ(top.counts[1], 1.0);
-  auto top1 = counter.TopCandidates(TagId::Item(1), 1);
-  EXPECT_EQ(top1.containers.size(), 1u);
+  EXPECT_DOUBLE_EQ(top[0].second, 4.0);
+  EXPECT_EQ(top[1].first, TagId::Case(2));
+  EXPECT_DOUBLE_EQ(top[1].second, 1.0);
+  EXPECT_EQ(RankCoLocation(t, TagId::Item(1), {{0, 10}}, 1)[0].size(), 1u);
 }
 
 TEST(CoLocationTest, UnweightedCountsMatchPaper) {
@@ -513,10 +579,12 @@ TEST(CoLocationTest, UnweightedCountsMatchPaper) {
     if (i < 2) t.Add(RawReading{i, TagId::Case(2), 0});
   }
   t.Seal();
-  auto counter =
-      CoLocationCounter::FromTrace(t, 0, 10, /*exclusivity_weighted=*/false);
-  EXPECT_DOUBLE_EQ(counter.CountOf(TagId::Item(1), TagId::Case(1)), 5.0);
-  EXPECT_DOUBLE_EQ(counter.CountOf(TagId::Item(1), TagId::Case(2)), 2.0);
+  EXPECT_DOUBLE_EQ(CountOf(t, TagId::Item(1), TagId::Case(1), 0, 10,
+                           /*weighted=*/false),
+                   5.0);
+  EXPECT_DOUBLE_EQ(CountOf(t, TagId::Item(1), TagId::Case(2), 0, 10,
+                           /*weighted=*/false),
+                   2.0);
 }
 
 TEST(CoLocationTest, WindowRestricts) {
@@ -532,31 +600,105 @@ TEST(CoLocationTest, WindowRestricts) {
     t.Add(RawReading{e, TagId::Case(2), 1});
   }
   t.Seal();
-  auto counter = CoLocationCounter::FromTrace(t, 3, 5);
-  EXPECT_EQ(counter.CountOf(TagId::Item(1), TagId::Case(1)), 3);
-  EXPECT_EQ(counter.CountOf(TagId::Item(2), TagId::Case(2)), 1);
+  const TagId i1 = TagId::Item(1), c1 = TagId::Case(1);
+  const TagId i2 = TagId::Item(2), c2 = TagId::Case(2);
+  EXPECT_EQ(CountOf(t, i1, c1, 3, 5), 3);
+  EXPECT_EQ(CountOf(t, i2, c2, 3, 5), 1);
   // Both window edges are inclusive.
-  auto edges = CoLocationCounter::FromTrace(t, 2, 6);
-  EXPECT_EQ(edges.CountOf(TagId::Item(1), TagId::Case(1)), 5);
-  EXPECT_EQ(edges.CountOf(TagId::Item(2), TagId::Case(2)), 3);
+  EXPECT_EQ(CountOf(t, i1, c1, 2, 6), 5);
+  EXPECT_EQ(CountOf(t, i2, c2, 2, 6), 3);
   // Windows reaching past either end of the trace.
-  auto tail = CoLocationCounter::FromTrace(t, 9, 20);
-  EXPECT_EQ(tail.CountOf(TagId::Item(1), TagId::Case(1)), 1);
-  EXPECT_EQ(tail.CountOf(TagId::Item(2), TagId::Case(2)), 0);
-  auto head = CoLocationCounter::FromTrace(t, -5, 0);
-  EXPECT_EQ(head.CountOf(TagId::Item(1), TagId::Case(1)), 1);
-  EXPECT_EQ(head.CountOf(TagId::Item(2), TagId::Case(2)), 0);
+  EXPECT_EQ(CountOf(t, i1, c1, 9, 20), 1);
+  EXPECT_EQ(CountOf(t, i2, c2, 9, 20), 0);
+  EXPECT_EQ(CountOf(t, i1, c1, -5, 0), 1);
+  EXPECT_EQ(CountOf(t, i2, c2, -5, 0), 0);
 }
 
-TEST(CoLocationTest, MergeAddsCounts) {
+TEST(CoLocationTest, NestedRangesInOneCallMatchOneRangeCalls) {
+  // Every epoch of [0, 24] has a burst at reader 0 with the object and one
+  // to three of four containers, so every range edge below falls on one.
   Trace t;
-  t.Add(RawReading{1, TagId::Item(1), 0});
-  t.Add(RawReading{1, TagId::Case(1), 0});
+  const TagId object = TagId::Item(1);
+  for (Epoch e = 0; e <= 24; ++e) {
+    t.Add(RawReading{e, object, 0});
+    for (uint64_t c = 0; c < 4; ++c) {
+      if ((static_cast<uint64_t>(e) + c) % 3 != 0 || c == 0) {
+        t.Add(RawReading{e, TagId::Case(c + static_cast<uint64_t>(e % 2)),
+                         0});
+      }
+    }
+    // A burst at another reader without the object.
+    t.Add(RawReading{e, TagId::Case(9), 1});
+  }
   t.Seal();
-  auto a = CoLocationCounter::FromTrace(t, 0, 10);
-  auto b = CoLocationCounter::FromTrace(t, 0, 10);
-  a.Merge(b);
-  EXPECT_EQ(a.CountOf(TagId::Item(1), TagId::Case(1)), 2);
+  const std::vector<EpochInterval> ranges = {{2, 20}, {2, 9}, {9, 20}};
+  const std::vector<RankedScores> together =
+      RankCoLocation(t, object, ranges);
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    SCOPED_TRACE(testing::Message() << "range " << r);
+    EXPECT_EQ(together[r], RankCoLocation(t, object, {ranges[r]})[0]);
+    // From scratch: each burst with the object adds 1/k to each of its k
+    // containers, in burst order.
+    std::map<TagId, double> want;
+    for (Epoch e = ranges[r].begin; e <= ranges[r].end; ++e) {
+      std::vector<TagId> burst;
+      for (const RawReading& rd : t.readings()) {
+        if (rd.time == e && rd.reader == 0 && rd.tag.is_case()) {
+          burst.push_back(rd.tag);
+        }
+      }
+      for (TagId c : burst) {
+        want[c] += 1.0 / static_cast<double>(burst.size());
+      }
+    }
+    ASSERT_EQ(together[r].size(), want.size());
+    for (const auto& [tag, score] : together[r]) {
+      EXPECT_EQ(score, want[tag]) << tag.ToString();
+    }
+  }
+}
+
+TEST(CoLocationTest, ExplicitRolesIgnoreTagsInNeitherRole) {
+  // The pallet level's roles: pallets contain cases. Case(9) and Item(5)
+  // are read with the object but are in neither role.
+  Trace t;
+  const TagId object = TagId::Case(2);
+  for (TagId tag : {object, TagId::Pallet(1), TagId::Case(9), TagId::Item(5)}) {
+    t.Add(RawReading{1, tag, 0});
+  }
+  for (TagId tag : {object, TagId::Pallet(1), TagId::Pallet(2)}) {
+    t.Add(RawReading{2, tag, 0});
+  }
+  t.Seal();
+  const RankedScores ranked =
+      RankCoLocation(t, object, {{0, 5}}, 0, true,
+                     {TagId::Pallet(1), TagId::Pallet(2)})[0];
+  // Only containers count toward the 1/k weight: epoch 1 has one.
+  const RankedScores want = {{TagId::Pallet(1), 1.5},
+                             {TagId::Pallet(2), 0.5}};
+  EXPECT_EQ(ranked, want);
+}
+
+TEST(CoLocationTest, EqualScoresRankByTag) {
+  Trace t;
+  const TagId object = TagId::Item(1);
+  // One exclusive burst each with Case(7), Case(3) and Case(5); two with
+  // Case(9).
+  Epoch e = 0;
+  for (uint64_t c : {7, 3, 9, 5, 9}) {
+    t.Add(RawReading{e, object, 0});
+    t.Add(RawReading{e, TagId::Case(c), 0});
+    ++e;
+  }
+  t.Seal();
+  const RankedScores all = RankCoLocation(t, object, {{0, e}})[0];
+  const RankedScores want = {{TagId::Case(9), 2.0},
+                             {TagId::Case(3), 1.0},
+                             {TagId::Case(5), 1.0},
+                             {TagId::Case(7), 1.0}};
+  EXPECT_EQ(all, want);
+  const RankedScores top2 = RankCoLocation(t, object, {{0, e}}, 2)[0];
+  EXPECT_EQ(top2, RankedScores(want.begin(), want.begin() + 2));
 }
 
 TEST(CalibrationTest, ThresholdIsPositiveAndSuppressesFalsePositives) {

@@ -32,7 +32,7 @@ TEST(IntegrationTest, EventStreamIsConsistentWithBeliefs) {
   sim.Run();
   RFInfer engine(&sim.model(), &sim.schedule());
   ASSERT_TRUE(engine.Run(sim.site_trace(0), 0, 800).ok());
-  auto events = engine.EmitEvents();
+  auto events = engine.EmitEvents(engine.window().begin - 1);
   ASSERT_FALSE(events.empty());
   // Every object event's container matches the engine's assignment, and
   // every event's location matches the engine's estimate at that epoch.
@@ -73,7 +73,7 @@ TEST(IntegrationTest, InferredEventsDriveQueriesLikeTruthEvents) {
     inferred_q.OnSensor(SensorReading{0, loc, 20.0});
     truth_q.OnSensor(SensorReading{0, loc, 20.0});
   }
-  for (const ObjectEvent& e : engine.EmitEvents()) {
+  for (const ObjectEvent& e : engine.EmitEvents(engine.window().begin - 1)) {
     if (e.tag.is_item()) inferred_q.OnEvent(e);
   }
   for (Epoch t = 0; t <= cfg.horizon; t += 10) {

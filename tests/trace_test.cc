@@ -2,11 +2,14 @@
 // and the product catalog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/serde.h"
 #include "trace/ground_truth.h"
 #include "trace/product_catalog.h"
@@ -318,6 +321,123 @@ TEST(TraceIndexTest, HistorySpansSurviveCopyAndMove) {
   ASSERT_FALSE(h.empty());
   EXPECT_LT(h.back().time, 500);
   EXPECT_EQ(moved.HistoryOf(TagId::Item(0)).back().time, 500);
+}
+
+// What Seal must produce for a set of readings, computed from scratch:
+// every reading sorted and deduplicated, and each tag's history read off
+// that order.
+void ExpectSealedAsReference(const Trace& t, std::vector<RawReading> ref) {
+  ASSERT_TRUE(t.sealed());
+  std::sort(ref.begin(), ref.end(), RawReadingOrder{});
+  ref.erase(std::unique(ref.begin(), ref.end()), ref.end());
+  ASSERT_EQ(t.readings(), ref);
+  std::vector<TagId> tags;
+  for (const RawReading& r : ref) tags.push_back(r.tag);
+  std::sort(tags.begin(), tags.end());
+  tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
+  ASSERT_EQ(t.Tags(), tags);
+  for (TagId tag : tags) {
+    std::vector<TagRead> want;
+    for (const RawReading& r : ref) {
+      if (r.tag == tag) want.push_back(TagRead{r.time, r.reader});
+    }
+    const TagReadSpan got = t.HistoryOf(tag);
+    ASSERT_EQ(std::vector<TagRead>(got.begin(), got.end()), want)
+        << tag.ToString();
+  }
+  EXPECT_TRUE(t.HistoryOf(TagId::Item(999)).empty());
+}
+
+// Seal merges what was appended since the last Seal into the sorted prefix
+// the last Seal left (and RetainIf kept). Interleaves every operation that
+// moves that boundary and checks each Seal against a from-scratch sort.
+TEST(TraceIndexTest, IncrementalSealMatchesFromScratchReference) {
+  // Raw 0 and all-ones (kNoTag) are tag values too.
+  const std::vector<TagId> tags = {
+      TagId::FromRaw(0), kNoTag,        TagId::Item(1),   TagId::Item(2),
+      TagId::Item(40),   TagId::Case(3), TagId::Case(4),  TagId::Pallet(1)};
+  Rng rng(16);
+  auto random_reading = [&](Epoch lo, Epoch hi) {
+    return RawReading{rng.NextInt(lo, hi),
+                      tags[static_cast<size_t>(rng.NextInt(
+                          0, static_cast<int64_t>(tags.size()) - 1))],
+                      static_cast<LocationId>(rng.NextInt(0, 3))};
+  };
+  Trace trace;
+  std::vector<RawReading> ref;  // the trace's readings, in any order
+  Epoch now = 0;
+  int seals = 0, sealed_filters = 0, unsealed_filters = 0;
+  for (int step = 0; step < 600; ++step) {
+    switch (rng.NextInt(0, 6)) {
+      case 0:
+      case 1: {
+        // A batch reaching back into the sealed prefix's epochs, with
+        // exact repeats of held readings and of its own readings.
+        now += rng.NextInt(0, 5);
+        std::vector<RawReading> batch;
+        const int64_t n = rng.NextInt(0, 12);
+        for (int64_t i = 0; i < n; ++i) {
+          batch.push_back(random_reading(std::max<Epoch>(0, now - 8), now));
+          if (!ref.empty() && rng.NextBernoulli(0.3)) {
+            batch.push_back(ref[static_cast<size_t>(rng.NextInt(
+                0, static_cast<int64_t>(ref.size()) - 1))]);
+          }
+          if (rng.NextBernoulli(0.2)) batch.push_back(batch.back());
+        }
+        trace.Append(batch);
+        ref.insert(ref.end(), batch.begin(), batch.end());
+        break;
+      }
+      case 2: {
+        (trace.sealed() ? sealed_filters : unsealed_filters) += 1;
+        const Epoch cut = now - rng.NextInt(0, 10);
+        const uint64_t parity = static_cast<uint64_t>(rng.NextInt(0, 1));
+        auto keep = [&](const RawReading& r) {
+          return r.time >= cut || (r.tag.raw() & 1) == parity;
+        };
+        trace.RetainIf(keep);
+        std::erase_if(ref, [&](const RawReading& r) { return !keep(r); });
+        break;
+      }
+      case 3: {
+        // Take everything out, then hand some of it back unsorted.
+        std::vector<RawReading> taken = trace.TakeReadings();
+        EXPECT_TRUE(trace.empty());
+        rng.Shuffle(taken);
+        taken.resize(taken.size() / 2);
+        trace.Append(taken);
+        ref = taken;
+        break;
+      }
+      case 4: {
+        Trace copy = trace;
+        if (rng.NextBernoulli(0.5)) {
+          trace = copy;
+        } else {
+          Trace moved = std::move(trace);
+          EXPECT_TRUE(trace.empty());
+          EXPECT_TRUE(trace.sealed());
+          // A moved-from trace is an empty one, fit for reuse.
+          trace.Add(random_reading(0, now));
+          trace.Seal();
+          EXPECT_EQ(trace.size(), 1u);
+          trace = std::move(moved);
+        }
+        break;
+      }
+      default:
+        trace.Seal();
+        ++seals;
+        ExpectSealedAsReference(trace, ref);
+        ref = trace.readings();
+        break;
+    }
+  }
+  trace.Seal();
+  ExpectSealedAsReference(trace, ref);
+  EXPECT_GT(seals, 50);
+  EXPECT_GT(sealed_filters, 10);
+  EXPECT_GT(unsealed_filters, 10);
 }
 
 }  // namespace
