@@ -191,6 +191,21 @@ Status StreamingInference::RunNow(Epoch now) {
 }
 
 void StreamingInference::CompactBuffer(Epoch next_window_begin) {
+  // An object whose newest reading is older than the next run's window has
+  // left the site: forget its context, change override and imported
+  // belief, so nothing below keeps readings for it and it drops out of the
+  // next run's universe. A context without any buffered reading (an
+  // imported object before its first local read) stays.
+  for (auto it = contexts_.begin(); it != contexts_.end();) {
+    const TagReadSpan history = buffer_.HistoryOf(it->first);
+    if (!history.empty() && history.back().time < next_window_begin) {
+      change_overrides_.erase(it->first);
+      imported_beliefs_.erase(it->first);
+      it = contexts_.erase(it);
+    } else {
+      ++it;
+    }
+  }
   // Keep recent readings, plus -- per tag -- readings inside the tag's own
   // critical region (objects) or inside the critical region of an object
   // that lists the tag as a candidate container. "Readings of the object

@@ -11,7 +11,13 @@
 // The driver also owns the cross-run bookkeeping: detected change points
 // install per-object barriers ("we disregard the data from 0..t' in all
 // subsequent calls", Appendix A.2), critical regions persist across runs,
-// and collapsed weights imported from other sites enter as priors.
+// and collapsed weights imported from other sites enter as priors. All of
+// it lasts only while the object is at the site: once an object's newest
+// buffered reading is older than the next run's window, the compaction
+// after a run forgets its context, change override and imported belief,
+// so each run covers the objects present instead of every object the site
+// has ever seen. An imported context waits for the object's first local
+// reading.
 #ifndef RFID_INFERENCE_STREAMING_H_
 #define RFID_INFERENCE_STREAMING_H_
 
@@ -142,7 +148,11 @@ class StreamingInference {
   int runs() const { return runs_; }
 
   /// Number of readings currently retained in the history buffer -- the
-  /// memory footprint the truncation methods bound.
+  /// memory footprint the truncation methods bound. Outside kAll it holds
+  /// the next run's window plus, for each object still at the site, the
+  /// readings of the object and its candidate containers inside the
+  /// object's critical region; an object is forgotten, and its critical
+  /// region released, once its newest reading is older than that window.
   size_t buffered_readings() const { return buffer_.size(); }
 
   // ---- State migration hooks (Section 4.1) ----
@@ -163,7 +173,8 @@ class StreamingInference {
 
   /// Readings retained for `tags` within the union of the object's critical
   /// region and the recent history -- the "full" (non-collapsed) migration
-  /// payload for one object.
+  /// payload for one object. Export at departure: once the site has
+  /// forgotten the object, its critical region is gone with it.
   std::vector<RawReading> ExportReadings(const std::vector<TagId>& tags,
                                          TagId object);
 

@@ -835,10 +835,12 @@ struct BitDigest {
 // Pins the exact output of the streaming inference loop -- change points,
 // stored critical regions and gaps, exported weights, and the per-iteration
 // likelihood -- over 25 boundaries with change detection and critical-region
-// truncation. The constant was computed before the evidence pass was fused
-// and the M-step learned to skip unchanged objects; any kernel rewrite must
-// reproduce it bit for bit, serially and with the engine's loops split
-// across a 4-thread pool.
+// truncation. Any kernel rewrite must reproduce it bit for bit, serially and
+// with the engine's loops split across a 4-thread pool. The constant was
+// re-pinned when StreamingInference began forgetting objects that left the
+// site: each run's objects are then only those read in its window, and an
+// object forgotten at the end of a run exports no stored context and
+// answers ContainerOf without its change override.
 TEST(InferenceIntegrationTest, StreamingOutputIsBitIdenticalToPinnedDigest) {
   SupplyChainConfig cfg;
   cfg.num_warehouses = 1;
@@ -904,7 +906,7 @@ TEST(InferenceIntegrationTest, StreamingOutputIsBitIdenticalToPinnedDigest) {
     EXPECT_EQ(si.runs(), 25);
     EXPECT_FALSE(si.all_changes().empty());
     EXPECT_GT(regions, 0u);
-    EXPECT_EQ(d.h, 0x437a6969fd1eef1fULL) << std::hex << "digest 0x" << d.h;
+    EXPECT_EQ(d.h, 0x2c7ea6d2a940bea3ULL) << std::hex << "digest 0x" << d.h;
   }
 }
 

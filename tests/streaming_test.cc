@@ -3,9 +3,12 @@
 // migration hooks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "inference/evaluate.h"
 #include "inference/streaming.h"
 #include "sim/supply_chain.h"
+#include "tests/long_stream.h"
 
 namespace rfid {
 namespace {
@@ -138,7 +141,9 @@ TEST(StreamingTest, ExportReadingsCoversCriticalRegionAndRecent) {
   StreamingInference si(&sim.model(), &sim.schedule(),
                         FastOptions(TruncationMethod::kCriticalRegion));
   for (const RawReading& r : sim.site_trace(0).readings()) si.Observe(r);
-  si.AdvanceTo(900);
+  // Export while the site still holds the item, as Site::ExportTransfer
+  // does at departure.
+  si.AdvanceTo(600);
   TagId item = sim.all_items().front();
   TagId case_tag = sim.truth().ContainerAt(item, 600);
   auto readings = si.ExportReadings({item, case_tag}, item);
@@ -146,6 +151,71 @@ TEST(StreamingTest, ExportReadingsCoversCriticalRegionAndRecent) {
   for (const RawReading& r : readings) {
     EXPECT_TRUE(r.tag == item || r.tag == case_tag);
   }
+  // The item was last read at epoch 528: by the run at 900 it has left,
+  // and the site no longer holds anything of it.
+  si.AdvanceTo(900);
+  EXPECT_TRUE(si.ExportReadings({item, case_tag}, item).empty());
+}
+
+// A site forgets an object once its newest reading has fallen out of the
+// next run's window, so each run covers the objects present and the buffer
+// stops growing with the number of objects the site has ever seen.
+TEST(StreamingTest, RunsCoverTheObjectsPresent) {
+  SupplyChainSim sim(LongStreamConfig(/*seed=*/5, /*horizon=*/3000));
+  sim.Run();
+  const Trace& trace = sim.site_trace(0);
+  const StreamingOptions opts = LongStreamOptions();
+  StreamingInference si(&sim.model(), &sim.schedule(), opts);
+
+  // Imported from another site, never read here.
+  const TagId arriving = TagId::Item(1'000'000);
+  ObjectContext imported;
+  imported.barrier = 1100;
+  imported.prior_weights = {{TagId::Case(1'000'000), -4.0}};
+
+  size_t stale = 0;   // object-runs without a reading in the run's window
+  size_t missed = 0;  // present, already-read items left out of a run
+  size_t buffered_1200 = 0;
+  size_t buffered_3000 = 0;
+  FeedByPeriod(sim, &si, opts.inference_period, [&](Epoch b) {
+    const Epoch window_begin = std::max<Epoch>(0, b - opts.recent_history + 1);
+    std::vector<TagId> universe = si.engine().object_tags();
+    std::sort(universe.begin(), universe.end());
+    for (TagId o : universe) {
+      const TagReadSpan h = trace.HistoryOf(o);
+      const auto newest = std::upper_bound(
+          h.begin(), h.end(), b,
+          [](Epoch t, const TagRead& tr) { return t < tr.time; });
+      if (newest == h.begin() || (newest - 1)->time < window_begin) ++stale;
+    }
+    for (TagId item : sim.all_items()) {
+      const TagReadSpan h = trace.HistoryOf(item);
+      if (!sim.truth().PresentAt(item, b) || h.empty() ||
+          h.front().time > b) {
+        continue;
+      }
+      if (!std::binary_search(universe.begin(), universe.end(), item)) {
+        ++missed;
+      }
+    }
+    if (b == 1200) {
+      buffered_1200 = si.buffered_readings();
+      si.ImportObjectContext(arriving, imported);
+    }
+    if (b == 1320) {
+      // Two compactions later the context waits for its first local read.
+      const ObjectContext ctx = si.ExportObjectContext(arriving);
+      EXPECT_EQ(ctx.barrier, imported.barrier);
+      EXPECT_EQ(ctx.prior_weights, imported.prior_weights);
+    }
+    if (b == 3000) buffered_3000 = si.buffered_readings();
+  });
+  EXPECT_EQ(stale, 0u);
+  EXPECT_EQ(missed, 0u);
+  ASSERT_GT(buffered_1200, 0u);
+  EXPECT_LE(static_cast<double>(buffered_3000),
+            1.2 * static_cast<double>(buffered_1200))
+      << buffered_1200 << " readings at b=1200";
 }
 
 }  // namespace
