@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
@@ -18,6 +17,7 @@
 #include "dist/site.h"
 #include "sim/sensors.h"
 #include "sim/supply_chain.h"
+#include "tests/fnv_digest.h"
 #include "trace/reading.h"
 #include "trace/trace.h"
 
@@ -276,33 +276,6 @@ DistributedOptions HierOptions(MigrationMode mode) {
   opts.site.hierarchical = true;
   return opts;
 }
-
-/// FNV-1a over the bytes of 64-bit words, the digest behind the pinned
-/// outputs below.
-struct Fnv {
-  uint64_t h = 1469598103934665603ULL;
-  void Mix(uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
-  void Snapshots(
-      const std::vector<DistributedSystem::ErrorSnapshot>& snapshots) {
-    for (const DistributedSystem::ErrorSnapshot& s : snapshots) {
-      Mix(static_cast<uint64_t>(s.epoch));
-      Mix(std::bit_cast<uint64_t>(s.error_percent));
-    }
-  }
-  void Alerts(const std::vector<ExposureAlert>& alerts) {
-    for (const ExposureAlert& a : alerts) {
-      Mix(a.tag.raw());
-      Mix(static_cast<uint64_t>(a.first_time));
-      Mix(static_cast<uint64_t>(a.last_time));
-      Mix(static_cast<uint64_t>(a.n_events));
-    }
-  }
-};
 
 /// Every item frozen and every case plain: any item on a shelf is exposed.
 ProductCatalog ExposedCatalog(const SupplyChainSim& sim) {
@@ -757,6 +730,54 @@ TEST(DistributedTest, CentralizedOutputIsBitIdenticalToPinnedDigest) {
   d.Alerts(sys.AllAlerts(0));
   d.Alerts(sys.AllAlerts(1));
   EXPECT_EQ(d.h, 0xc2e11dc801c699f2ULL) << std::hex << "digest 0x" << d.h;
+}
+
+// A distributed replay with queries attached, once on a clean fabric and
+// once with drops and reorders (so the ARQ protocol and its acks run): the
+// accuracy series, both queries' alerts and every per-kind byte and
+// message count are pinned bit for bit.
+TEST(DistributedTest, DistributedOutputIsBitIdenticalToPinnedDigest) {
+  SupplyChainConfig cfg = ChainConfig(3, 1200);
+  cfg.shelf_stay = 600;
+  SupplyChainSim sim(cfg);
+  sim.Run();
+  const ProductCatalog catalog = ExposedCatalog(sim);
+  SensorConfig scfg;
+  Rng rng(5);
+  auto sensors = GenerateSensorStream(scfg, sim.layout().num_locations(),
+                                      cfg.horizon, rng);
+  struct Pin {
+    double drop;
+    double reorder;
+    uint64_t digest;
+  };
+  for (const Pin& pin : {Pin{0.0, 0.0, 0x731636f6c378d336ULL},
+                        Pin{0.05, 0.10, 0x3e1fd9cf0c2448e7ULL}}) {
+    SCOPED_TRACE(testing::Message() << "drop " << pin.drop);
+    DistributedOptions opts = DistOptions(MigrationMode::kCollapsed);
+    opts.attach_queries = true;
+    opts.q1 = ExposureQuery::Q1Config(/*duration=*/300);
+    opts.q1.max_gap = 400;
+    opts.q2 = ExposureQuery::Q2Config(/*duration=*/300);
+    opts.q2.max_gap = 400;
+    opts.network.faults = FaultModel{};
+    opts.network.faults.drop = pin.drop;
+    opts.network.faults.reorder = pin.reorder;
+    DistributedSystem sys(&sim, opts, &catalog, &sensors);
+    sys.Run();
+    ASSERT_FALSE(sys.snapshots().empty());
+    EXPECT_FALSE(sys.AllAlerts(0).empty());
+    EXPECT_FALSE(sys.AllAlerts(1).empty());
+    EXPECT_EQ(sys.network().reliable(), pin.drop > 0);
+    EXPECT_EQ(sys.network().BytesOfKind(MessageKind::kAck) > 0,
+              pin.drop > 0);
+    Fnv d;
+    d.Snapshots(sys.snapshots());
+    d.Alerts(sys.AllAlerts(0));
+    d.Alerts(sys.AllAlerts(1));
+    d.WireCounts(sys.network());
+    EXPECT_EQ(d.h, pin.digest) << std::hex << "digest 0x" << d.h;
+  }
 }
 
 TEST(DistributedTest, LinkLatencyKeepsWireBytesInvariant) {
