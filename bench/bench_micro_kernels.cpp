@@ -264,8 +264,7 @@ void BM_FlushEncode(benchmark::State& state) {
   Trace source = PlantedTrace(16, 10, 600, 0.8, 48);
   const std::vector<RawReading>& rs = source.readings();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        EncodeReadingBatch(rs.data(), rs.size(), /*compress_level=*/6));
+    benchmark::DoNotOptimize(EncodeReadingBatch(rs.data(), rs.size()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(rs.size()));

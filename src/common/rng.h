@@ -84,9 +84,6 @@ class Rng {
     return lo + (hi - lo) * NextDouble();
   }
 
-  /// Exponential inter-arrival draw with the given mean (mean > 0).
-  double NextExponential(double mean);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& v) {

@@ -127,8 +127,8 @@ class CondVar {
 //
 // The replay alternates serial boundary phases (one thread mutates
 // Network/Site/DistributedSystem state) with parallel window phases
-// (workers only read a vetted subset: Network::IsSiteDown, the
-// ownership/belief maps behind BelievedContainer). No lock exists;
+// (workers only read a vetted subset: Network::IsSiteDown, the ONS
+// directory and belief maps behind BelievedContainer). No lock exists;
 // instead mutating entry points call AssertHeld() and worker read
 // paths call AssertShared(), which (a) inform the static analysis and
 // (b) in debug builds bind the exclusive capability to one thread and
@@ -143,10 +143,10 @@ class CAPABILITY("serial_phase") SerialPhase {
   void AssertHeld() const ASSERT_CAPABILITY(this) {
 #if !defined(NDEBUG)
     const std::thread::id self = std::this_thread::get_id();
-    std::thread::id bound = owner_.load(std::memory_order_acquire);
+    std::thread::id bound = bound_.load(std::memory_order_acquire);
     if (bound == std::thread::id()) {
       // Bind on first use. If we lose the race, fall through to check.
-      if (owner_.compare_exchange_strong(bound, self,
+      if (bound_.compare_exchange_strong(bound, self,
                                          std::memory_order_acq_rel)) {
         return;
       }
@@ -165,13 +165,13 @@ class CAPABILITY("serial_phase") SerialPhase {
   // rebind explicitly between runs.
   void ResetOwnerForTesting() {
 #if !defined(NDEBUG)
-    owner_.store(std::thread::id(), std::memory_order_release);
+    bound_.store(std::thread::id(), std::memory_order_release);
 #endif
   }
 
  private:
 #if !defined(NDEBUG)
-  mutable std::atomic<std::thread::id> owner_{};
+  mutable std::atomic<std::thread::id> bound_{};
 #endif
 };
 

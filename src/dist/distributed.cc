@@ -352,11 +352,10 @@ void DistributedSystem::Run() {
       RecoverSiteDurable(s, t);
     }
 
-    // -- Serial: ownership + directory bookkeeping due at t.
+    // -- Serial: directory bookkeeping due at t.
     {
       obs::PhaseTimer span(telemetry_.get(), obs::Phase::kDirectory, t);
       while (inj < injections.size() && injections[inj].first <= t) {
-        owner_[injections[inj].second] = 0;
         ons_.Register(injections[inj].second, 0);
         ++inj;
       }
@@ -373,7 +372,6 @@ void DistributedSystem::Run() {
         if (!centralized()) ons_.Resolve(tr.pallet, tr.to);
         auto reassign = [&](TagId tag) {
           phase_.AssertHeld();  // lambda body: re-establish for analysis
-          owner_[tag] = tr.to;
           ons_.Register(tag, tr.to);
         };
         reassign(tr.pallet);
@@ -441,13 +439,12 @@ void DistributedSystem::Run() {
           const std::vector<RawReading>& rs = sim_->site_trace(s).readings();
           network_.Send(s, 0, MessageKind::kRawReadings,
                         EncodeReadingBatch(rs.data() + flush_begin[si],
-                                           cursor[si] - flush_begin[si],
-                                           options_.site.compress_level));
+                                           cursor[si] - flush_begin[si]));
           flush_begin[si] = cursor[si];
         }
-        // With zero link latency the flushed readings are due now; the
-        // server must ingest them before this boundary's inference run
-        // (nonzero latency legitimately defers them to a later drain).
+        // The flushed readings are due at their send epoch t: the server
+        // ingests them before this boundary's inference run (a reorder
+        // fault can still defer a batch to a later drain).
         network_.DeliverDue(0, t);
       }
     }
@@ -496,7 +493,6 @@ void DistributedSystem::Run() {
         if (tr.to == kNoSite) {
           auto drop = [&](TagId tag) {
             phase_.AssertHeld();  // lambda body: re-establish for analysis
-            owner_.erase(tag);
             ons_.Unregister(tag);
           };
           drop(tr.pallet);
@@ -589,14 +585,17 @@ void DistributedSystem::Run() {
 }
 
 void DistributedSystem::CrashSite(SiteId s, Epoch at) {
-  // Freeze the dead site's current containment answers: queries during
-  // the outage degrade to this last-known view instead of failing.
-  // lint:allow(unordered-iter): keyed writes into degraded_beliefs_; no
-  // accumulation or send depends on visit order.
-  for (const auto& [tag, site] : owner_) {
-    if (site != s) continue;
-    degraded_beliefs_[tag] =
-        sites_[static_cast<size_t>(s)]->BelievedContainer(tag);
+  // Freeze the dead site's current containment answers for every tag the
+  // directory maps to it: queries during the outage degrade to this
+  // last-known view instead of failing.
+  const Site& dead = *sites_[static_cast<size_t>(s)];
+  for (const std::vector<TagId>* tags :
+       {&sim_->all_pallets(), &sim_->all_cases(), &sim_->all_items()}) {
+    for (TagId tag : *tags) {
+      if (ons_.Lookup(tag) == s) {
+        degraded_beliefs_[tag] = dead.BelievedContainer(tag);
+      }
+    }
   }
   crash_at_[s] = at;
   // Only the process died: in-flight frames wait out the outage and
@@ -650,8 +649,8 @@ void DistributedSystem::RecoverSiteDurable(SiteId s, Epoch t) {
   // 3. Replay the site's own trace boundaries in (C, t), interleaving the
   // departures at their live positions: departures strictly before a
   // boundary precede its run, departures exactly at it follow the run.
-  // Departures the dead process already exported re-drop locally
-  // (DropTransferState), never re-send. A transfer that departed while
+  // Departures the dead process already exported only drop their query
+  // state locally (Retire), never re-send. A transfer that departed while
   // the process was down was never exported at all, so the catch-up
   // exports it for real: the destination installs from the envelope's
   // arrival boundary, and with an all-zero FaultModel the run stays
@@ -691,7 +690,7 @@ void DistributedSystem::RecoverSiteDurable(SiteId s, Epoch t) {
         observe_to(tr.depart);
         site->ExportTransfer(tr);
       } else {
-        site->DropTransferState(tr);
+        site->Retire(tr);
       }
       ++di;
     }
@@ -722,10 +721,8 @@ void DistributedSystem::RecoverSiteDurable(SiteId s, Epoch t) {
   // lint:allow(unordered-iter): pure per-key filter; surviving set is
   // independent of visit order.
   for (auto it = degraded_beliefs_.begin(); it != degraded_beliefs_.end();) {
-    auto o = owner_.find(it->first);
-    const bool keep = o != owner_.end() && o->second >= 0 &&
-                      o->second < static_cast<SiteId>(sites_.size()) &&
-                      network_.IsSiteDown(o->second);
+    const Site* owner = OwnerSite(it->first);
+    const bool keep = owner != nullptr && network_.IsSiteDown(owner->id());
     it = keep ? std::next(it) : degraded_beliefs_.erase(it);
   }
 }
@@ -750,42 +747,29 @@ DurabilityStats DistributedSystem::DurabilityTotals() const {
 Site* DistributedSystem::OwnerSite(TagId object) const {
   phase_.AssertShared();
   if (centralized()) return sites_[0].get();
-  auto it = owner_.find(object);
-  if (it == owner_.end() || it->second < 0 ||
-      it->second >= static_cast<SiteId>(sites_.size())) {
-    return nullptr;
-  }
-  return sites_[static_cast<size_t>(it->second)].get();
+  const SiteId s = ons_.Lookup(object);
+  if (s < 0 || s >= static_cast<SiteId>(sites_.size())) return nullptr;
+  return sites_[static_cast<size_t>(s)].get();
 }
 
 TagId DistributedSystem::BelievedContainer(TagId object) const {
   phase_.AssertShared();
-  if (!centralized()) {
-    auto it = owner_.find(object);
-    if (it != owner_.end() && it->second >= 0 &&
-        it->second < static_cast<SiteId>(sites_.size()) &&
-        network_.IsSiteDown(it->second)) {
-      // The owner is mid-outage: answer from its last-known view.
-      auto d = degraded_beliefs_.find(object);
-      return d == degraded_beliefs_.end() ? kNoTag : d->second;
-    }
+  const Site* site = OwnerSite(object);
+  if (site == nullptr) return kNoTag;
+  if (network_.IsSiteDown(site->id())) {
+    // The owner is mid-outage: answer from its last-known view.
+    auto d = degraded_beliefs_.find(object);
+    return d == degraded_beliefs_.end() ? kNoTag : d->second;
   }
-  Site* site = OwnerSite(object);
-  return site == nullptr ? kNoTag : site->BelievedContainer(object);
+  return site->BelievedContainer(object);
 }
 
 TagId DistributedSystem::BelievedPallet(TagId object) const {
   phase_.AssertShared();
   if (centralized()) return sites_[0]->BelievedPallet(object);
   if (!options_.site.hierarchical) return kNoTag;
-  auto owned = [&](TagId tag) {
-    phase_.AssertShared();  // lambda body: re-establish for analysis
-    auto it = owner_.find(tag);
-    return it != owner_.end() && it->second >= 0 &&
-           it->second < static_cast<SiteId>(sites_.size());
-  };
   if (!object.is_item()) {
-    if (!owned(object)) return kNoTag;
+    if (OwnerSite(object) == nullptr) return kNoTag;
     // A pallet is its own pallet; a case's pallet is its believed
     // container (which already falls back to the degraded view when the
     // case's owner is down).
@@ -794,7 +778,7 @@ TagId DistributedSystem::BelievedPallet(TagId object) const {
   // Resolve the item's case at the item's owner, then the case's pallet at
   // the *case's* owner: mid-handoff the two can momentarily differ.
   const TagId c = BelievedContainer(object);
-  if (!c.valid() || !c.is_case() || !owned(c)) return kNoTag;
+  if (!c.valid() || !c.is_case() || OwnerSite(c) == nullptr) return kNoTag;
   return BelievedContainer(c);
 }
 
@@ -803,7 +787,7 @@ ErrorRate DistributedSystem::ScanContainment(const std::vector<TagId>& tags,
                                              bool contained_only) const {
   const GroundTruth& truth = sim_->truth();
   // Fan the per-tag scan across the executor pool: every evaluation is
-  // read-only (ground-truth intervals, owner map, site beliefs), and the
+  // read-only (ground-truth intervals, directory, site beliefs), and the
   // per-thread integer counts sum exactly, so the sampled percentage is
   // bit-identical to the serial scan for any thread or chunk count.
   std::vector<ErrorRate> partial(
@@ -879,10 +863,6 @@ double DistributedSystem::AverageContainmentErrorPercent(Epoch warmup) const {
   return MeanSince(snapshots_, warmup);
 }
 
-double DistributedSystem::CaseContainmentErrorPercent(Epoch at) const {
-  return NearestSample(case_snapshots_, at);
-}
-
 double DistributedSystem::AverageCaseContainmentErrorPercent(
     Epoch warmup) const {
   return MeanSince(case_snapshots_, warmup);
@@ -904,14 +884,6 @@ std::vector<ExposureAlert> DistributedSystem::AllAlerts(
                      return a.tag < b.tag;
                    });
   return merged;
-}
-
-double DistributedSystem::TotalInferenceSeconds() const {
-  double total = 0.0;
-  for (const auto& site : sites_) {
-    total += site->streaming().total_inference_seconds();
-  }
-  return total;
 }
 
 }  // namespace rfid

@@ -8,7 +8,9 @@
 //                   pallet group crosses sites, the departing site
 //                   serializes inference/query state (per MigrationMode)
 //                   and the destination installs it on arrival; the ONS is
-//                   kept current so any object can be located.
+//                   kept current so any object can be located, and it is
+//                   the driver's only record of which processor owns a
+//                   tag.
 //   kCentralized -- the Table 5 baseline: remote sites batch their raw
 //                   readings per inference period, delta-encode and gzip
 //                   them, and ship them to site 0, which runs one global
@@ -26,7 +28,7 @@
 // only those events; between events each site's window of readings is
 // ingested in one batched call. At each event the driver first advances
 // the Network/ONS clocks and serially drains every site's delivery queue
-// of frames whose arrival epoch has passed (Network::DeliverDue --
+// of frames whose send epoch has passed (Network::DeliverDue --
 // messages sent at earlier events are in flight until this point, however
 // the transport backend carried them). Per-site work (DeliverArrivals +
 // ObserveBatch, then AdvanceTo at boundaries) then fans out across a
@@ -113,9 +115,9 @@ struct DistributedOptions {
   /// socket backend), so whole test binaries can be re-run against real
   /// sockets. Results are bit-identical across backends.
   TransportKind transport = TransportKindFromEnv();
-  /// Per-link latency model (arrival epoch = send epoch + latency).
-  /// Default all-zero: messages are deliverable at the boundary of the
-  /// epoch they were sent, the pre-transport synchronous semantics.
+  /// Fault injection and the reliability protocol (dist/network.h). With
+  /// no faults every message is deliverable at the boundary of the epoch
+  /// it was sent.
   NetworkOptions network;
   /// Instantiate Q1/Q2 at every site (requires a catalog and sensor stream
   /// at construction).
@@ -182,7 +184,10 @@ class DistributedSystem {
   void Run();
 
   const Network& network() const { return network_; }
-  const Ons& ons() const { return ons_; }
+  const Ons& ons() const {
+    phase_.AssertShared();
+    return ons_;
+  }
   const DistributedOptions& options() const { return options_; }
 
   /// This run's telemetry bundle (phase histograms, per-kind wire
@@ -239,9 +244,6 @@ class DistributedSystem {
     return case_snapshots_;
   }
 
-  /// Case-level error at the case sample nearest to `at`; NaN when none.
-  double CaseContainmentErrorPercent(Epoch at) const;
-
   /// Mean case-level error over case samples at or after `warmup`; NaN
   /// when none fall in the range.
   double AverageCaseContainmentErrorPercent(Epoch warmup = 0) const;
@@ -249,9 +251,6 @@ class DistributedSystem {
   /// All alerts of query `query_index` (0 = Q1, 1 = Q2) merged across
   /// sites, ordered by completion time. Empty when queries not attached.
   std::vector<ExposureAlert> AllAlerts(int query_index) const;
-
-  /// Wall-clock seconds spent inside inference, summed over processors.
-  double TotalInferenceSeconds() const;
 
   /// Epochs the run kept ticking past the horizon to let the reliability
   /// layer finish retransmitting (0 when reliable delivery is off or
@@ -273,6 +272,8 @@ class DistributedSystem {
   bool centralized() const {
     return options_.mode == ProcessingMode::kCentralized;
   }
+  /// The processor answering for `object`: the server in centralized
+  /// mode, else the site the ONS maps it to (nullptr when unregistered).
   Site* OwnerSite(TagId object) const;
   /// Samples containment accuracy at `t`, per level when hierarchical.
   /// The per-tag scans fan out across `executor` (read-only against site
@@ -291,9 +292,10 @@ class DistributedSystem {
   /// site is replaced by a fresh process.
   std::unique_ptr<Site> MakeSite(SiteId s);
   /// Kills site `s` at epoch `at`: snapshots its current containment
-  /// answers into degraded_beliefs_ (the last-known view queries fall back
-  /// to during the outage), drops its unflushed WAL/audit bytes, and swaps
-  /// in a pristine replacement that stays isolated until recovery.
+  /// answers for every tag the ONS maps to it into degraded_beliefs_ (the
+  /// last-known view queries fall back to during the outage), drops its
+  /// unflushed WAL/audit bytes, and swaps in a pristine replacement that
+  /// stays isolated until recovery.
   void CrashSite(SiteId s, Epoch at) REQUIRES(phase_);
   /// Brings site `s` back at epoch `t`: restores the newest valid
   /// checkpoint from disk,
@@ -313,7 +315,6 @@ class DistributedSystem {
   /// instrumentation is live from the first frame. Null when disabled.
   std::unique_ptr<obs::Telemetry> telemetry_;
   Network network_;
-  Ons ons_;
   std::vector<std::unique_ptr<Site>> sites_;
   /// Run's worker pool while Run executes (null otherwise); every site,
   /// including a crashed site's replacement, runs its inference on it.
@@ -323,14 +324,15 @@ class DistributedSystem {
   /// site's teardown and the replacement process reopens the same files.
   std::vector<std::unique_ptr<SiteDurability>> durabilities_;
 
-  /// Serial-phase capability over the crash/recovery and ownership
+  /// Serial-phase capability over the directory and the crash/recovery
   /// bookkeeping: written only in Run's serial phases (exclusive), read
   /// concurrently by ScanContainment's workers through BelievedContainer
   /// (shared). Same discipline as Network::phase_.
   SerialPhase phase_;
 
-  /// Current owning processor per tag (tracks transfers as they arrive).
-  std::unordered_map<TagId, SiteId> owner_ GUARDED_BY(phase_);
+  /// The ONS directory: the owning processor of every tracked tag, kept
+  /// current as transfers arrive and objects exit.
+  Ons ons_ GUARDED_BY(phase_);
   std::vector<ErrorSnapshot> snapshots_;
   /// Case→pallet samples (hierarchical runs only; see case_snapshots()).
   std::vector<ErrorSnapshot> case_snapshots_;

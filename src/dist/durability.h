@@ -175,7 +175,6 @@ class SiteDurability {
   void DropPending();
 
   const DurabilityStats& stats() const { return stats_; }
-  const std::string& site_dir() const { return site_dir_; }
   std::string audit_path() const;
 
   /// Deterministic per-site signing key: SHA256("rfid-site-key:<id>").

@@ -13,8 +13,9 @@
 //   5       1     kind       MessageKind
 //   6       4     from       SiteId (int32)
 //   10      4     to         SiteId (int32)
-//   14      8     send_epoch Epoch (int64) -- when the frame was put on
-//                            the wire; arrival = send + link latency
+//   14      8     send_epoch Epoch (int64) -- the epoch from which the
+//                            frame is due for delivery (a reorder or
+//                            duplicate fault moves it later)
 //   22      8     seq        global send sequence; total order across
 //                            senders, so queued delivery is deterministic
 //   30      8     link_seq   per-(from,to)-link sequence, 1-based, assigned
@@ -74,7 +75,7 @@ inline constexpr size_t kFrameOverheadBytes =
 inline constexpr uint32_t kMaxFramePayloadBytes = 1u << 30;
 
 /// One wire message. `seq` is assigned by the sending Network in global
-/// send order; receivers deliver queued frames in (arrival epoch, seq)
+/// send order; receivers deliver queued frames in (send epoch, seq)
 /// order so every backend processes messages identically. `link_seq` is
 /// the per-link contiguous sequence the reliability layer acks/dedups by
 /// (0 when the send is untracked).

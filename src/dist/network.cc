@@ -14,6 +14,14 @@
 
 namespace rfid {
 
+namespace {
+
+/// Cap on the retransmission backoff: an unacked frame's timer doubles per
+/// attempt up to rto << kMaxBackoffShift.
+constexpr int kMaxBackoffShift = 6;
+
+}  // namespace
+
 std::string ToString(TransportKind kind) {
   switch (kind) {
     case TransportKind::kInProcess:
@@ -183,27 +191,14 @@ void Network::Configure(NetworkOptions options) {
   RFID_CHECK_OK(in_flight_messages_ == 0
                     ? Status::OK()
                     : Status::Internal("Configure with frames in flight "
-                                       "would reschedule them"));
+                                       "would switch their ack protocol"));
   options_ = std::move(options);
-  reliable_ =
-      options_.reliability.mode == ReliabilityOptions::Mode::kOn ||
-      (options_.reliability.mode == ReliabilityOptions::Mode::kAuto &&
-       options_.faults.enabled());
+  reliable_ = options_.faults.enabled();
 }
 
 void Network::RegisterHandler(SiteId site, MessageHandler handler) {
   phase_.AssertHeld();
   handlers_[site] = std::move(handler);
-}
-
-Epoch Network::LatencyOf(SiteId from, SiteId to, size_t wire_bytes) const {
-  Epoch latency = options_.link_base ? options_.link_base(from, to)
-                                     : options_.latency_base;
-  if (options_.latency_per_kib > 0) {
-    latency += options_.latency_per_kib *
-               static_cast<Epoch>((wire_bytes + 1023) / 1024);
-  }
-  return latency < 0 ? 0 : latency;
 }
 
 void Network::BumpTelemetry(const char* name, int64_t n) {
@@ -356,20 +351,14 @@ int Network::DeliverDue(SiteId site, Epoch now, int max_frames) {
   // A crashed site receives nothing; its backlog and anything sent during
   // the outage wait in the transport/pending queue for recovery.
   if (down_.count(site) > 0) return 0;
-  // Pull everything the transport has for this site, stamp arrival epochs,
-  // and merge into the site's pending queue. The transport may hand frames
-  // back in any order; (arrive, seq) restores the deterministic total
-  // order.
+  // Pull everything the transport has for this site and merge it into the
+  // site's pending queue. The transport may hand frames back in any order;
+  // (send epoch, seq) restores the deterministic total order.
   std::vector<Frame> drained;
   transport_->Drain(site, &drained);
   if (!drained.empty()) {
     ArrivalQueue& q = pending_[site];
-    for (Frame& f : drained) {
-      const Epoch arrive =
-          f.send_epoch +
-          LatencyOf(f.from, f.to, FrameWireSize(f.payload.size()));
-      q.push(QueuedFrame{arrive, std::move(f)});
-    }
+    for (Frame& f : drained) q.push(std::move(f));
   }
   auto it = pending_.find(site);
   if (it == pending_.end()) return 0;
@@ -384,10 +373,9 @@ int Network::DeliverDue(SiteId site, Epoch now, int max_frames) {
   // the per-link ack_pending flag); one kAck per peer goes out after the
   // sweep with the final cumulative value.
   std::vector<SiteId> ack_peers;
-  while (!q.empty() && q.top().arrive <= now &&
+  while (!q.empty() && q.top().send_epoch <= now &&
          (max_frames < 0 || delivered < max_frames)) {
-    const QueuedFrame& top = q.top();
-    const Frame& f = top.frame;
+    const Frame& f = q.top();
     in_flight_messages_ -= 1;
     in_flight_bytes_ -=
         static_cast<int64_t>(FrameWireSize(f.payload.size()));
@@ -452,8 +440,7 @@ void Network::TickReliability(Epoch now) {
       Transmit(copy, tf.attempts);
       ++tf.attempts;
       const int shift =
-          std::min(static_cast<int>(tf.attempts) - 1,
-                   options_.reliability.max_backoff_shift);
+          std::min(static_cast<int>(tf.attempts) - 1, kMaxBackoffShift);
       tf.next_retry = now + (options_.reliability.rto << shift);
     }
     ReleaseDeferred(&link);
@@ -499,20 +486,6 @@ int64_t Network::MessagesOnLink(SiteId from, SiteId to) const {
   phase_.AssertShared();
   auto it = link_messages_.find(LinkKey(from, to));
   return it == link_messages_.end() ? 0 : it->second;
-}
-
-void Network::ResetCounters() {
-  phase_.AssertHeld();
-  link_bytes_.clear();
-  link_messages_.clear();
-  for (int64_t& b : kind_bytes_) b = 0;
-  for (int64_t& m : kind_messages_) m = 0;
-  total_bytes_ = 0;
-  total_messages_ = 0;
-  fault_stats_ = FaultStats{};
-  reliable_stats_ = ReliableStats{};
-  // in_flight_{bytes,messages}_ are live queue gauges, not history: a
-  // frame still in the transport stays in flight across a counter reset.
 }
 
 }  // namespace rfid

@@ -8,16 +8,16 @@
 // destination registered a handler, because the paper's communication-cost
 // numbers count bytes put on the wire, not bytes usefully consumed.
 // Delivery is asynchronous: a sent frame is in flight until the replay's
-// serial boundary phase drains it with DeliverDue, at the arrival epoch the
-// link latency model assigns (send epoch + latency; zero latency by
-// default, i.e. deliverable at the boundary of the epoch it was sent).
+// serial boundary phase drains it with DeliverDue, at or after its send
+// epoch (deliverable at the boundary of the epoch it was sent, unless a
+// reorder or duplicate fault moved that epoch later).
 //
 // Two backends implement Transport:
 //   - the in-process fabric (default): frames queue in memory;
 //   - SocketTransport (dist/transport_socket.h): each site owns a loopback
 //     listener and encoded frames actually cross the kernel.
 // Both charge identically (the frame header is fixed-width, so wire size
-// depends only on payload length) and both deliver in (arrival epoch,
+// depends only on payload length) and both deliver in (send epoch,
 // global send sequence) order, so alerts, accuracy, and byte totals are
 // bit-identical across backends -- enforced by executor_test's
 // DeterminismTest and frame_test's cross-backend accounting check.
@@ -29,9 +29,11 @@
 // (per-link sequence numbers in Frame::link_seq, MessageKind::kAck
 // carrying the receiver's cumulative ack, retransmit on epoch timeout with
 // exponential backoff, bounded in-flight window, duplicate suppression)
-// recovers exactly-once delivery. Fault fates are a pure function of
-// (fault seed, global seq, attempt), so the same seed + fault config
-// yields bit-identical runs on every backend at every thread count.
+// recovers exactly-once delivery. The protocol runs exactly when the fault
+// model is enabled: a perfect fabric carries no acks. Fault fates are a
+// pure function of (fault seed, global seq, attempt), so the same seed +
+// fault config yields bit-identical runs on every backend at every thread
+// count.
 #ifndef RFID_DIST_NETWORK_H_
 #define RFID_DIST_NETWORK_H_
 
@@ -194,38 +196,24 @@ struct FaultModel {
 /// Unset or empty -> no faults. Unknown keys are ignored.
 FaultModel FaultModelFromEnv();
 
-/// Reliable-delivery (ARQ) configuration. kAuto enables the protocol
-/// exactly when the fault model can lose or duplicate frames; kOff keeps
-/// the pre-reliability fabric byte-for-byte (link_seq stays 0, no acks);
-/// kOn forces it even on a perfect network (acks still flow -- the
-/// reliability tax at fault rate 0).
+/// Reliable-delivery (ARQ) configuration. The protocol runs exactly when
+/// the fault model is enabled (it can lose, duplicate or delay frames);
+/// on a perfect fabric link_seq stays 0 and no acks flow.
 struct ReliabilityOptions {
-  enum class Mode : uint8_t { kAuto = 0, kOff = 1, kOn = 2 };
-  Mode mode = Mode::kAuto;
   /// Max unacked frames per directed link; further sends queue in the
   /// sender until the window opens.
   int window = 64;
   /// Epochs before an unacked frame is retransmitted (then doubled per
-  /// attempt up to << max_backoff_shift). Acks only flow when the replay
-  /// drains a site, so the effective round trip is two event-epoch gaps
-  /// (~120 epochs at the default 60-epoch injection cadence); the default
-  /// sits above that to keep retransmits loss-driven rather than spurious.
+  /// attempt, up to a fixed cap). Acks only flow when the replay drains a
+  /// site, so the effective round trip is two event-epoch gaps (~120
+  /// epochs at the default 60-epoch injection cadence); the default sits
+  /// above that to keep retransmits loss-driven rather than spurious.
   Epoch rto = 160;
-  int max_backoff_shift = 6;
 };
 
-/// Per-link latency model assigning arrival epochs: a frame sent at epoch
-/// t over link (from, to) with wire size b arrives at
-///   t + base(from, to) + per_kib * ceil(b / 1024)
-/// where base is `link_base(from, to)` when set, else `latency_base`.
-/// The default (all zero) makes every frame deliverable at the boundary of
-/// the epoch it was sent -- the pre-transport synchronous semantics.
+/// Fabric configuration: fault injection and the reliability protocol
+/// that recovers from it.
 struct NetworkOptions {
-  Epoch latency_base = 0;
-  Epoch latency_per_kib = 0;
-  /// Optional per-link override of latency_base. Must be deterministic:
-  /// arrival epochs feed the bit-identical replay contract.
-  std::function<Epoch(SiteId from, SiteId to)> link_base;
   /// Seeded fault injection (defaults to RFID_FAULTS, i.e. no faults when
   /// the variable is unset).
   FaultModel faults;
@@ -265,7 +253,7 @@ struct ReliableStats {
 /// counter getters -- assert shared access only.
 class Network {
  public:
-  /// In-process backend, zero-latency links.
+  /// In-process backend, no faults.
   Network();
   ~Network();
 
@@ -284,11 +272,10 @@ class Network {
   /// delivery are identical with or without it.
   void SetTelemetry(obs::Telemetry* telemetry);
 
-  /// Sets the link latency model, fault model, and reliability mode.
-  /// Arrival epochs are computed as frames are drained from the transport,
-  /// so the model must be in place before anything is in flight (checked):
-  /// reconfiguring mid-flight would retroactively reschedule already-sent
-  /// frames.
+  /// Sets the fault model and the reliability protocol's parameters. Must
+  /// happen before anything is in flight (checked): frames already sent
+  /// would otherwise be delivered under an ack protocol that did not send
+  /// them.
   void Configure(NetworkOptions options);
 
   /// Advances the send clock: subsequent Sends carry `now` as their send
@@ -320,8 +307,8 @@ class Network {
   size_t Send(SiteId from, SiteId to, MessageKind kind,
               const std::vector<uint8_t>& payload);
 
-  /// Drains every frame addressed to `site` whose arrival epoch is <= now
-  /// into `site`'s handler, in (arrival epoch, send sequence) order.
+  /// Drains every frame addressed to `site` whose send epoch is <= now
+  /// into `site`'s handler, in (send epoch, send sequence) order.
   /// Frames not yet due stay queued (in flight). Returns frames popped
   /// from the arrival queue (kAck frames and suppressed duplicates count
   /// as popped but are consumed by the protocol, not the handler). A site
@@ -361,8 +348,8 @@ class Network {
   /// convergence condition fault_test asserts.
   bool AllReliableDelivered() const;
 
-  /// Whether the reliability protocol is active (resolved from
-  /// ReliabilityOptions::mode and the fault model at Configure time).
+  /// Whether the reliability protocol is active (the fault model was
+  /// enabled at Configure time).
   bool reliable() const { return reliable_; }
   const FaultModel& faults() const { return options_.faults; }
 
@@ -385,9 +372,8 @@ class Network {
   }
 
   /// Frames sent but not yet delivered to a handler (still inside the
-  /// transport or queued with a future arrival epoch) -- the
-  /// transfers-in-flight state of the replay. Live state, not history:
-  /// unlike the byte/message totals, ResetCounters leaves it intact.
+  /// transport or queued with a future send epoch) -- the
+  /// transfers-in-flight state of the replay.
   int64_t in_flight_messages() const {
     phase_.AssertShared();
     return in_flight_messages_;
@@ -415,25 +401,15 @@ class Network {
   TransportKind transport_kind() const { return transport_kind_; }
   const Transport& transport() const { return *transport_; }
 
-  /// Zeroes every traffic counter (including fault/reliability stats);
-  /// handlers, queued frames, the clock, reliability protocol state, and
-  /// the in-flight gauges (which describe live queue state) stay.
-  void ResetCounters();
-
  private:
-  struct QueuedFrame {
-    Epoch arrive = 0;
-    Frame frame;
-  };
-  struct LaterArrival {
-    bool operator()(const QueuedFrame& a, const QueuedFrame& b) const {
-      if (a.arrive != b.arrive) return a.arrive > b.arrive;
-      return a.frame.seq > b.frame.seq;
+  struct LaterFrame {
+    bool operator()(const Frame& a, const Frame& b) const {
+      if (a.send_epoch != b.send_epoch) return a.send_epoch > b.send_epoch;
+      return a.seq > b.seq;
     }
   };
   using ArrivalQueue =
-      std::priority_queue<QueuedFrame, std::vector<QueuedFrame>,
-                          LaterArrival>;
+      std::priority_queue<Frame, std::vector<Frame>, LaterFrame>;
 
   /// Ack/retransmit state per transmitted-but-unacked frame.
   struct TrackedFrame {
@@ -464,8 +440,6 @@ class Network {
   static SiteId LinkTo(uint64_t key) {
     return static_cast<SiteId>(static_cast<int32_t>(key & 0xffffffffu));
   }
-
-  Epoch LatencyOf(SiteId from, SiteId to, size_t wire_bytes) const;
 
   /// Charges `frame`'s wire size and puts it on the wire, applying the
   /// fault model to this attempt. Enqueued copies raise the in-flight

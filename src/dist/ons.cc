@@ -39,7 +39,6 @@ void Ons::Configure(OnsOptions options) {
   caches_.assign(
       options_.resolver_cache ? static_cast<size_t>(options_.num_sites) : 0,
       {});
-  diagnostic_lookups_ = 0;
 }
 
 int Ons::ShardOfTag(TagId tag, int num_shards) {
@@ -120,7 +119,6 @@ SiteId Ons::Resolve(TagId tag, SiteId requester) {
 }
 
 SiteId Ons::Lookup(TagId tag) const {
-  ++diagnostic_lookups_;
   auto it = directory_.find(tag);
   return it == directory_.end() ? kNoSite : it->second;
 }
@@ -153,11 +151,6 @@ int64_t Ons::unregisters() const {
   int64_t sum = 0;
   for (const OnsShardStats& st : shards_) sum += st.unregisters;
   return sum;
-}
-
-void Ons::ResetCounters() {
-  for (OnsShardStats& st : shards_) st = OnsShardStats{};
-  diagnostic_lookups_ = 0;
 }
 
 }  // namespace rfid

@@ -17,8 +17,10 @@
 // The distributed driver registers objects on arrival, re-registers them as
 // they move, and unregisters them when they leave the tracked supply chain;
 // query routing and state-migration use Resolve to find the owning site.
-// Lookup stays uncharged for out-of-band diagnostics (tests, drivers
-// inspecting final state) and is counted separately from charged Resolves.
+// The directory is the deployment's only tag->site map: the driver's own
+// reads (which processor answers for a tag when accuracy is scored, which
+// tags a crashing site owned) go through Lookup, which is uncharged and
+// writes nothing.
 #ifndef RFID_DIST_ONS_H_
 #define RFID_DIST_ONS_H_
 
@@ -60,7 +62,8 @@ struct OnsShardStats {
 /// all charged operations happen in the replay's serial boundary phases,
 /// never concurrently with per-site parallel work, so shard state and the
 /// per-site caches need no locks and stay bit-deterministic at any thread
-/// count.
+/// count. Lookup only reads, so parallel workers may call it between those
+/// phases.
 class Ons {
  public:
   /// Single shard, no hosting sites: behaves like the pre-sharding
@@ -91,8 +94,9 @@ class Ons {
   /// plus the shard's response.
   SiteId Resolve(TagId tag, SiteId requester);
 
-  /// Uncharged, uncounted-as-load lookup for diagnostics; kNoSite when
-  /// unregistered.
+  /// Site currently owning `tag`, uncharged and not counted as directory
+  /// load; kNoSite when unregistered. Read-only, so safe to call from
+  /// concurrent readers while no writer runs.
   SiteId Lookup(TagId tag) const;
 
   /// Shard owning `tag` under a `num_shards`-way hash partition.
@@ -110,8 +114,6 @@ class Ons {
   int64_t charged_lookups() const;
   /// Resolves answered from a site-local cache, summed over shards.
   int64_t cache_hits() const;
-  /// Uncharged Lookup calls (diagnostics only; not directory load).
-  int64_t diagnostic_lookups() const { return diagnostic_lookups_; }
   /// Register calls (initial registrations and moves), summed over shards.
   int64_t updates() const;
   /// Unregister calls that removed an entry, summed over shards.
@@ -119,10 +121,6 @@ class Ons {
 
   /// Live registrations across all shards.
   size_t size() const { return directory_.size(); }
-
-  /// Zeroes every per-shard and diagnostic counter; registrations and
-  /// caches are kept.
-  void ResetCounters();
 
  private:
   /// Drops cached resolutions of `tag` at every site (mapping changed).
@@ -139,7 +137,6 @@ class Ons {
   /// owner, including negative kNoSite answers).
   std::vector<std::unordered_map<TagId, SiteId>> caches_;
   Network* network_ = nullptr;
-  mutable int64_t diagnostic_lookups_ = 0;
 };
 
 }  // namespace rfid

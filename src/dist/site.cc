@@ -13,6 +13,10 @@ namespace rfid {
 
 namespace {
 
+/// zlib level for migration and raw-reading payloads (Table 5's "simple
+/// gzip compression").
+constexpr int kPayloadCompressLevel = 6;
+
 /// Encoded form of an idle/default pattern state: objects that never
 /// accumulated query state ship nothing.
 const std::vector<uint8_t>& DefaultPatternStateBytes() {
@@ -386,8 +390,7 @@ void Site::ExportTransfer(const ObjectTransfer& tr) {
       case_states = collect(*pallet_streaming_, tr.cases);
     }
     network_->Send(id_, tr.to, MessageKind::kInferenceState,
-                   EncodeInferenceEnvelope(tr.arrive, states, case_states,
-                                           options_.compress_level));
+                   EncodeInferenceEnvelope(tr.arrive, states, case_states));
   }
   if (queries_attached() && !tr.items.empty()) {
     TagStateList q1_states;
@@ -409,19 +412,6 @@ void Site::ExportTransfer(const ObjectTransfer& tr) {
                      EncodeQueryEnvelope(tr.arrive, q1_states, q2_states,
                                          options_.share_query_state,
                                          believed));
-    }
-  }
-}
-
-void Site::DropTransferState(const ObjectTransfer& tr) {
-  if (tr.to == kNoSite) {
-    Retire(tr);
-    return;
-  }
-  if (queries_attached()) {
-    for (TagId item : tr.items) {
-      q1_->TakeState(item);
-      q2_->TakeState(item);
     }
   }
 }
@@ -704,8 +694,7 @@ Status Site::RestoreCheckpoint(Epoch epoch,
 
 std::vector<uint8_t> EncodeInferenceEnvelope(
     Epoch arrive, const std::vector<ObjectMigrationState>& states,
-    const std::vector<ObjectMigrationState>& case_states,
-    int compress_level) {
+    const std::vector<ObjectMigrationState>& case_states) {
   // Two length-prefixed level batches (item→case, then case→pallet) share
   // one deflate stream: the levels' states reference overlapping tags, so
   // compressing them together is strictly cheaper than two streams.
@@ -716,7 +705,8 @@ std::vector<uint8_t> EncodeInferenceEnvelope(
     inner.PutBytes(encoded.data(), encoded.size());
   }
   std::vector<uint8_t> compressed;
-  RFID_CHECK_OK(Compress(inner.Release(), &compressed, compress_level));
+  RFID_CHECK_OK(
+      Compress(inner.Release(), &compressed, kPayloadCompressLevel));
   BufferWriter w;
   w.PutVarint(static_cast<uint64_t>(arrive));
   w.PutBytes(compressed.data(), compressed.size());
@@ -781,18 +771,13 @@ Result<PendingQueryState> DecodeQueryEnvelope(
   return pending;
 }
 
-std::vector<uint8_t> EncodeReadingBatch(const std::vector<RawReading>& batch,
-                                        int compress_level) {
-  return EncodeReadingBatch(batch.data(), batch.size(), compress_level);
-}
-
-std::vector<uint8_t> EncodeReadingBatch(const RawReading* batch, size_t n,
-                                        int compress_level) {
+std::vector<uint8_t> EncodeReadingBatch(const RawReading* batch, size_t n) {
   Trace trace;
   trace.Append(batch, n);
   trace.Seal();
   std::vector<uint8_t> compressed;
-  RFID_CHECK_OK(Compress(EncodeTrace(trace), &compressed, compress_level));
+  RFID_CHECK_OK(
+      Compress(EncodeTrace(trace), &compressed, kPayloadCompressLevel));
   return compressed;
 }
 

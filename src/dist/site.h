@@ -64,9 +64,6 @@ struct SiteOptions {
   /// Compress migrated query state with centroid-based sharing
   /// (Section 4.2) instead of shipping each object's state raw.
   bool share_query_state = false;
-  /// zlib level for migration payload compression (Table 5's "simple gzip
-  /// compression").
-  int compress_level = 6;
   /// Run the second containment level (cases within pallets, Appendix
   /// A.4): a per-site pallet-level engine whose state also migrates on
   /// transfers and whose answers back BelievedPallet.
@@ -155,15 +152,12 @@ class Site {
   /// queries are attached). No-op for inference when mode is kNone.
   void ExportTransfer(const ObjectTransfer& tr);
 
-  /// Drops local query state of objects leaving the tracked supply chain.
+  /// Drops the local query state of a transfer's items: objects leaving
+  /// the tracked supply chain, and -- when a crashed site is rebuilt from
+  /// its raw trace -- departures the dead process already exported (the
+  /// live sends happened before the crash, but the fresh engine must not
+  /// keep state the live one gave away). Sends nothing.
   void Retire(const ObjectTransfer& tr);
-
-  /// Replays ExportTransfer's *local* side effects without sending
-  /// anything: retires exits and consumes (TakeState) the query state of
-  /// departing items. Used when rebuilding a crashed site from the raw
-  /// trace -- the live sends already happened before the crash, but the
-  /// fresh engine must not keep state the live one gave away.
-  void DropTransferState(const ObjectTransfer& tr);
 
   /// Inbound message entry point (registered with the Network).
   void HandleMessage(SiteId from, MessageKind kind,
@@ -220,10 +214,6 @@ class Site {
   SiteId id() const { return id_; }
   const StreamingInference& streaming() const { return streaming_; }
   StreamingInference& streaming() { return streaming_; }
-  /// The case→pallet engine; nullptr unless SiteOptions::hierarchical.
-  const StreamingInference* pallet_streaming() const {
-    return pallet_streaming_.get();
-  }
   bool queries_attached() const { return q1_ != nullptr; }
   /// Query 0 (Q1) / 1 (Q2); nullptr when queries are not attached.
   const ExposureQuery* query(int index) const {
@@ -270,7 +260,7 @@ class Site {
 /// runs hierarchical inference).
 std::vector<uint8_t> EncodeInferenceEnvelope(
     Epoch arrive, const std::vector<ObjectMigrationState>& states,
-    const std::vector<ObjectMigrationState>& case_states, int compress_level);
+    const std::vector<ObjectMigrationState>& case_states);
 Result<PendingArrival> DecodeInferenceEnvelope(
     const std::vector<uint8_t>& payload);
 
@@ -288,13 +278,10 @@ Result<PendingQueryState> DecodeQueryEnvelope(
     const std::vector<uint8_t>& payload);
 
 /// Raw-readings batch for the centralized baseline: the trace_io
-/// delta-varint encoding "with simple gzip compression" (Table 5). The
-/// span form encodes straight out of a larger buffer (e.g. a site trace
-/// slice) without an intermediate copy.
-std::vector<uint8_t> EncodeReadingBatch(const std::vector<RawReading>& batch,
-                                        int compress_level);
-std::vector<uint8_t> EncodeReadingBatch(const RawReading* batch, size_t n,
-                                        int compress_level);
+/// delta-varint encoding "with simple gzip compression" (Table 5), of `n`
+/// readings straight out of a larger buffer (e.g. a site trace slice)
+/// without an intermediate copy.
+std::vector<uint8_t> EncodeReadingBatch(const RawReading* batch, size_t n);
 Result<std::vector<RawReading>> DecodeReadingBatch(
     const std::vector<uint8_t>& payload);
 

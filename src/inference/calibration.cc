@@ -15,7 +15,6 @@ double CalibrateChangeThreshold(const ReadRateModel& model,
   uint64_t next_serial = 1u << 20;  // calibration-only tag serials
   for (int sample = 0; sample < config.num_samples; ++sample) {
     Trace trace;
-    std::vector<TagId> containers;
     std::vector<TagId> objects;
     // Containers are sampled in co-located pairs: a false candidate sharing
     // the true container's path is the worst case for false positives, and
@@ -25,7 +24,6 @@ double CalibrateChangeThreshold(const ReadRateModel& model,
     for (int c = 0; c < config.num_containers; ++c) {
       GenerativeScenario scenario;
       scenario.container = TagId::Case(next_serial++);
-      containers.push_back(scenario.container);
       for (int o = 0; o < config.objects_per_container; ++o) {
         TagId obj = TagId::Item(next_serial++);
         scenario.objects.push_back(obj);
@@ -61,8 +59,9 @@ double CalibrateChangeThreshold(const ReadRateModel& model,
     }
     trace.Seal();
     if (trace.empty()) continue;
+    // The sampled containers are cases and the objects items: the
+    // engine's default roles.
     RFInfer engine(&model, &schedule);
-    engine.SetUniverse(containers, objects);
     if (!engine.Run(trace, 0, config.horizon - 1).ok()) continue;
     for (TagId obj : objects) {
       max_delta = std::max(max_delta, engine.ChangeStatistic(obj));

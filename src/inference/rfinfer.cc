@@ -14,6 +14,15 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+/// EM iteration cap; the algorithm usually converges in a few iterations
+/// (Appendix A.1).
+constexpr int kMaxIterations = 25;
+/// Length of the initial-epochs span used for candidate counting.
+constexpr Epoch kCandidateInitWindow = 200;
+/// Length of the recent-epochs span used for candidate counting (change
+/// detection needs candidates that appeared only recently).
+constexpr Epoch kCandidateRecentWindow = 300;
+
 /// Sorts by begin and merges overlapping or adjacent intervals.
 std::vector<EpochInterval> NormalizeIntervals(
     std::vector<EpochInterval> intervals) {
@@ -105,16 +114,9 @@ RFInfer::RFInfer(const ReadRateModel* model,
   assert(model_->num_locations() == schedule_->num_locations());
 }
 
-void RFInfer::SetUniverse(std::vector<TagId> containers,
-                          std::vector<TagId> objects) {
-  explicit_universe_ = true;
-  container_tags_ = std::move(containers);
-  object_tags_ = std::move(objects);
-  std::sort(container_tags_.begin(), container_tags_.end());
-  container_tags_.erase(
-      std::unique(container_tags_.begin(), container_tags_.end()),
-      container_tags_.end());
-  std::sort(object_tags_.begin(), object_tags_.end());
+void RFInfer::SetUniverseKinds(TagKind container_kind, TagKind object_kind) {
+  container_kind_ = container_kind;
+  object_kind_ = object_kind;
 }
 
 void RFInfer::SetObjectContext(TagId object, ObjectContext context) {
@@ -142,13 +144,11 @@ int RFInfer::ContainerIndexOf(TagId tag) const {
 }
 
 void RFInfer::BuildUniverse(const Trace& trace) {
-  if (!explicit_universe_) {
-    container_tags_.clear();
-    object_tags_.clear();
-    for (TagId tag : trace.Tags()) {
-      if (tag.is_case()) container_tags_.push_back(tag);
-      if (tag.is_item()) object_tags_.push_back(tag);
-    }
+  container_tags_.clear();
+  object_tags_.clear();
+  for (TagId tag : trace.Tags()) {
+    if (tag.kind() == container_kind_) container_tags_.push_back(tag);
+    if (tag.kind() == object_kind_) object_tags_.push_back(tag);
   }
   containers_.clear();
   objects_.clear();
@@ -197,9 +197,9 @@ void RFInfer::BuildCandidates(const Trace& trace) {
   // Candidate pruning (Appendix A.3): most co-located containers during the
   // first epochs, during recent epochs, and overall.
   const Epoch init_end =
-      std::min(window_.end, window_.begin + options_.candidate_init_window);
+      std::min(window_.end, window_.begin + kCandidateInitWindow);
   const Epoch recent_begin =
-      std::max(window_.begin, window_.end - options_.candidate_recent_window);
+      std::max(window_.begin, window_.end - kCandidateRecentWindow);
 
   // Span count over everything available (window plus any critical region):
   // readings outside the caller-retained history are not in the trace.
@@ -627,7 +627,7 @@ Status RFInfer::Run(const Trace& trace, Epoch window_begin, Epoch window_end) {
   moved_.assign(objects_.size(), 0);
 
   bool changed = true;
-  for (int iter = 0; iter < options_.max_iterations && changed; ++iter) {
+  for (int iter = 0; iter < kMaxIterations && changed; ++iter) {
     EStep();
     likelihood_history_.push_back(ComputeLogLikelihood());
     changed = MStep();

@@ -58,16 +58,8 @@ namespace rfid {
 
 /// Tuning knobs for the EM engine.
 struct InferenceOptions {
-  /// EM iteration cap; the algorithm usually converges in a few iterations
-  /// (Appendix A.1).
-  int max_iterations = 25;
   /// Candidate pruning K: containers kept per object (Appendix A.3).
   int max_candidates = 5;
-  /// Length of the initial-epochs span used for candidate counting.
-  Epoch candidate_init_window = 200;
-  /// Length of the recent-epochs span used for candidate counting (change
-  /// detection needs candidates that appeared only recently).
-  Epoch candidate_recent_window = 300;
   /// Reuse posterior/evidence for containers whose object set is unchanged.
   bool memoize = true;
   /// Weight the co-location counts behind the EM's initial guess by
@@ -136,11 +128,11 @@ class RFInfer {
   RFInfer(const ReadRateModel* model, const InterrogationSchedule* schedule,
           InferenceOptions options = {});
 
-  /// Restricts the tag universe explicitly. By default every case-kind tag
-  /// in the trace is a container and every item-kind tag an object; an
-  /// explicit universe supports e.g. hierarchical inference (cases within
-  /// pallets, Appendix A.4).
-  void SetUniverse(std::vector<TagId> containers, std::vector<TagId> objects);
+  /// Sets the tag roles: each run's containers are the trace's tags of
+  /// `container_kind` and its objects the tags of `object_kind`. The
+  /// default is (kCase, kItem); (kPallet, kCase) runs the second level of
+  /// hierarchical inference (cases within pallets, Appendix A.4).
+  void SetUniverseKinds(TagKind container_kind, TagKind object_kind);
 
   /// Installs per-object contexts (critical regions, barriers, collapsed
   /// priors). Cleared by ClearObjectContexts, not by Run.
@@ -371,7 +363,8 @@ class RFInfer {
   const InterrogationSchedule* schedule_;
   InferenceOptions options_;
 
-  bool explicit_universe_ = false;
+  TagKind container_kind_ = TagKind::kCase;
+  TagKind object_kind_ = TagKind::kItem;
   std::vector<TagId> container_tags_;
   std::vector<TagId> object_tags_;
   std::unordered_map<TagId, ObjectContext> contexts_;

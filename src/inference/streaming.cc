@@ -7,28 +7,26 @@
 
 namespace rfid {
 
+namespace {
+
+/// Sliding-window length w of the critical-region search. Long enough to
+/// cover an object's whole pass through a discriminative reader (door
+/// dwell + belt transit).
+constexpr Epoch kCriticalRegionWindow = 60;
+/// Evidence-gap threshold of the critical-region search (heuristic). Must
+/// sit above co-location evidence noise (a few log-units per window) yet
+/// below the gap a belt-style isolated scan produces even at low read
+/// rates (a 5-epoch belt pass at RR 0.6 yields a gap around 35-40).
+constexpr double kCriticalRegionGapThreshold = 25.0;
+
+}  // namespace
+
 StreamingInference::StreamingInference(const ReadRateModel* model,
                                        const InterrogationSchedule* schedule,
                                        StreamingOptions options)
     : model_(model), schedule_(schedule), options_(options) {
   engine_ = std::make_unique<RFInfer>(model_, schedule_, options_.inference);
   next_run_ = options_.inference_period;
-}
-
-void StreamingInference::SetUniverse(std::vector<TagId> containers,
-                                     std::vector<TagId> objects) {
-  has_universe_ = true;
-  has_universe_kinds_ = false;
-  universe_containers_ = std::move(containers);
-  universe_objects_ = std::move(objects);
-}
-
-void StreamingInference::SetUniverseKinds(TagKind container_kind,
-                                          TagKind object_kind) {
-  has_universe_ = false;
-  has_universe_kinds_ = true;
-  universe_container_kind_ = container_kind;
-  universe_object_kind_ = object_kind;
 }
 
 void StreamingInference::Observe(const RawReading& reading) {
@@ -64,22 +62,6 @@ Status StreamingInference::RunNow(Epoch now) {
       break;
   }
 
-  if (has_universe_) {
-    engine_->SetUniverse(universe_containers_, universe_objects_);
-  } else if (has_universe_kinds_) {
-    // Kind-derived universe: re-scanned before every run so tags that
-    // appeared since the last run join their role immediately.
-    std::vector<TagId> containers;
-    std::vector<TagId> objects;
-    for (TagId tag : buffer_.Tags()) {
-      if (tag.kind() == universe_container_kind_) {
-        containers.push_back(tag);
-      } else if (tag.kind() == universe_object_kind_) {
-        objects.push_back(tag);
-      }
-    }
-    engine_->SetUniverse(std::move(containers), std::move(objects));
-  }
   engine_->ClearObjectContexts();
   if (options_.truncation == TruncationMethod::kCriticalRegion) {
     for (const auto& [tag, ctx] : contexts_) {
@@ -103,8 +85,8 @@ Status StreamingInference::RunNow(Epoch now) {
   if (options_.detect_changes) change_threshold = options_.change_threshold;
   std::optional<CriticalRegionSearch> regions;
   if (options_.truncation == TruncationMethod::kCriticalRegion) {
-    regions = CriticalRegionSearch{options_.cr_window,
-                                   options_.cr_gap_threshold};
+    regions = CriticalRegionSearch{kCriticalRegionWindow,
+                                   kCriticalRegionGapThreshold};
   }
   EvidenceFindings findings = engine_->ScanEvidence(change_threshold, regions);
 

@@ -51,15 +51,6 @@ struct StreamingOptions {
   Epoch window_size = 1200;
   /// Recent history H-bar for kCriticalRegion (paper default: 600).
   Epoch recent_history = 600;
-  /// Sliding-window length w of the critical-region search. Long enough to
-  /// cover an object's whole pass through a discriminative reader (door
-  /// dwell + belt transit).
-  Epoch cr_window = 60;
-  /// Evidence-gap threshold of the critical-region search (heuristic). Must
-  /// sit above co-location evidence noise (a few log-units per window) yet
-  /// below the gap a belt-style isolated scan produces even at low read
-  /// rates (a 5-epoch belt pass at RR 0.6 yields a gap around 35-40).
-  double cr_gap_threshold = 25.0;
   /// Run change-point detection after each inference run.
   bool detect_changes = false;
   /// Detection threshold delta; calibrate offline (calibration.h).
@@ -79,17 +70,15 @@ class StreamingInference {
                      const InterrogationSchedule* schedule,
                      StreamingOptions options = {});
 
-  /// Optional explicit container/object universe (see RFInfer::SetUniverse).
-  void SetUniverse(std::vector<TagId> containers, std::vector<TagId> objects);
-
-  /// Derives the universe per run from the buffered trace instead: every
+  /// Sets the engine's tag roles (RFInfer::SetUniverseKinds): every
   /// buffered tag of `container_kind` is a container and every tag of
-  /// `object_kind` an object, passed to RFInfer::SetUniverse before each
-  /// run. This is the hierarchical-inference hook (Appendix A.4): the
-  /// case→pallet level runs with (kPallet, kCase) over the same stream the
-  /// item→case level consumes with the default (kCase, kItem) roles.
-  /// Mutually exclusive with an explicit SetUniverse.
-  void SetUniverseKinds(TagKind container_kind, TagKind object_kind);
+  /// `object_kind` an object. This is the hierarchical-inference hook
+  /// (Appendix A.4): the case→pallet level runs with (kPallet, kCase) over
+  /// the same stream the item→case level consumes with the default
+  /// (kCase, kItem) roles.
+  void SetUniverseKinds(TagKind container_kind, TagKind object_kind) {
+    engine_->SetUniverseKinds(container_kind, object_kind);
+  }
 
   /// Runs the engine's independent loops on `pool` (RFInfer::set_pool);
   /// nullptr runs them on the caller.
@@ -140,8 +129,8 @@ class StreamingInference {
   /// cost"), over all runs / the latest run. A run's timer covers the EM
   /// run, the evidence scan, and the bookkeeping of change points,
   /// critical regions, location tracks and imported beliefs. It starts
-  /// after the buffer's Seal and the universe and context installs, and
-  /// it stops before CompactBuffer; a caller's EmitEvents and query
+  /// after the buffer's Seal and the context installs, and it stops
+  /// before CompactBuffer; a caller's EmitEvents and query
   /// feeding (Site::AdvanceTo) are outside it too.
   double total_inference_seconds() const { return total_seconds_; }
   double last_inference_seconds() const { return last_seconds_; }
@@ -206,12 +195,6 @@ class StreamingInference {
   Trace buffer_;
   Epoch next_run_ = 0;
   Epoch last_run_at_ = -1;
-  bool has_universe_ = false;
-  std::vector<TagId> universe_containers_;
-  std::vector<TagId> universe_objects_;
-  bool has_universe_kinds_ = false;
-  TagKind universe_container_kind_ = TagKind::kCase;
-  TagKind universe_object_kind_ = TagKind::kItem;
 
   std::unordered_map<TagId, ObjectContext> contexts_;
   std::unordered_map<TagId, std::vector<TagRead>> location_track_;

@@ -73,11 +73,6 @@ class InterrogationSchedule {
                          static_cast<size_t>(a)];
   }
 
-  /// Convenience: LogMissAllClass at the class of epoch t.
-  double LogMissAllAt(LocationId a, Epoch t) const {
-    return LogMissAllClass(a, ClassOf(t));
-  }
-
   /// Calls f(cls, count) in ascending class order for every class with
   /// count > 0 epochs in the inclusive range [begin, end]; epochs before 0
   /// are not counted. Three divisions for the whole range, not two per class.

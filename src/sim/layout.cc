@@ -27,12 +27,9 @@ Layout::Layout(int num_sites, int shelves_per_site) {
   num_locations_ = next;
   site_of_.resize(static_cast<size_t>(num_locations_));
   role_of_.resize(static_cast<size_t>(num_locations_));
-  local_index_.resize(static_cast<size_t>(num_locations_));
   for (const SiteLayout& sl : sites_) {
-    LocationId local = 0;
     for (LocationId loc : sl.AllLocations()) {
       site_of_[static_cast<size_t>(loc)] = sl.site;
-      local_index_[static_cast<size_t>(loc)] = local++;
     }
     role_of_[static_cast<size_t>(sl.entry)] = ReaderRole::kEntry;
     role_of_[static_cast<size_t>(sl.belt)] = ReaderRole::kBelt;
@@ -97,70 +94,6 @@ InterrogationSchedule Layout::BuildSchedule(const ScheduleParams& p,
   }
   sched.Finalize(model);
   return sched;
-}
-
-ReadRateModel Layout::SiteModel(SiteId s, const ReadRateModel& global) const {
-  const std::vector<LocationId> locs =
-      sites_[static_cast<size_t>(s)].AllLocations();
-  const int n = static_cast<int>(locs.size());
-  std::vector<std::vector<double>> pi(static_cast<size_t>(n),
-                                      std::vector<double>(
-                                          static_cast<size_t>(n), 0.0));
-  for (int r = 0; r < n; ++r) {
-    for (int a = 0; a < n; ++a) {
-      pi[static_cast<size_t>(r)][static_cast<size_t>(a)] = global.Rate(
-          locs[static_cast<size_t>(r)], locs[static_cast<size_t>(a)]);
-    }
-  }
-  Result<ReadRateModel> local = ReadRateModel::FromTable(pi);
-  // FromTable only fails on malformed input, which cannot happen here.
-  return std::move(local).value();
-}
-
-InterrogationSchedule Layout::SiteSchedule(
-    SiteId s, const InterrogationSchedule& global,
-    const ReadRateModel& local_model) const {
-  const std::vector<LocationId> locs =
-      sites_[static_cast<size_t>(s)].AllLocations();
-  InterrogationSchedule local(static_cast<int>(locs.size()));
-  // Recover each reader's pattern by probing one global cycle.
-  const Epoch cycle = global.cycle();
-  for (size_t i = 0; i < locs.size(); ++i) {
-    // Find the active window within the cycle.
-    Epoch start = -1, len = 0;
-    for (Epoch t = 0; t < cycle; ++t) {
-      if (global.ActiveAt(locs[i], t)) {
-        if (start < 0) start = t;
-        ++len;
-      }
-    }
-    if (start < 0) continue;  // never active (not expected)
-    if (len == cycle) {
-      local.SetPeriodic(static_cast<LocationId>(i), 1, 0);
-    } else {
-      // Detect a short period (e.g. every 10) vs. a windowed schedule.
-      bool contiguous = true;
-      for (Epoch t = start; t < start + len; ++t) {
-        if (!global.ActiveAt(locs[i], t)) {
-          contiguous = false;
-          break;
-        }
-      }
-      if (contiguous && len > 1) {
-        local.SetWindowed(static_cast<LocationId>(i), cycle, start, len);
-      } else {
-        // Periodic with period = cycle / number of active epochs.
-        Epoch active = 0;
-        for (Epoch t = 0; t < cycle; ++t) {
-          if (global.ActiveAt(locs[i], t)) ++active;
-        }
-        local.SetPeriodic(static_cast<LocationId>(i),
-                          active > 0 ? cycle / active : 1, start);
-      }
-    }
-  }
-  local.Finalize(local_model);
-  return local;
 }
 
 }  // namespace rfid

@@ -80,35 +80,16 @@ class Layout {
   /// Builds the global read-rate table. Deterministic given `rng` state.
   ReadRateModel BuildReadRateModel(const ReadRateParams& p, Rng& rng) const;
 
-  /// Builds the global interrogation schedule.
+  /// Builds the global interrogation schedule. Sites run on the global
+  /// model and schedule: a site simply never sees readings outside its own
+  /// locations.
   InterrogationSchedule BuildSchedule(const ScheduleParams& p,
                                       const ReadRateModel& model) const;
-
-  /// Extracts the site-local read-rate model: rows/cols restricted to the
-  /// site's locations (cross-site rates are zero by construction). Local
-  /// location i corresponds to global id site(s).AllLocations()[i].
-  ReadRateModel SiteModel(SiteId s, const ReadRateModel& global) const;
-
-  /// Extracts the matching site-local schedule.
-  InterrogationSchedule SiteSchedule(SiteId s,
-                                     const InterrogationSchedule& global,
-                                     const ReadRateModel& local_model) const;
-
-  /// Maps a global location id to the site-local index used by SiteModel.
-  LocationId GlobalToLocal(LocationId global_loc) const {
-    return local_index_[static_cast<size_t>(global_loc)];
-  }
-  /// Maps (site, local index) back to the global location id.
-  LocationId LocalToGlobal(SiteId s, LocationId local) const {
-    return sites_[static_cast<size_t>(s)]
-        .AllLocations()[static_cast<size_t>(local)];
-  }
 
  private:
   std::vector<SiteLayout> sites_;
   std::vector<SiteId> site_of_;
   std::vector<ReaderRole> role_of_;
-  std::vector<LocationId> local_index_;
   int num_locations_ = 0;
 };
 

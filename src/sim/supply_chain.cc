@@ -236,13 +236,4 @@ void SupplyChainSim::Run(ReadingSink* sink) {
   for (Trace& trace : site_traces_) trace.Seal();
 }
 
-Trace SupplyChainSim::MergedTrace() const {
-  Trace merged;
-  for (const Trace& t : site_traces_) {
-    merged.Append(t.readings());
-  }
-  merged.Seal();
-  return merged;
-}
-
 }  // namespace rfid

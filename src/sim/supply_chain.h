@@ -107,9 +107,6 @@ class SupplyChainSim {
     return site_traces_[static_cast<size_t>(s)];
   }
 
-  /// Union of all site traces (sealed), for centralized processing.
-  Trace MergedTrace() const;
-
   /// All case / item tags ever created, the containment-inference partition.
   const std::vector<TagId>& all_cases() const { return all_cases_; }
   const std::vector<TagId>& all_items() const { return all_items_; }

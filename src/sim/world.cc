@@ -84,12 +84,4 @@ const std::vector<TagId>& World::ContentsOf(TagId tag) const {
   return it == state_.end() ? kEmptyTags : it->second.contents;
 }
 
-std::vector<TagId> World::LiveTags() const {
-  std::vector<TagId> tags;
-  tags.reserve(state_.size());
-  for (const auto& [tag, unused] : state_) tags.push_back(tag);
-  std::sort(tags.begin(), tags.end());
-  return tags;
-}
-
 }  // namespace rfid

@@ -46,9 +46,6 @@ class World {
   const std::vector<TagId>& ContentsOf(TagId tag) const;
   bool Exists(TagId tag) const { return state_.contains(tag); }
 
-  /// All live tags.
-  std::vector<TagId> LiveTags() const;
-
   GroundTruth& truth() { return truth_; }
   const GroundTruth& truth() const { return truth_; }
 

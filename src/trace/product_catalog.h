@@ -62,9 +62,6 @@ class ProductCatalog {
     return info != nullptr && info->klass == klass;
   }
 
-  size_t num_products() const { return products_.size(); }
-  size_t num_containers() const { return containers_.size(); }
-
  private:
   std::unordered_map<TagId, ProductInfo> products_;
   std::unordered_map<TagId, ContainerInfo> containers_;

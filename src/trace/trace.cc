@@ -149,13 +149,4 @@ TagReadSpan Trace::HistoryOf(TagId tag) const {
                      offsets_[i + 1] - offsets_[i]};
 }
 
-Trace Trace::Slice(Epoch begin, Epoch end) const {
-  Trace out;
-  for (const RawReading& r : readings_) {
-    if (r.time >= begin && r.time <= end) out.Add(r);
-  }
-  out.Seal();
-  return out;
-}
-
 }  // namespace rfid

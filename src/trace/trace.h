@@ -86,9 +86,6 @@ class Trace {
   Epoch MinEpoch() const { return readings_.empty() ? 0 : readings_.front().time; }
   Epoch MaxEpoch() const { return readings_.empty() ? -1 : readings_.back().time; }
 
-  /// Copies the readings with time in [begin, end] into a new trace.
-  Trace Slice(Epoch begin, Epoch end) const;
-
   /// Drops every reading for which `pred` is false, in place (the relative
   /// order of survivors is preserved). Leaves the trace unsealed; the
   /// survivors of the sorted prefix stay the sorted prefix.

@@ -1,6 +1,5 @@
 #include "trace/trace_io.h"
 
-#include <cstdio>
 #include <limits>
 
 #include "common/serde.h"
@@ -74,41 +73,6 @@ Result<Trace> DecodeTrace(const std::vector<uint8_t>& bytes) {
   }
   trace.Seal();
   return trace;
-}
-
-Status WriteTraceFile(const Trace& trace, const std::string& path) {
-  std::vector<uint8_t> bytes = EncodeTrace(trace);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (written != bytes.size()) return Status::IOError("short write " + path);
-  return Status::OK();
-}
-
-Result<Trace> ReadTraceFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  std::vector<uint8_t> bytes;
-  uint8_t chunk[1 << 16];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  std::fclose(f);
-  return DecodeTrace(bytes);
-}
-
-Status WriteTraceCsv(const Trace& trace, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  std::fputs("time,tag,reader\n", f);
-  for (const RawReading& r : trace.readings()) {
-    std::fprintf(f, "%lld,%s,%d\n", static_cast<long long>(r.time),
-                 r.tag.ToString().c_str(), r.reader);
-  }
-  std::fclose(f);
-  return Status::OK();
 }
 
 }  // namespace rfid

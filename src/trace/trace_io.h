@@ -1,10 +1,8 @@
-// Trace persistence: a compact binary format (delta-encoded varints) and a
-// CSV form for interoperability. The binary encoder is also what the
-// centralized baseline ships over the network before gzip (Table 5).
+// Trace codec: a compact binary format (delta-encoded varints). It is what
+// the centralized baseline ships over the network before gzip (Table 5).
 #ifndef RFID_TRACE_TRACE_IO_H_
 #define RFID_TRACE_TRACE_IO_H_
 
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -31,13 +29,6 @@ std::vector<uint8_t> EncodeTrace(const Trace& trace);
 
 /// Parses bytes produced by EncodeTrace.
 Result<Trace> DecodeTrace(const std::vector<uint8_t>& bytes);
-
-/// Writes/reads the binary format to a file.
-Status WriteTraceFile(const Trace& trace, const std::string& path);
-Result<Trace> ReadTraceFile(const std::string& path);
-
-/// CSV with header "time,tag,reader"; tag rendered as kind:serial.
-Status WriteTraceCsv(const Trace& trace, const std::string& path);
 
 }  // namespace rfid
 

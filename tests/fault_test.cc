@@ -160,7 +160,7 @@ TEST(ReliabilityTest, ExactlyOnceUnderHeavyDropAndReorder) {
   o.faults.seed = 4242;
   o.reliability.rto = 4;
   net.Configure(o);
-  EXPECT_TRUE(net.reliable());  // kAuto + lossy faults -> protocol on
+  EXPECT_TRUE(net.reliable());  // lossy faults -> protocol on
 
   DeliveryLog log;
   log.Attach(&net, 1);
@@ -304,7 +304,11 @@ TEST(ReliabilityTest, PartitionHealsAndBackloggedFramesDeliver) {
 TEST(ReliabilityTest, WindowBoundsInFlightFrames) {
   Network net;
   NetworkOptions o = QuietFaultOptions();
-  o.reliability.mode = ReliabilityOptions::Mode::kOn;
+  // Enabled but lossless: every frame draws a zero-epoch reorder, so the
+  // protocol runs and nothing is delayed, dropped or duplicated.
+  o.faults.reorder = 1.0;
+  o.faults.reorder_delay_min = 0;
+  o.faults.reorder_delay_max = 0;
   o.reliability.window = 4;
   o.reliability.rto = 8;
   net.Configure(o);
@@ -325,27 +329,6 @@ TEST(ReliabilityTest, WindowBoundsInFlightFrames) {
     EXPECT_EQ(log.count[i], 1) << "payload " << i;
   }
   EXPECT_TRUE(net.AllReliableDelivered());
-}
-
-TEST(ReliabilityTest, ModeOffKeepsTheLossyFabric) {
-  Network net;
-  NetworkOptions o = QuietFaultOptions();
-  o.faults.drop = 1.0;
-  o.reliability.mode = ReliabilityOptions::Mode::kOff;
-  net.Configure(o);
-  EXPECT_FALSE(net.reliable());
-
-  DeliveryLog log;
-  log.Attach(&net, 1);
-  net.AdvanceClock(0);
-  for (int i = 0; i < 20; ++i) {
-    net.Send(0, 1, MessageKind::kInferenceState, IndexedPayload(i));
-  }
-  PumpUntilQuiet(&net, 2, 0, 4);
-  EXPECT_TRUE(log.count.empty());  // everything lost, nothing recovered
-  EXPECT_EQ(net.fault_stats().drops, 20);
-  EXPECT_EQ(net.reliable_stats().retransmits, 0);
-  EXPECT_EQ(net.BytesOfKind(MessageKind::kAck), 0);
 }
 
 // ---- Wire-level corruption against the socket backend ----
@@ -546,8 +529,8 @@ TEST(FaultyReplayTest, SeededFaultsAreBitIdenticalAcrossBackendsAndThreads) {
 
 TEST(FaultyReplayTest, FaultsOffMatchesTheSeedFabricByteForByte) {
   ReplayFixture fx;
-  // With no faults configured, kAuto must keep the reliability protocol
-  // off entirely: zero acks, zero retransmits, link_seq never assigned.
+  // With no faults configured the reliability protocol stays off
+  // entirely: zero acks, zero retransmits, link_seq never assigned.
   DistributedOptions opts = ReplayOptions(0);
   DistributedSystem system(&fx.sim, opts, &fx.catalog, &fx.sensors);
   system.Run();

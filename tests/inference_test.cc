@@ -424,7 +424,7 @@ TEST(RFInferTest, ExplicitUniverseHierarchical) {
   trace.Seal();
 
   RFInfer engine(&model, &sched);
-  engine.SetUniverse({p1, p2}, {k1, k2});
+  engine.SetUniverseKinds(TagKind::kPallet, TagKind::kCase);
   ASSERT_TRUE(engine.Run(trace, 0, T - 1).ok());
   EXPECT_EQ(engine.ContainerOf(k1), p1);
   EXPECT_EQ(engine.ContainerOf(k2), p2);

@@ -145,7 +145,7 @@ TEST(IntegrationTest, HierarchicalContainmentTwoLevels) {
   ASSERT_TRUE(item_level.Run(trace, 0, cfg.horizon).ok());
 
   RFInfer case_level(&sim.model(), &sim.schedule());
-  case_level.SetUniverse(sim.all_pallets(), sim.all_cases());
+  case_level.SetUniverseKinds(TagKind::kPallet, TagKind::kCase);
   ASSERT_TRUE(case_level.Run(trace, 0, cfg.horizon).ok());
 
   // Pallets and cases are co-located only at the entry/exit; expect the

@@ -208,25 +208,6 @@ TEST(LayoutTest, MobileScheduleSweepsShelves) {
   EXPECT_TRUE(sched.ActiveAt(s.shelves[0], 35));  // next sweep
 }
 
-TEST(LayoutTest, SiteModelExtractsLocalBlock) {
-  Layout layout(2, 2);
-  ReadRateParams p;
-  p.main = 0.9;
-  p.overlap = 0.4;
-  Rng rng(4);
-  auto global = layout.BuildReadRateModel(p, rng);
-  auto local = layout.SiteModel(1, global);
-  EXPECT_EQ(local.num_locations(), 5);
-  const auto locs = layout.site(1).AllLocations();
-  for (size_t r = 0; r < locs.size(); ++r) {
-    for (size_t a = 0; a < locs.size(); ++a) {
-      EXPECT_DOUBLE_EQ(local.Rate(static_cast<LocationId>(r),
-                                  static_cast<LocationId>(a)),
-                       global.Rate(locs[r], locs[a]));
-    }
-  }
-}
-
 TEST(ReaderSimTest, GeneratesOnlyScheduledReads) {
   Layout layout(1, 2);
   ReadRateParams p;

@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -58,18 +56,6 @@ TEST(TraceTest, MinMaxEpochAndEmpty) {
   t.Seal();
   EXPECT_EQ(t.MinEpoch(), 2);
   EXPECT_EQ(t.MaxEpoch(), 7);
-}
-
-TEST(TraceTest, SliceFiltersInclusive) {
-  Trace t;
-  for (Epoch e = 0; e < 10; ++e) {
-    t.Add(RawReading{e, TagId::Item(1), 0});
-  }
-  t.Seal();
-  Trace s = t.Slice(3, 6);
-  EXPECT_EQ(s.size(), 4u);
-  EXPECT_EQ(s.MinEpoch(), 3);
-  EXPECT_EQ(s.MaxEpoch(), 6);
 }
 
 TEST(TraceTest, TagsAreSorted) {
@@ -211,34 +197,6 @@ TEST(TraceIoTest, CorruptPayloadsAreDefinedBehavior) {
   truncated.PutVarint(1000);
   truncated.PutSignedVarint(1);
   EXPECT_FALSE(DecodeTrace(truncated.Release()).ok());
-}
-
-TEST(TraceIoTest, FileRoundTrip) {
-  Trace t;
-  t.Add(RawReading{1, TagId::Item(1), 0});
-  t.Add(RawReading{2, TagId::Case(1), 1});
-  t.Seal();
-  std::string path = testing::TempDir() + "/trace_io_test.bin";
-  ASSERT_TRUE(WriteTraceFile(t, path).ok());
-  auto back = ReadTraceFile(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->readings(), t.readings());
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoTest, CsvWrites) {
-  Trace t;
-  t.Add(RawReading{1, TagId::Item(1), 0});
-  t.Seal();
-  std::string path = testing::TempDir() + "/trace_io_test.csv";
-  ASSERT_TRUE(WriteTraceCsv(t, path).ok());
-  FILE* f = fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char line[128];
-  ASSERT_NE(fgets(line, sizeof(line), f), nullptr);
-  EXPECT_EQ(std::string(line), "time,tag,reader\n");
-  fclose(f);
-  std::remove(path.c_str());
 }
 
 TEST(ProductCatalogTest, LookupAndIsA) {
