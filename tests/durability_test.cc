@@ -8,6 +8,9 @@
 //     per-kind byte totals bit-identical to the uncrashed run;
 //   - a transfer departing DURING the outage (the dead process never sent
 //     it) exported exactly by the catch-up replay;
+//   - an outage spanning inference boundaries, whose samples score the
+//     down site's tags from the view frozen at the crash: pinned bit for
+//     bit, serial and pooled;
 //   - corruption handling: every single-byte flip of a checkpoint falls
 //     back to the previous cut, WAL truncation at every offset yields the
 //     longest complete-record prefix (torn tail counted) or fails loudly
