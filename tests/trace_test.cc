@@ -1,4 +1,4 @@
-// Unit tests for the trace data model: traces, ground truth, trace I/O,
+// Unit tests for the trace data model: traces, ground truth, the trace codec,
 // and the product catalog.
 #include <gtest/gtest.h>
 
