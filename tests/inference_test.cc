@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -907,6 +909,138 @@ TEST(InferenceIntegrationTest, StreamingOutputIsBitIdenticalToPinnedDigest) {
     EXPECT_FALSE(si.all_changes().empty());
     EXPECT_GT(regions, 0u);
     EXPECT_EQ(d.h, 0x2c7ea6d2a940bea3ULL) << std::hex << "digest 0x" << d.h;
+  }
+}
+
+// What a test can see of one container's epoch universe in a run: the
+// universe is the window plus the part of each candidate object's critical
+// region that survives the object's barrier and first reading, so it lies
+// inside `hull` (the window and the installed regions of the objects that
+// list the container), and it holds `held` (the window's first epoch and
+// the evidence events of those objects).
+struct UniverseBound {
+  std::vector<EpochInterval> hull;
+  std::vector<Epoch> held;
+
+  // A lower bound on the universe's interval count: each interval of the
+  // hull that holds a held epoch holds at least one interval of it.
+  int IntervalsAtLeast() {
+    std::sort(hull.begin(), hull.end(),
+              [](const EpochInterval& a, const EpochInterval& b) {
+                return a.begin < b.begin;
+              });
+    std::vector<EpochInterval> merged;
+    for (const EpochInterval& iv : hull) {
+      if (!merged.empty() && iv.begin <= merged.back().end + 1) {
+        merged.back().end = std::max(merged.back().end, iv.end);
+      } else {
+        merged.push_back(iv);
+      }
+    }
+    int n = 0;
+    for (const EpochInterval& iv : merged) {
+      n += std::any_of(held.begin(), held.end(),
+                       [&](Epoch t) { return iv.Contains(t); })
+               ? 1
+               : 0;
+    }
+    return n;
+  }
+};
+
+// Pins what the M-step and the evidence pass read from the E-step's
+// posteriors: every object's exported weights, the point and cumulative
+// evidence series of every (object, candidate) pair, every object's change
+// statistic, the critical-region search's windows and gaps, and the
+// per-iteration likelihood. The stream keeps critical regions behind the
+// window and installs change-point barriers, so some container universes
+// have holes and posterior lookups cross them. Serial and on a 4-thread
+// pool.
+TEST(InferenceIntegrationTest, EvidenceOverHoledUniversesIsBitIdenticalToPinnedDigest) {
+  SupplyChainConfig cfg;
+  cfg.num_warehouses = 1;
+  cfg.shelves_per_warehouse = 4;
+  cfg.cases_per_pallet = 3;
+  cfg.items_per_case = 6;
+  cfg.shelf_stay = 500;
+  cfg.anomaly_interval = 120;
+  cfg.horizon = 1500;
+  cfg.seed = 5;
+  SupplyChainSim sim(cfg);
+  sim.Run();
+
+  StreamingOptions opts;
+  opts.inference_period = 60;
+  opts.truncation = TruncationMethod::kCriticalRegion;
+  opts.recent_history = 300;
+  opts.detect_changes = true;
+
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    std::unique_ptr<SiteExecutor> pool;
+    if (threads > 0) pool = std::make_unique<SiteExecutor>(threads);
+    StreamingInference si(&sim.model(), &sim.schedule(), opts);
+    si.set_pool(pool.get());
+
+    BitDigest d;
+    int most_intervals = 0;
+    size_t barrier_installs = 0;
+    const std::vector<RawReading>& rs = sim.site_trace(0).readings();
+    size_t cursor = 0;
+    for (Epoch b = opts.inference_period; b <= cfg.horizon;
+         b += opts.inference_period) {
+      // The critical regions this run's universes are built from.
+      std::map<TagId, std::optional<EpochInterval>> installed;
+      for (TagId o : sim.all_items()) {
+        const ObjectContext ctx = si.ExportObjectContext(o);
+        installed[o] = ctx.critical_region;
+        if (ctx.barrier >= 0) ++barrier_installs;
+      }
+      const size_t begin = cursor;
+      while (cursor < rs.size() && rs[cursor].time <= b) ++cursor;
+      si.ObserveBatch(rs.data() + begin, cursor - begin);
+      ASSERT_EQ(si.AdvanceTo(b), 1);
+
+      const RFInfer& engine = si.engine();
+      for (double ll : engine.likelihood_history()) d.Double(ll);
+      const std::unordered_map<TagId, CriticalRegion> regions =
+          engine.FindCriticalRegions(60, 25.0);
+      std::map<TagId, UniverseBound> bounds;
+      for (TagId c : engine.container_tags()) {
+        bounds[c].hull.push_back(engine.window());
+        bounds[c].held.push_back(engine.window().begin);
+      }
+      for (TagId o : engine.object_tags()) {
+        d.Tag(o);
+        d.Double(engine.ChangeStatistic(o));
+        auto cr = regions.find(o);
+        d.Int(cr != regions.end() ? 1 : 0);
+        if (cr != regions.end()) {
+          d.Int(cr->second.window.begin);
+          d.Int(cr->second.window.end);
+          d.Double(cr->second.gap);
+        }
+        for (const auto& [c, w] : engine.ExportWeights(o)) {
+          d.Tag(c);
+          d.Double(w);
+          UniverseBound& bound = bounds[c];
+          if (installed[o].has_value()) bound.hull.push_back(*installed[o]);
+          for (const EvidencePoint& p : engine.EvidenceSeries(o, c)) {
+            d.Int(p.time);
+            d.Double(p.point);
+            d.Double(p.cumulative);
+            bound.held.push_back(p.time);
+          }
+        }
+      }
+      for (auto& [c, bound] : bounds) {
+        most_intervals = std::max(most_intervals, bound.IntervalsAtLeast());
+      }
+    }
+    EXPECT_EQ(si.runs(), 25);
+    EXPECT_GT(barrier_installs, 0u);
+    EXPECT_GE(most_intervals, 3);
+    EXPECT_EQ(d.h, 0xdbfdc25dd8198a76ULL) << std::hex << "digest 0x" << d.h;
   }
 }
 
