@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the hot kernels: the EM engine on
 // planted worlds, the change-point scan, the per-run evidence pass (EM
-// plus fused change-point and critical-region search), trace
-// serialization, gzip (the
-// centralized baseline's compressor), exposure-query events, the
+// plus fused change-point and critical-region search), one streaming
+// boundary of a site-stream-shaped warehouse, trace serialization, gzip
+// (the centralized baseline's compressor), exposure-query events, the
 // centroid diff codec, the window index build (cold and streaming),
 // zero-copy frame decode, and the span flush encode.
 #include <benchmark/benchmark.h>
@@ -11,14 +11,17 @@
 
 #include "common/compress.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "dist/frame.h"
 #include "dist/site.h"
 #include "inference/rfinfer.h"
+#include "inference/streaming.h"
 #include "model/generative.h"
 #include "model/read_rate.h"
 #include "model/schedule.h"
 #include "query/queries.h"
 #include "query/state_sharing.h"
+#include "sim/supply_chain.h"
 #include "trace/trace_io.h"
 
 namespace rfid {
@@ -99,6 +102,64 @@ void BM_EvidencePass(benchmark::State& state) {
                           static_cast<int64_t>(trace.size()));
 }
 BENCHMARK(BM_EvidencePass);
+
+// One site-stream boundary: a warehouse whose shelf readers scan every 10
+// epochs (so idle gaps span several schedule classes), streamed window by
+// window with change detection and critical-region truncation (so
+// container universes keep old critical regions behind the window). Each
+// iteration replays the stream from a fresh driver and times only the
+// AdvanceTo calls of the second half, once the site holds a steady
+// population; boundary_s is the mean time of one of them.
+void BM_SiteStreamBoundary(benchmark::State& state) {
+  SupplyChainConfig cfg;
+  cfg.num_warehouses = 1;
+  cfg.shelves_per_warehouse = 6;
+  cfg.cases_per_pallet = 5;
+  cfg.items_per_case = 10;
+  cfg.pallet_injection_interval = 300;
+  cfg.pallets_per_injection = 1;
+  cfg.shelf_stay = 600;
+  cfg.read_rate.main = 0.8;
+  cfg.read_rate.overlap = 0.5;
+  cfg.anomaly_interval = 120;
+  cfg.horizon = 2400;
+  cfg.seed = 1;
+  SupplyChainSim sim(cfg);
+  sim.Run();
+  StreamingOptions opts;
+  opts.inference_period = 60;
+  opts.recent_history = 300;
+  opts.detect_changes = true;
+  const std::vector<RawReading>& rs = sim.site_trace(0).readings();
+  const Epoch timed_from = cfg.horizon / 2;
+  int64_t timed = 0;
+  for (auto _ : state) {
+    StreamingInference si(&sim.model(), &sim.schedule(), opts);
+    double seconds = 0.0;
+    timed = 0;
+    size_t cursor = 0;
+    for (Epoch b = opts.inference_period; b <= cfg.horizon;
+         b += opts.inference_period) {
+      const size_t begin = cursor;
+      while (cursor < rs.size() && rs[cursor].time <= b) ++cursor;
+      si.ObserveBatch(rs.data() + begin, cursor - begin);
+      Stopwatch timer;
+      benchmark::DoNotOptimize(si.AdvanceTo(b));
+      if (b > timed_from) {
+        seconds += timer.ElapsedSeconds();
+        ++timed;
+      }
+    }
+    state.SetIterationTime(seconds);
+  }
+  state.counters["boundary_s"] = benchmark::Counter(
+      static_cast<double>(timed),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SiteStreamBoundary)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TraceEncode(benchmark::State& state) {
   Trace trace = PlantedTrace(8, 10, 600, 0.8, 44);

@@ -352,11 +352,12 @@ void DistributedSystem::Run() {
       RecoverSiteDurable(s, t);
     }
 
-    // -- Serial: directory bookkeeping due at t.
+    // -- Serial: directory bookkeeping due at t. The centralized
+    // deployment keeps no directory: site 0 answers for every tag.
     {
       obs::PhaseTimer span(telemetry_.get(), obs::Phase::kDirectory, t);
       while (inj < injections.size() && injections[inj].first <= t) {
-        ons_.Register(injections[inj].second, 0);
+        if (!centralized()) ons_.Register(injections[inj].second, 0);
         ++inj;
       }
 
@@ -364,12 +365,12 @@ void DistributedSystem::Run() {
              transfers[by_arrive[arr]].arrive <= t) {
         const ObjectTransfer& tr = transfers[by_arrive[arr]];
         ++arr;
-        if (tr.to == kNoSite) continue;
+        if (tr.to == kNoSite || centralized()) continue;
         // The destination locates the group's previous owner before taking
         // over (the handoff's "who do I pull stragglers from" resolution).
         // Nothing moved since the departure-time resolution, so with the
         // resolver cache enabled this repeat costs zero wire bytes.
-        if (!centralized()) ons_.Resolve(tr.pallet, tr.to);
+        ons_.Resolve(tr.pallet, tr.to);
         auto reassign = [&](TagId tag) {
           phase_.AssertHeld();  // lambda body: re-establish for analysis
           ons_.Register(tag, tr.to);
@@ -490,7 +491,7 @@ void DistributedSystem::Run() {
             sites_[static_cast<size_t>(from)]->ExportTransfer(tr);
           }
         }
-        if (tr.to == kNoSite) {
+        if (tr.to == kNoSite && !centralized()) {
           auto drop = [&](TagId tag) {
             phase_.AssertHeld();  // lambda body: re-establish for analysis
             ons_.Unregister(tag);

@@ -1,11 +1,13 @@
 #include "inference/rfinfer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
 
 #include "common/log_space.h"
+#include "common/merge_runs.h"
 #include "inference/colocation.h"
 
 namespace rfid {
@@ -65,6 +67,15 @@ std::vector<EpochInterval> ClipFrom(std::vector<EpochInterval> ivs,
   return out;
 }
 
+/// Bit p of a bitset stored in 64-bit words.
+bool BitAt(const std::vector<uint64_t>& bits, size_t p) {
+  return ((bits[p / 64] >> (p % 64)) & 1) != 0;
+}
+
+void SetBit(std::vector<uint64_t>* bits, size_t p) {
+  (*bits)[p / 64] |= uint64_t{1} << (p % 64);
+}
+
 uint64_t HashIndices(const std::vector<int>& xs) {
   uint64_t h = 1469598103934665603ULL;
   for (int x : xs) {
@@ -72,33 +83,6 @@ uint64_t HashIndices(const std::vector<int>& xs) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-/// Merges the consecutive sorted runs of `buf` (run r ends at (*ends)[r])
-/// into one sorted sequence by merging neighbouring runs pairwise until
-/// one remains: O(n log runs) instead of sorting the concatenation.
-/// `tmp` is scratch; `ends` is consumed.
-template <typename T>
-void MergeRuns(std::vector<T>* buf, std::vector<size_t>* ends,
-               std::vector<T>* tmp) {
-  while (ends->size() > 1) {
-    tmp->resize(buf->size());
-    size_t begin = 0;
-    size_t kept = 0;
-    for (size_t r = 0; r < ends->size(); r += 2) {
-      const size_t mid = (*ends)[r];
-      const size_t end = r + 1 < ends->size() ? (*ends)[r + 1] : mid;
-      std::merge(buf->begin() + static_cast<ptrdiff_t>(begin),
-                 buf->begin() + static_cast<ptrdiff_t>(mid),
-                 buf->begin() + static_cast<ptrdiff_t>(mid),
-                 buf->begin() + static_cast<ptrdiff_t>(end),
-                 tmp->begin() + static_cast<ptrdiff_t>(begin));
-      (*ends)[kept++] = end;
-      begin = end;
-    }
-    ends->resize(kept);
-    buf->swap(*tmp);
-  }
 }
 
 }  // namespace
@@ -471,7 +455,7 @@ void RFInfer::ComputeContainer(ContainerData& c, EStepScratch* scratch) {
   }
 
   // Prefix sums of active-epoch excess over the idle constant, the kernel
-  // behind O(1) interval sums in SumM, and the per-class active counts the
+  // behind O(1) interval sums of m_c, and the per-class active counts the
   // likelihood's idle term subtracts.
   c.act_excess_prefix.assign(c.act_epochs.size() + 1, 0.0);
   c.act_class_count.assign(static_cast<size_t>(n_cls), 0);
@@ -482,6 +466,32 @@ void RFInfer::ComputeContainer(ContainerData& c, EStepScratch* scratch) {
         c.act_excess_prefix[k] + c.act_m[k] - c.m_idle[cls];
     ++c.act_class_count[cls];
   }
+
+  // The epoch index: every active epoch lies in the universe (own reads
+  // and members' reads are filtered to it), so a position's rank counts
+  // the active epochs before its epoch.
+  c.index_base.resize(c.universe.size());
+  size_t n_pos = 0;
+  for (size_t u = 0; u < c.universe.size(); ++u) {
+    const EpochInterval& iv = c.universe[u];
+    c.index_base[u] = static_cast<Epoch>(n_pos) - iv.begin;
+    n_pos += static_cast<size_t>(iv.end - iv.begin + 1);
+  }
+  c.act_rank.resize(n_pos + 1);
+  c.act_bits.assign(n_pos / 64 + 2, 0);
+  size_t next = 0;  // first position whose rank is not yet written
+  size_t u = 0;
+  for (size_t k = 0; k < c.act_epochs.size(); ++k) {
+    const Epoch t = c.act_epochs[k];
+    const size_t p = static_cast<size_t>(t + IndexBase(c, t, &u));
+    std::fill(c.act_rank.begin() + static_cast<ptrdiff_t>(next),
+              c.act_rank.begin() + static_cast<ptrdiff_t>(p + 1),
+              static_cast<uint32_t>(k));
+    SetBit(&c.act_bits, p);
+    next = p + 1;
+  }
+  std::fill(c.act_rank.begin() + static_cast<ptrdiff_t>(next),
+            c.act_rank.end(), static_cast<uint32_t>(c.act_epochs.size()));
   c.computed = true;
 }
 
@@ -498,34 +508,10 @@ void RFInfer::EStep() {
 // lint:hot-loop-end
 
 // lint:hot-loop-begin(m-step)
-double RFInfer::SumM(const ContainerData& c, const EpochInterval& interval,
-                     size_t* act) const {
-  if (interval.empty()) return 0.0;
-  double total = 0.0;
-  schedule_->ForEachClassCount(
-      interval.begin, interval.end, [&](int cls, int64_t count) {
-        total += static_cast<double>(count) *
-                 c.m_idle[static_cast<size_t>(cls)];
-      });
-  const std::vector<Epoch>& ts = c.act_epochs;
-  size_t lo = *act;
-  while (lo < ts.size() && ts[lo] < interval.begin) ++lo;
-  size_t hi = lo;
-  while (hi < ts.size() && ts[hi] <= interval.end) ++hi;
-  *act = hi;
-  total += c.act_excess_prefix[hi] - c.act_excess_prefix[lo];
-  return total;
-}
-
-const double* RFInfer::PosteriorAt(const ContainerData& c, Epoch t,
-                                   size_t* act) const {
-  const size_t R = static_cast<size_t>(model_->num_locations());
-  const std::vector<Epoch>& ts = c.act_epochs;
-  size_t k = *act;
-  while (k < ts.size() && ts[k] < t) ++k;
-  *act = k;
-  if (k < ts.size() && ts[k] == t) return &c.q_act[k * R];
-  return &c.q_idle[static_cast<size_t>(schedule_->ClassOf(t)) * R];
+Epoch RFInfer::IndexBase(const ContainerData& c, Epoch t, size_t* u) {
+  while (c.universe[*u].end < t) ++*u;
+  assert(c.universe[*u].begin <= t);
+  return c.index_base[*u];
 }
 
 double RFInfer::DotAdjust(const double* q, LocationId r) const {
@@ -538,15 +524,39 @@ double RFInfer::DotAdjust(const double* q, LocationId r) const {
 }
 
 double RFInfer::ComputeWeight(const ObjectData& o, int container_index) const {
+  // Every interval of the object's universe lies inside one interval of
+  // the container's, so one index base serves the whole interval.
   const ContainerData& c = containers_[static_cast<size_t>(container_index)];
+  const size_t R = static_cast<size_t>(model_->num_locations());
   double w = 0.0;
-  size_t act = 0;
+  size_t u = 0;
   for (const EpochInterval& iv : o.universe) {
-    w += SumM(c, iv, &act);
+    const Epoch base = IndexBase(c, iv.begin, &u);
+    double total = 0.0;
+    schedule_->ForEachClassCount(
+        iv.begin, iv.end, [&](int cls, int64_t count) {
+          total += static_cast<double>(count) *
+                   c.m_idle[static_cast<size_t>(cls)];
+        });
+    total += c.act_excess_prefix[c.act_rank[static_cast<size_t>(
+                 iv.end + 1 + base)]] -
+             c.act_excess_prefix[c.act_rank[static_cast<size_t>(
+                 iv.begin + base)]];
+    w += total;
   }
-  act = 0;
-  for (const TagRead& tr : o.reads) {
-    w += DotAdjust(PosteriorAt(c, tr.time, &act), tr.reader);
+  u = 0;
+  size_t r = 0;
+  for (const EpochInterval& iv : o.universe) {
+    const Epoch base = IndexBase(c, iv.begin, &u);
+    for (; r < o.reads.size() && o.reads[r].time <= iv.end; ++r) {
+      const Epoch t = o.reads[r].time;
+      const size_t p = static_cast<size_t>(t + base);
+      const double* q =
+          BitAt(c.act_bits, p)
+              ? &c.q_act[c.act_rank[p] * R]
+              : &c.q_idle[static_cast<size_t>(schedule_->ClassOf(t)) * R];
+      w += DotAdjust(q, o.reads[r].reader);
+    }
   }
   return w;
 }
@@ -812,78 +822,121 @@ void RFInfer::ScanObject(const ObjectData& o, ScanResult* scan) const {
   scan->total.clear();
   const size_t n_cand = o.candidates.size();
   if (n_cand == 0) return;
+  const size_t R = static_cast<size_t>(model_->num_locations());
 
   // Event epochs: any epoch in the object universe where the object or any
-  // candidate container group had a reading. The object's reads and each
-  // candidate's active epochs are time-sorted runs, merged in place.
-  size_t bound = o.reads.size();
-  for (int ci : o.candidates) {
-    bound += containers_[static_cast<size_t>(ci)].act_epochs.size();
+  // candidate container group had a reading -- per universe interval, the
+  // OR of the candidates' active bits over it plus the object's reads.
+  size_t n_epochs = 0;
+  for (const EpochInterval& iv : o.universe) {
+    n_epochs += static_cast<size_t>(iv.end - iv.begin + 1);
   }
-  events.reserve(bound);
-  std::vector<size_t>& ends = scan->run_ends;
-  ends.clear();
-  ends.reserve(n_cand + 1);
-  for (const TagRead& tr : o.reads) events.push_back(tr.time);
-  ends.push_back(events.size());
-  for (int ci : o.candidates) {
-    size_t u = 0;  // cursor into o.universe
-    for (Epoch t : containers_[static_cast<size_t>(ci)].act_epochs) {
-      while (u < o.universe.size() && o.universe[u].end < t) ++u;
-      if (u == o.universe.size()) break;
-      if (t >= o.universe[u].begin) events.push_back(t);
+  events.reserve(n_epochs);
+  std::vector<Epoch>& base = scan->base;
+  base.resize(o.universe.size() * n_cand);
+  std::vector<uint64_t>& bits = scan->event_bits;
+  size_t read_i = 0;
+  for (size_t i = 0; i < o.universe.size(); ++i) {
+    const EpochInterval& iv = o.universe[i];
+    const size_t len = static_cast<size_t>(iv.end - iv.begin + 1);
+    const size_t words = (len + 63) / 64;
+    bits.assign(words, 0);
+    for (size_t j = 0; j < n_cand; ++j) {
+      const ContainerData& c =
+          containers_[static_cast<size_t>(o.candidates[j])];
+      size_t u = 0;
+      base[i * n_cand + j] = IndexBase(c, iv.begin, &u);
+      const size_t p0 = static_cast<size_t>(iv.begin + base[i * n_cand + j]);
+      const size_t shift = p0 % 64;
+      const uint64_t* src = c.act_bits.data() + p0 / 64;
+      for (size_t w = 0; w < words; ++w) {
+        bits[w] |= shift == 0
+                       ? src[w]
+                       : (src[w] >> shift) | (src[w + 1] << (64 - shift));
+      }
     }
-    ends.push_back(events.size());
+    if (len % 64 != 0) bits[words - 1] &= (uint64_t{1} << (len % 64)) - 1;
+    for (; read_i < o.reads.size() && o.reads[read_i].time <= iv.end;
+         ++read_i) {
+      SetBit(&bits,
+             static_cast<size_t>(o.reads[read_i].time - iv.begin));
+    }
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+        events.push_back(iv.begin + static_cast<Epoch>(64 * w) +
+                         std::countr_zero(word));
+      }
+    }
   }
-  MergeRuns(&events, &ends, &scan->merge_tmp);
-  events.erase(std::unique(events.begin(), events.end()), events.end());
   scan->point.assign(events.size() * n_cand, 0.0);
   scan->cum.assign(events.size() * n_cand, 0.0);
-  scan->total.assign(n_cand, 0.0);
+  std::vector<double>& cum = scan->total;
+  cum.assign(n_cand, 0.0);
 
-  for (size_t j = 0; j < n_cand; ++j) {
-    const ContainerData& c =
-        containers_[static_cast<size_t>(o.candidates[j])];
-    double cum = 0.0;
-    size_t ev = 0;      // cursor into events
-    size_t read_i = 0;  // cursor into o.reads
-    size_t act = 0;     // cursor into c.act_epochs
-    for (const EpochInterval& iv : o.universe) {
-      Epoch prev = iv.begin - 1;
-      while (ev < events.size() && events[ev] <= iv.end) {
-        const Epoch t = events[ev];
-        if (t < iv.begin) {  // event belongs to an earlier interval gap
-          ++ev;
-          continue;
-        }
-        if (t > prev + 1) {
-          cum += SumM(c, EpochInterval{prev + 1, t - 1}, &act);
-        }
-        // Point evidence at t: the miss term plus corrections for the
-        // object's actual reads at t (Eq 7).
-        const double* q = PosteriorAt(c, t, &act);
+  // One walk of the events for all candidates. No candidate is active
+  // between two events, so a gap's sum is its idle classes' alone, counted
+  // once and summed per candidate in class order; each candidate still
+  // accumulates gaps and points in event order.
+  std::vector<std::pair<int, int64_t>>& gap = scan->gap_classes;
+  gap.reserve(static_cast<size_t>(schedule_->num_classes()));
+  const auto add_gap = [&](Epoch begin, Epoch end) {
+    gap.clear();
+    schedule_->ForEachClassCount(begin, end, [&](int cls, int64_t count) {
+      gap.push_back({cls, count});
+    });
+    for (size_t j = 0; j < n_cand; ++j) {
+      const ContainerData& c =
+          containers_[static_cast<size_t>(o.candidates[j])];
+      double total = 0.0;
+      for (const auto& [cls, count] : gap) {
+        total += static_cast<double>(count) *
+                 c.m_idle[static_cast<size_t>(cls)];
+      }
+      cum[j] += total;
+    }
+  };
+  size_t ev = 0;
+  read_i = 0;
+  for (size_t i = 0; i < o.universe.size(); ++i) {
+    const EpochInterval& iv = o.universe[i];
+    const Epoch* iv_base = base.data() + i * n_cand;
+    Epoch prev = iv.begin - 1;
+    for (; ev < events.size() && events[ev] <= iv.end; ++ev) {
+      const Epoch t = events[ev];
+      if (t > prev + 1) add_gap(prev + 1, t - 1);
+      // Point evidence at t: the miss term plus corrections for the
+      // object's actual reads at t (Eq 7).
+      const size_t cls = static_cast<size_t>(schedule_->ClassOf(t));
+      while (read_i < o.reads.size() && o.reads[read_i].time < t) ++read_i;
+      size_t read_end = read_i;
+      while (read_end < o.reads.size() && o.reads[read_end].time == t) {
+        ++read_end;
+      }
+      for (size_t j = 0; j < n_cand; ++j) {
+        const ContainerData& c =
+            containers_[static_cast<size_t>(o.candidates[j])];
+        const size_t p = static_cast<size_t>(t + iv_base[j]);
         double point;
-        if (act < c.act_epochs.size() && c.act_epochs[act] == t) {
-          point = c.act_m[act];
+        const double* q;
+        if (BitAt(c.act_bits, p)) {
+          const size_t k = c.act_rank[p];
+          point = c.act_m[k];
+          q = &c.q_act[k * R];
         } else {
-          point = c.m_idle[static_cast<size_t>(schedule_->ClassOf(t))];
+          point = c.m_idle[cls];
+          q = &c.q_idle[cls * R];
         }
-        while (read_i < o.reads.size() && o.reads[read_i].time < t) ++read_i;
-        for (size_t ri = read_i;
-             ri < o.reads.size() && o.reads[ri].time == t; ++ri) {
+        for (size_t ri = read_i; ri < read_end; ++ri) {
           point += DotAdjust(q, o.reads[ri].reader);
         }
-        cum += point;
+        cum[j] += point;
         scan->point[ev * n_cand + j] = point;
-        scan->cum[ev * n_cand + j] = cum;
-        prev = t;
-        ++ev;
+        scan->cum[ev * n_cand + j] = cum[j];
       }
-      if (iv.end > prev) {
-        cum += SumM(c, EpochInterval{prev + 1, iv.end}, &act);
-      }
+      read_i = read_end;
+      prev = t;
     }
-    scan->total[j] = cum;
+    if (iv.end > prev) add_gap(prev + 1, iv.end);
   }
 }
 

@@ -274,6 +274,16 @@ class RFInfer {
     std::vector<double> lz_idle; ///< n_classes; idle per-epoch log-likelihood
     /// Active epochs per schedule class.
     std::vector<int64_t> act_class_count;
+    /// Epoch index over `universe`, rebuilt with the posteriors. Positions
+    /// number the universe's epochs back to back: epoch t of universe
+    /// interval u sits at position t + index_base[u].
+    std::vector<Epoch> index_base;
+    /// act_rank[p]: active epochs before position p (positions + 1
+    /// entries), so an active epoch's posterior row is q_act[act_rank[p]].
+    std::vector<uint32_t> act_rank;
+    /// Bit p is set iff position p is an active epoch; one zero word pads
+    /// the end so any 64 positions can be read as one word.
+    std::vector<uint64_t> act_bits;
     double sum_act_lz = 0.0;
     uint64_t member_hash = 0;
     bool computed = false;
@@ -317,17 +327,10 @@ class RFInfer {
   double ComputeLogLikelihood() const;
 
   // Shared kernels.
-  /// Sum of m_c over all epochs of `interval` (active + idle). `act` is a
-  /// forward cursor into c.act_epochs that must not be past the first
-  /// active epoch >= interval.begin; it is left at the first one past
-  /// interval.end, so ascending disjoint intervals walk c once.
-  double SumM(const ContainerData& c, const EpochInterval& interval,
-              size_t* act) const;
-  /// Posterior row of container c at epoch t (active row or idle class
-  /// row), with `act` advanced to the first active epoch >= t; ascending t
-  /// walk c.act_epochs once.
-  const double* PosteriorAt(const ContainerData& c, Epoch t,
-                            size_t* act) const;
+  /// Index base (position minus epoch) of the universe interval of c that
+  /// holds epoch t. `u` is a forward cursor into c.universe, so ascending
+  /// t walk c's intervals once.
+  static Epoch IndexBase(const ContainerData& c, Epoch t, size_t* u);
   /// sum_a q(a) * LogReadAdjust(r, a).
   double DotAdjust(const double* q, LocationId r) const;
 
@@ -342,9 +345,14 @@ class RFInfer {
     std::vector<double> cum;
     /// total[j]: E_co over the full universe (== weight - prior).
     std::vector<double> total;
-    // Scratch of the event merge and the sliding-window search.
-    std::vector<Epoch> merge_tmp;
-    std::vector<size_t> run_ends;
+    // Scratch of the event build, the evidence walk and the sliding-window
+    // search.
+    std::vector<uint64_t> event_bits;
+    /// base[i * num_candidates + j]: index base of candidate j over the
+    /// object's universe interval i.
+    std::vector<Epoch> base;
+    /// (class, epoch count) of the current idle gap, in class order.
+    std::vector<std::pair<int, int64_t>> gap_classes;
     std::vector<double> win_sum;
   };
   void ScanObject(const ObjectData& o, ScanResult* scan) const;

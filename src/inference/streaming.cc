@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/merge_runs.h"
 #include "common/stopwatch.h"
 #include "trace/trace_io.h"
 
@@ -292,7 +293,11 @@ std::vector<RawReading> StreamingInference::ExportReadings(
         std::max<Epoch>(0, last_run_at_ - options_.recent_history + 1),
         last_run_at_});
   }
+  // Each tag's history is sorted by (time, reader), so the per-tag runs
+  // are merged into RawReadingOrder rather than sorted.
   std::vector<RawReading> out;
+  std::vector<size_t> ends;
+  ends.reserve(tags.size());
   for (TagId tag : tags) {
     for (const TagRead& tr : buffer_.HistoryOf(tag)) {
       for (const EpochInterval& iv : regions) {
@@ -302,8 +307,10 @@ std::vector<RawReading> StreamingInference::ExportReadings(
         }
       }
     }
+    ends.push_back(out.size());
   }
-  std::sort(out.begin(), out.end(), RawReadingOrder{});
+  std::vector<RawReading> tmp;
+  MergeRuns(&out, &ends, &tmp, RawReadingOrder{});
   return out;
 }
 

@@ -650,7 +650,8 @@ TEST(SiteTest, MultiPeriodAdvanceFeedsEveryRun) {
 
 // The centralized server's buffer is where the interleaved per-site flush
 // batches meet: its accuracy series and both queries' alerts are pinned
-// bit for bit.
+// bit for bit. The deployment keeps no directory, so the ONS sees no
+// update.
 TEST(DistributedTest, CentralizedOutputIsBitIdenticalToPinnedDigest) {
   SupplyChainConfig cfg = ChainConfig(3, 1200);
   cfg.shelf_stay = 600;
@@ -678,6 +679,7 @@ TEST(DistributedTest, CentralizedOutputIsBitIdenticalToPinnedDigest) {
   d.Alerts(sys.AllAlerts(0));
   d.Alerts(sys.AllAlerts(1));
   EXPECT_EQ(d.h, 0xc2e11dc801c699f2ULL) << std::hex << "digest 0x" << d.h;
+  EXPECT_EQ(sys.ons().updates(), 0);
 }
 
 // A distributed replay with queries attached, once on a clean fabric and

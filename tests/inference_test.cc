@@ -956,7 +956,8 @@ struct UniverseBound {
 // window and installs change-point barriers, so some container universes
 // have holes and posterior lookups cross them. Serial and on a 4-thread
 // pool.
-TEST(InferenceIntegrationTest, EvidenceOverHoledUniversesIsBitIdenticalToPinnedDigest) {
+TEST(InferenceIntegrationTest,
+     EvidenceOverHoledUniversesIsBitIdenticalToPinnedDigest) {
   SupplyChainConfig cfg;
   cfg.num_warehouses = 1;
   cfg.shelves_per_warehouse = 4;

@@ -157,6 +157,44 @@ TEST(StreamingTest, ExportReadingsCoversCriticalRegionAndRecent) {
   EXPECT_TRUE(si.ExportReadings({item, case_tag}, item).empty());
 }
 
+// A full-readings export comes out in reading order, (time, reader, tag),
+// although the site gathers it tag by tag: here an item and its two
+// candidate cases are read by rotating readers at every epoch, so the
+// tags interleave within each epoch.
+TEST(StreamingTest, ExportReadingsInterleavesTagsAtEqualEpochs) {
+  const ReadRateModel model = ReadRateModel::Uniform(4, 0.8);
+  InterrogationSchedule schedule = InterrogationSchedule::AlwaysOn(4);
+  schedule.Finalize(model);
+  StreamingOptions opts;
+  opts.inference_period = 60;
+  opts.recent_history = 300;
+  StreamingInference si(&model, &schedule, opts);
+
+  const TagId tags[3] = {TagId::Item(1), TagId::Case(1), TagId::Case(2)};
+  std::vector<RawReading> fed;
+  for (Epoch t = 0; t < 60; ++t) {
+    for (LocationId r = 0; r < 4; ++r) {
+      fed.push_back(RawReading{t, tags[(t + r) % 3], r});
+    }
+  }
+  si.ObserveBatch(fed.data(), fed.size());
+  ASSERT_EQ(si.AdvanceTo(60), 1);
+
+  // The recent history of the run at 60 covers every epoch fed.
+  std::vector<RawReading> want = fed;
+  std::sort(want.begin(), want.end(), RawReadingOrder{});
+  const std::vector<RawReading> got =
+      si.ExportReadings({tags[0], tags[1], tags[2]}, tags[0]);
+  EXPECT_EQ(got, want);
+  size_t switches = 0;  // neighbours at one epoch with different tags
+  for (size_t i = 1; i < got.size(); ++i) {
+    if (got[i].time == got[i - 1].time && got[i].tag != got[i - 1].tag) {
+      ++switches;
+    }
+  }
+  EXPECT_GE(switches, 2 * 60u);
+}
+
 // A site forgets an object once its newest reading has fallen out of the
 // next run's window, so each run covers the objects present and the buffer
 // stops growing with the number of objects the site has ever seen.
