@@ -305,17 +305,27 @@ void RFInfer::BuildCandidates(const Trace& trace) {
     }
   }
   const size_t n_cls = static_cast<size_t>(schedule_->num_classes());
+  size_t n_pos = 0;  // epoch index positions laid out so far
   for (ContainerData& c : containers_) {
     c.universe = NormalizeIntervals(std::move(c.universe));
     c.universe_class_count.assign(n_cls, 0);
-    for (const EpochInterval& iv : c.universe) {
+    c.index_base.resize(c.universe.size());
+    c.index_begin = n_pos;
+    for (size_t u = 0; u < c.universe.size(); ++u) {
+      const EpochInterval& iv = c.universe[u];
       schedule_->ForEachClassCount(iv.begin, iv.end, [&](int cls, int64_t n) {
         c.universe_class_count[static_cast<size_t>(cls)] += n;
       });
+      c.index_base[u] = static_cast<Epoch>(n_pos) - iv.begin;
+      n_pos += static_cast<size_t>(iv.end - iv.begin + 1);
     }
+    c.index_end = n_pos + 1;
+    n_pos = (c.index_end + 63) / 64 * 64;
     c.computed = false;
     c.member_hash = 0;
   }
+  act_rank_.resize(n_pos);
+  act_bits_.resize(n_pos / 64 + 1);
   RebuildMembership();
 }
 
@@ -467,31 +477,26 @@ void RFInfer::ComputeContainer(ContainerData& c, EStepScratch* scratch) {
     ++c.act_class_count[cls];
   }
 
-  // The epoch index: every active epoch lies in the universe (own reads
-  // and members' reads are filtered to it), so a position's rank counts
-  // the active epochs before its epoch.
-  c.index_base.resize(c.universe.size());
-  size_t n_pos = 0;
-  for (size_t u = 0; u < c.universe.size(); ++u) {
-    const EpochInterval& iv = c.universe[u];
-    c.index_base[u] = static_cast<Epoch>(n_pos) - iv.begin;
-    n_pos += static_cast<size_t>(iv.end - iv.begin + 1);
-  }
-  c.act_rank.resize(n_pos + 1);
-  c.act_bits.assign(n_pos / 64 + 2, 0);
-  size_t next = 0;  // first position whose rank is not yet written
+  // The container's slice of the epoch index: every active epoch lies in
+  // the universe (own reads and members' reads are filtered to it), so a
+  // position's rank counts the active epochs before its epoch.
+  const size_t word_end = (c.index_end + 63) / 64;
+  std::fill(act_bits_.begin() + static_cast<ptrdiff_t>(c.index_begin / 64),
+            act_bits_.begin() + static_cast<ptrdiff_t>(word_end), uint64_t{0});
+  size_t next = c.index_begin;  // first position whose rank is not written
   size_t u = 0;
   for (size_t k = 0; k < c.act_epochs.size(); ++k) {
     const Epoch t = c.act_epochs[k];
     const size_t p = static_cast<size_t>(t + IndexBase(c, t, &u));
-    std::fill(c.act_rank.begin() + static_cast<ptrdiff_t>(next),
-              c.act_rank.begin() + static_cast<ptrdiff_t>(p + 1),
+    std::fill(act_rank_.begin() + static_cast<ptrdiff_t>(next),
+              act_rank_.begin() + static_cast<ptrdiff_t>(p + 1),
               static_cast<uint32_t>(k));
-    SetBit(&c.act_bits, p);
+    SetBit(&act_bits_, p);
     next = p + 1;
   }
-  std::fill(c.act_rank.begin() + static_cast<ptrdiff_t>(next),
-            c.act_rank.end(), static_cast<uint32_t>(c.act_epochs.size()));
+  std::fill(act_rank_.begin() + static_cast<ptrdiff_t>(next),
+            act_rank_.begin() + static_cast<ptrdiff_t>(c.index_end),
+            static_cast<uint32_t>(c.act_epochs.size()));
   c.computed = true;
 }
 
@@ -538,9 +543,9 @@ double RFInfer::ComputeWeight(const ObjectData& o, int container_index) const {
           total += static_cast<double>(count) *
                    c.m_idle[static_cast<size_t>(cls)];
         });
-    total += c.act_excess_prefix[c.act_rank[static_cast<size_t>(
+    total += c.act_excess_prefix[act_rank_[static_cast<size_t>(
                  iv.end + 1 + base)]] -
-             c.act_excess_prefix[c.act_rank[static_cast<size_t>(
+             c.act_excess_prefix[act_rank_[static_cast<size_t>(
                  iv.begin + base)]];
     w += total;
   }
@@ -552,8 +557,8 @@ double RFInfer::ComputeWeight(const ObjectData& o, int container_index) const {
       const Epoch t = o.reads[r].time;
       const size_t p = static_cast<size_t>(t + base);
       const double* q =
-          BitAt(c.act_bits, p)
-              ? &c.q_act[c.act_rank[p] * R]
+          BitAt(act_bits_, p)
+              ? &c.q_act[act_rank_[p] * R]
               : &c.q_idle[static_cast<size_t>(schedule_->ClassOf(t)) * R];
       w += DotAdjust(q, o.reads[r].reader);
     }
@@ -848,7 +853,7 @@ void RFInfer::ScanObject(const ObjectData& o, ScanResult* scan) const {
       base[i * n_cand + j] = IndexBase(c, iv.begin, &u);
       const size_t p0 = static_cast<size_t>(iv.begin + base[i * n_cand + j]);
       const size_t shift = p0 % 64;
-      const uint64_t* src = c.act_bits.data() + p0 / 64;
+      const uint64_t* src = act_bits_.data() + p0 / 64;
       for (size_t w = 0; w < words; ++w) {
         bits[w] |= shift == 0
                        ? src[w]
@@ -918,8 +923,8 @@ void RFInfer::ScanObject(const ObjectData& o, ScanResult* scan) const {
         const size_t p = static_cast<size_t>(t + iv_base[j]);
         double point;
         const double* q;
-        if (BitAt(c.act_bits, p)) {
-          const size_t k = c.act_rank[p];
+        if (BitAt(act_bits_, p)) {
+          const size_t k = act_rank_[p];
           point = c.act_m[k];
           q = &c.q_act[k * R];
         } else {

@@ -18,9 +18,26 @@
 //  * M-step skipping      -- an object none of whose candidate containers
 //                            was recomputed by the E-step keeps its weights
 //                            and assignment without being re-weighed;
+//  * epoch index          -- an E-step that recomputes a container also
+//                            indexes its universe: the universe's epochs
+//                            numbered back to back across its intervals,
+//                            the rank of each among the active epochs, and
+//                            an active bitset. An object's universe
+//                            intervals each lie inside one interval of a
+//                            candidate's universe, so the M-step and the
+//                            evidence scan resolve one index base per
+//                            (object interval, candidate) and then read
+//                            posterior rows and O(1) interval sums of m_c
+//                            directly, without walking the container's
+//                            active epochs;
 //  * single evidence scan -- change-point detection and the critical-region
 //                            search share one evidence scan per object per
-//                            run (ScanEvidence);
+//                            run (ScanEvidence). Its events are the OR of
+//                            the candidates' active bitsets over the
+//                            object's universe plus the object's reads,
+//                            walked once for all candidates; the gaps
+//                            between events hold no active epoch, so each
+//                            gap's class counts are computed once;
 //  * one co-location scan  -- candidate counting records the span's
 //                            container bursts once; each object then scores
 //                            all three candidate ranges in one walk of its
@@ -30,8 +47,11 @@
 //                            object) and the E-step (per container) run as
 //                            chunked jobs. Each item reads only the
 //                            previous phase's outputs and writes only its
-//                            own slot, so results are bit-identical for any
-//                            thread count.
+//                            own slot -- the E-step a container's
+//                            posteriors and index, the M-step and scan
+//                            read the indexes after the E-step's join --
+//                            so results are bit-identical for any thread
+//                            count.
 //
 // The same engine exposes the evidence quantities of Section 4.1 (point and
 // cumulative evidence of co-location, Eq 7), the change-point statistic
@@ -274,16 +294,14 @@ class RFInfer {
     std::vector<double> lz_idle; ///< n_classes; idle per-epoch log-likelihood
     /// Active epochs per schedule class.
     std::vector<int64_t> act_class_count;
-    /// Epoch index over `universe`, rebuilt with the posteriors. Positions
-    /// number the universe's epochs back to back: epoch t of universe
-    /// interval u sits at position t + index_base[u].
+    /// The container's slice [index_begin, index_end) of the engine's
+    /// epoch index (act_rank_, act_bits_), laid out for a run: positions
+    /// number the universe's epochs back to back, epoch t of universe
+    /// interval u at position t + index_base[u], plus one position past
+    /// the last epoch. index_begin is a multiple of 64.
     std::vector<Epoch> index_base;
-    /// act_rank[p]: active epochs before position p (positions + 1
-    /// entries), so an active epoch's posterior row is q_act[act_rank[p]].
-    std::vector<uint32_t> act_rank;
-    /// Bit p is set iff position p is an active epoch; one zero word pads
-    /// the end so any 64 positions can be read as one word.
-    std::vector<uint64_t> act_bits;
+    size_t index_begin = 0;
+    size_t index_end = 0;
     double sum_act_lz = 0.0;
     uint64_t member_hash = 0;
     bool computed = false;
@@ -400,6 +418,15 @@ class RFInfer {
   std::vector<uint32_t> colocated_count_;
   /// Per-object "assignment changed" flags of the latest M-step.
   std::vector<uint8_t> moved_;
+  /// The epoch index of every container, one slice each, rebuilt with the
+  /// container's posteriors: act_rank_[p] counts the container's active
+  /// epochs before position p, so an active epoch's posterior row is
+  /// q_act[act_rank_[p]], and bit p of act_bits_ is set iff position p is
+  /// an active epoch. Slices start on word boundaries, so E-step jobs
+  /// never share a word; a final zero word lets any 64 positions be read
+  /// as one word.
+  std::vector<uint32_t> act_rank_;
+  std::vector<uint64_t> act_bits_;
 };
 
 }  // namespace rfid

@@ -161,9 +161,10 @@ class StreamingInference {
   ObjectContext ExportObjectContext(TagId object) const;
 
   /// Readings retained for `tags` within the union of the object's critical
-  /// region and the recent history -- the "full" (non-collapsed) migration
-  /// payload for one object. Export at departure: once the site has
-  /// forgotten the object, its critical region is gone with it.
+  /// region and the recent history, in RawReadingOrder -- the "full"
+  /// (non-collapsed) migration payload for one object. Export at
+  /// departure: once the site has forgotten the object, its critical
+  /// region is gone with it.
   std::vector<RawReading> ExportReadings(const std::vector<TagId>& tags,
                                          TagId object);
 
