@@ -863,8 +863,7 @@ void RFInfer::ScanObject(const ObjectData& o, ScanResult* scan) const {
     if (len % 64 != 0) bits[words - 1] &= (uint64_t{1} << (len % 64)) - 1;
     for (; read_i < o.reads.size() && o.reads[read_i].time <= iv.end;
          ++read_i) {
-      SetBit(&bits,
-             static_cast<size_t>(o.reads[read_i].time - iv.begin));
+      SetBit(&bits, static_cast<size_t>(o.reads[read_i].time - iv.begin));
     }
     for (size_t w = 0; w < words; ++w) {
       for (uint64_t word = bits[w]; word != 0; word &= word - 1) {

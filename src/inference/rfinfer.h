@@ -19,10 +19,11 @@
 //                            was recomputed by the E-step keeps its weights
 //                            and assignment without being re-weighed;
 //  * epoch index          -- an E-step that recomputes a container also
-//                            indexes its universe: the universe's epochs
-//                            numbered back to back across its intervals,
-//                            the rank of each among the active epochs, and
-//                            an active bitset. An object's universe
+//                            rewrites its slice of the engine's epoch
+//                            index: the universe's epochs numbered back to
+//                            back across its intervals, the rank of each
+//                            among the active epochs, and an active
+//                            bitset. An object's universe
 //                            intervals each lie inside one interval of a
 //                            candidate's universe, so the M-step and the
 //                            evidence scan resolve one index base per
@@ -48,10 +49,10 @@
 //                            chunked jobs. Each item reads only the
 //                            previous phase's outputs and writes only its
 //                            own slot -- the E-step a container's
-//                            posteriors and index, the M-step and scan
-//                            read the indexes after the E-step's join --
-//                            so results are bit-identical for any thread
-//                            count.
+//                            posteriors and its word-aligned slice of the
+//                            index, which the M-step and scan read after
+//                            the E-step's join -- so results are
+//                            bit-identical for any thread count.
 //
 // The same engine exposes the evidence quantities of Section 4.1 (point and
 // cumulative evidence of co-location, Eq 7), the change-point statistic
