@@ -342,6 +342,14 @@ TEST(HierarchicalTest, CentralizedServerRunsBothLevels) {
     }
   }
   EXPECT_GT(remote_resolved, 0);
+  // The server's two-level answer for every pallet, case and item at the
+  // horizon is pinned bit for bit.
+  Fnv d;
+  for (const std::vector<TagId>* tags :
+       {&sim.all_pallets(), &sim.all_cases(), &sim.all_items()}) {
+    for (TagId tag : *tags) d.Mix(central.BelievedPallet(tag).raw());
+  }
+  EXPECT_EQ(d.h, 0xfd2424ebe210d282ULL) << std::hex << "digest 0x" << d.h;
 }
 
 TEST(HierarchicalTest, PalletResolvesTransitively) {
