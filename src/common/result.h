@@ -43,11 +43,6 @@ class Result {
   T* operator->() { return &*value_; }
   const T* operator->() const { return &*value_; }
 
-  /// Moves the value out, or returns `fallback` when holding an error.
-  T ValueOr(T fallback) && {
-    return ok() ? std::move(*value_) : std::move(fallback);
-  }
-
  private:
   std::optional<T> value_;
   Status status_;

@@ -94,10 +94,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child generator; used to give each simulated
-  /// component (reader, warehouse) its own stream.
-  Rng Fork() { return Rng(NextU64() ^ 0x6a09e667f3bcc909ULL); }
-
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

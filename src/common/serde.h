@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -24,11 +22,8 @@ class BufferWriter {
   BufferWriter() = default;
 
   void PutU8(uint8_t v) { buf_.push_back(v); }
-  void PutU16(uint16_t v) { PutFixed(v); }
   void PutU32(uint32_t v) { PutFixed(v); }
   void PutU64(uint64_t v) { PutFixed(v); }
-  void PutI32(int32_t v) { PutFixed(static_cast<uint32_t>(v)); }
-  void PutI64(int64_t v) { PutFixed(static_cast<uint64_t>(v)); }
 
   void PutDouble(double v) {
     uint64_t bits;
@@ -71,12 +66,6 @@ class BufferWriter {
     }
   }
 
-  /// Length-prefixed string.
-  void PutString(std::string_view s) {
-    PutVarint(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
-  }
-
   /// Raw bytes, no length prefix.
   void PutBytes(const void* data, size_t n) {
     const auto* p = static_cast<const uint8_t*>(data);
@@ -109,22 +98,8 @@ class BufferReader {
       : BufferReader(buf.data(), buf.size()) {}
 
   Status GetU8(uint8_t* out) { return GetFixed(out); }
-  Status GetU16(uint16_t* out) { return GetFixed(out); }
   Status GetU32(uint32_t* out) { return GetFixed(out); }
   Status GetU64(uint64_t* out) { return GetFixed(out); }
-
-  Status GetI32(int32_t* out) {
-    uint32_t v = 0;
-    RFID_RETURN_NOT_OK(GetFixed(&v));
-    *out = static_cast<int32_t>(v);
-    return Status::OK();
-  }
-  Status GetI64(int64_t* out) {
-    uint64_t v = 0;
-    RFID_RETURN_NOT_OK(GetFixed(&v));
-    *out = static_cast<int64_t>(v);
-    return Status::OK();
-  }
 
   Status GetDouble(double* out) {
     uint64_t bits = 0;
@@ -178,16 +153,6 @@ class BufferReader {
     } else {
       *out = TagId::Make(static_cast<TagKind>(v & 3), v >> 2);
     }
-    return Status::OK();
-  }
-
-  Status GetString(std::string* out) {
-    uint64_t n = 0;
-    RFID_RETURN_NOT_OK(GetVarint(&n));
-    if (n > remaining()) return Status::Corruption("truncated string");
-    out->assign(reinterpret_cast<const char*>(data_ + pos_),
-                static_cast<size_t>(n));
-    pos_ += static_cast<size_t>(n);
     return Status::OK();
   }
 

@@ -13,16 +13,10 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "Invalid argument";
     case StatusCode::kNotFound:
       return "Not found";
-    case StatusCode::kOutOfRange:
-      return "Out of range";
     case StatusCode::kIOError:
       return "IO error";
     case StatusCode::kCorruption:
       return "Corruption";
-    case StatusCode::kNotSupported:
-      return "Not supported";
-    case StatusCode::kAlreadyExists:
-      return "Already exists";
     case StatusCode::kResourceExhausted:
       return "Resource exhausted";
     case StatusCode::kInternal:

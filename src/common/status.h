@@ -15,11 +15,8 @@ enum class StatusCode : int {
   kOk = 0,
   kInvalidArgument = 1,
   kNotFound = 2,
-  kOutOfRange = 3,
   kIOError = 4,
   kCorruption = 5,
-  kNotSupported = 6,
-  kAlreadyExists = 7,
   kResourceExhausted = 8,
   kInternal = 9,
 };
@@ -48,20 +45,11 @@ class Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));
   }
   static Status Corruption(std::string msg) {
     return Status(StatusCode::kCorruption, std::move(msg));
-  }
-  static Status NotSupported(std::string msg) {
-    return Status(StatusCode::kNotSupported, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
   }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
@@ -78,10 +66,8 @@ class Status {
     return code_ == StatusCode::kInvalidArgument;
   }
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
-  bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
   bool IsIOError() const { return code_ == StatusCode::kIOError; }
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
-  bool IsNotSupported() const { return code_ == StatusCode::kNotSupported; }
 
   /// "OK" or "<code name>: <message>".
   std::string ToString() const;

@@ -52,8 +52,6 @@
 #define RELEASE(...) RFID_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 #define RELEASE_SHARED(...) \
   RFID_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-#define TRY_ACQUIRE(...) \
-  RFID_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 #define EXCLUDES(...) RFID_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define ASSERT_CAPABILITY(x) RFID_THREAD_ANNOTATION(assert_capability(x))
 #define ASSERT_SHARED_CAPABILITY(x) \
@@ -75,7 +73,6 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   // BasicLockable; intentionally unannotated so CondVar::Wait can
   // release/reacquire inside a REQUIRES(mu) scope.
@@ -116,7 +113,6 @@ class CondVar {
     cv_.wait(*mu, std::move(pred));
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:
@@ -159,15 +155,6 @@ class CAPABILITY("serial_phase") SerialPhase {
   // phase. Any thread may read; no dynamic check is possible without
   // a phase registry, so this only informs the static analysis.
   void AssertShared() const ASSERT_SHARED_CAPABILITY(this) {}
-
-  // The executor reuses the driving thread across runs, but tests may
-  // drive one system from several threads sequentially; they can
-  // rebind explicitly between runs.
-  void ResetOwnerForTesting() {
-#if !defined(NDEBUG)
-    bound_.store(std::thread::id(), std::memory_order_release);
-#endif
-  }
 
  private:
 #if !defined(NDEBUG)

@@ -767,7 +767,6 @@ TagId DistributedSystem::BelievedContainer(TagId object) const {
 
 TagId DistributedSystem::BelievedPallet(TagId object) const {
   phase_.AssertShared();
-  if (centralized()) return sites_[0]->BelievedPallet(object);
   if (!options_.site.hierarchical) return kNoTag;
   if (!object.is_item()) {
     if (OwnerSite(object) == nullptr) return kNoTag;

@@ -201,13 +201,16 @@ FaultModel FaultModelFromEnv();
 /// on a perfect fabric link_seq stays 0 and no acks flow.
 struct ReliabilityOptions {
   /// Max unacked frames per directed link; further sends queue in the
-  /// sender until the window opens.
+  /// sender until the window opens. Only tests set it (fault_test's
+  /// WindowBoundsInFlightFrames).
   int window = 64;
   /// Epochs before an unacked frame is retransmitted (then doubled per
   /// attempt, up to a fixed cap). Acks only flow when the replay drains a
   /// site, so the effective round trip is two event-epoch gaps (~120
   /// epochs at the default 60-epoch injection cadence); the default sits
   /// above that to keep retransmits loss-driven rather than spurious.
+  /// Only tests set it: fault_test's ARQ cases drive a bare Network with
+  /// a fast RTO so retransmits happen within a few pumps.
   Epoch rto = 160;
 };
 
@@ -443,7 +446,7 @@ class Network {
 
   /// Charges `frame`'s wire size and puts it on the wire, applying the
   /// fault model to this attempt. Enqueued copies raise the in-flight
-  /// gauges; faulted-away copies (drop/corrupt/partition) are charged but
+  /// counts; faulted-away copies (drop/corrupt/partition) are charged but
   /// never in flight.
   void Transmit(const Frame& frame, uint32_t attempt) REQUIRES(phase_);
   /// Assigns the link's next link_seq, transmits, and tracks for

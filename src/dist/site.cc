@@ -416,16 +416,6 @@ void Site::ExportTransfer(const ObjectTransfer& tr) {
   }
 }
 
-TagId Site::BelievedPallet(TagId tag) const {
-  if (pallet_streaming_ == nullptr) return kNoTag;
-  if (tag.is_pallet()) return tag;
-  if (tag.is_case()) return pallet_streaming_->ContainerOf(tag);
-  // Items resolve transitively: item -> believed case -> believed pallet.
-  const TagId c = streaming_.ContainerOf(tag);
-  if (!c.valid() || !c.is_case()) return kNoTag;
-  return pallet_streaming_->ContainerOf(c);
-}
-
 void Site::Retire(const ObjectTransfer& tr) {
   if (!queries_attached()) return;
   for (TagId item : tr.items) {

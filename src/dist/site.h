@@ -25,7 +25,7 @@
 // state (collapsed weights, contexts, and -- under kFullReadings -- the
 // case/candidate-pallet readings) alongside the item→case states in the
 // same kInferenceState envelope, and containment answers resolve an item's
-// pallet transitively (BelievedPallet).
+// pallet transitively (DistributedSystem::BelievedPallet).
 #ifndef RFID_DIST_SITE_H_
 #define RFID_DIST_SITE_H_
 
@@ -66,11 +66,13 @@ struct SiteOptions {
   bool share_query_state = false;
   /// Run the second containment level (cases within pallets, Appendix
   /// A.4): a per-site pallet-level engine whose state also migrates on
-  /// transfers and whose answers back BelievedPallet.
+  /// transfers and whose answers back DistributedSystem::BelievedPallet.
   bool hierarchical = false;
   /// Cut a durable checkpoint every this many inference boundaries when
   /// durability is attached (dist/durability.h); 0 = WAL-only recovery
-  /// (replay the full frame WAL and site trace from scratch).
+  /// (replay the full frame WAL and site trace from scratch). Only tests
+  /// set it: durability_test's crash sweep runs {1, 5, 0} to cover
+  /// multi-segment and WAL-only recovery.
   int checkpoint_every = 1;
 };
 
@@ -200,16 +202,6 @@ class Site {
     }
     return streaming_.ContainerOf(object);
   }
-
-  /// Two-level containment answer (Appendix A.4): a case's believed pallet
-  /// directly, an item's pallet transitively through its believed case.
-  /// kNoTag when the hierarchy is disabled or either hop is unresolved.
-  /// Resolution is *site-local*: both hops answer from this site's
-  /// engines, which is the right view for a processor answering queries
-  /// over its own population. Mid-handoff an item and its case can be
-  /// owned by different processors; DistributedSystem::BelievedPallet is
-  /// the deployment-wide answer that routes each hop to its owner.
-  TagId BelievedPallet(TagId tag) const;
 
   SiteId id() const { return id_; }
   const StreamingInference& streaming() const { return streaming_; }

@@ -631,7 +631,6 @@ Status RFInfer::Run(const Trace& trace, Epoch window_begin, Epoch window_end) {
   if (window_end < window_begin) {
     return Status::InvalidArgument("inference window is empty");
   }
-  trace_ = &trace;
   window_ = EpochInterval{window_begin, window_end};
   iterations_used_ = 0;
   likelihood_history_.clear();
@@ -715,7 +714,6 @@ std::vector<std::pair<TagId, double>> RFInfer::ExportWeights(
 void RFInfer::RestoreResults(
     std::vector<TagId> container_tags,
     const std::vector<RestoredObjectResult>& objects) {
-  trace_ = nullptr;
   window_ = EpochInterval{};
   iterations_used_ = 0;
   log_likelihood_ = 0.0;

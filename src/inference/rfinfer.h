@@ -79,9 +79,13 @@ namespace rfid {
 
 /// Tuning knobs for the EM engine.
 struct InferenceOptions {
-  /// Candidate pruning K: containers kept per object (Appendix A.3).
+  /// Candidate pruning K: containers kept per object (Appendix A.3). No
+  /// workload sets it; it stays because 3 vs 12 is the pruning reference
+  /// of integration_test's CandidatePruningKeepsAccuracy.
   int max_candidates = 5;
   /// Reuse posterior/evidence for containers whose object set is unchanged.
+  /// No workload turns it off; false stays as the exact reference that
+  /// integration_test's MemoizationDoesNotChangeResults compares against.
   bool memoize = true;
   /// Weight the co-location counts behind the EM's initial guess by
   /// exclusivity (1/k per k-container read burst). The paper's plain counts
@@ -396,7 +400,6 @@ class RFInfer {
   std::vector<TagId> object_tags_;
   std::unordered_map<TagId, ObjectContext> contexts_;
 
-  const Trace* trace_ = nullptr;
   EpochInterval window_;
   std::vector<ContainerData> containers_;
   std::vector<ObjectData> objects_;

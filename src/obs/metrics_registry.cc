@@ -110,25 +110,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   return out;
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  MutexLock lock(&mu_);
-  for (auto& [n, inst] : instruments_) {
-    if (n == name) {
-      RFID_CHECK_OK(inst.gauge != nullptr
-                        ? Status::OK()
-                        : Status::InvalidArgument(
-                              "metric '" + name +
-                              "' already registered with another type"));
-      return inst.gauge.get();
-    }
-  }
-  Instrument inst;
-  inst.gauge = std::make_unique<Gauge>();
-  Gauge* out = inst.gauge.get();
-  instruments_.emplace_back(name, std::move(inst));
-  return out;
-}
-
 Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   MutexLock lock(&mu_);
   for (auto& [n, inst] : instruments_) {
@@ -148,11 +129,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   return out;
 }
 
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* global = new MetricsRegistry();
-  return *global;
-}
-
 std::vector<MetricsRegistry::Entry> MetricsRegistry::Entries() const {
   std::vector<Entry> out;
   {
@@ -162,7 +138,6 @@ std::vector<MetricsRegistry::Entry> MetricsRegistry::Entries() const {
       Entry e;
       e.name = name;
       e.counter = inst.counter.get();
-      e.gauge = inst.gauge.get();
       e.histogram = inst.histogram.get();
       out.push_back(std::move(e));
     }

@@ -1,13 +1,13 @@
 // Process-wide metrics primitives for the telemetry layer (the
 // per-message-kind and per-window breakdowns Section 5 / Table 5 of the
 // paper argues from, made first-class instead of re-derived per bench):
-// named counters, gauges, and fixed-bucket latency histograms collected in
-// a MetricsRegistry and exported into RunReport JSON (obs/report.h).
+// named counters and fixed-bucket latency histograms collected in a
+// MetricsRegistry and exported into RunReport JSON (obs/report.h).
 //
-// Concurrency contract: registration (GetCounter/GetHistogram/GetGauge)
-// takes a mutex and returns a pointer that stays valid for the registry's
-// lifetime; the hot path -- Counter::Add, Histogram::Record, Gauge::Set --
-// is lock-free (relaxed atomics). Instruments are therefore safe to hit
+// Concurrency contract: registration (GetCounter/GetHistogram) takes a
+// mutex and returns a pointer that stays valid for the registry's
+// lifetime; the hot path -- Counter::Add, Histogram::Record -- is
+// lock-free (relaxed atomics). Instruments are therefore safe to hit
 // from SiteExecutor worker threads while the registry is concurrently
 // handing out instruments to others, which the TSan CI pass exercises
 // (tests/obs_test.cc). Telemetry never feeds back into results: every
@@ -32,16 +32,6 @@ namespace obs {
 class Counter {
  public:
   void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
-/// Last-write-wins instantaneous value (queue depths, in-flight bytes).
-class Gauge {
- public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -110,18 +100,11 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
-
-  /// The process-wide default registry, for contexts without their own
-  /// (DistributedSystem runs carry a per-run registry so reports are
-  /// isolated).
-  static MetricsRegistry& Global();
 
   struct Entry {
     std::string name;
     const Counter* counter = nullptr;      ///< set for counters
-    const Gauge* gauge = nullptr;          ///< set for gauges
     const Histogram* histogram = nullptr;  ///< set for histograms
   };
   /// Every registered instrument, sorted by name (stable report diffs).
@@ -130,7 +113,6 @@ class MetricsRegistry {
  private:
   struct Instrument {
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
 

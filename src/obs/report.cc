@@ -46,20 +46,16 @@ JsonValue HistogramToJson(const HistogramSnapshot& snapshot) {
 
 void RunReport::AddMetrics(const MetricsRegistry& registry) {
   JsonValue counters = JsonValue::Object();
-  JsonValue gauges = JsonValue::Object();
   JsonValue histograms = JsonValue::Object();
   for (const MetricsRegistry::Entry& e : registry.Entries()) {
     if (e.counter != nullptr) {
       counters.Set(e.name, e.counter->value());
-    } else if (e.gauge != nullptr) {
-      gauges.Set(e.name, e.gauge->value());
     } else if (e.histogram != nullptr) {
       histograms.Set(e.name, HistogramToJson(e.histogram->Snapshot()));
     }
   }
   JsonValue metrics = JsonValue::Object();
   metrics.Set("counters", std::move(counters));
-  metrics.Set("gauges", std::move(gauges));
   metrics.Set("histograms", std::move(histograms));
   root_.Set("metrics", std::move(metrics));
 }

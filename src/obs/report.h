@@ -1,6 +1,6 @@
 // Machine-readable run reports: every bench (and any instrumented run)
-// exports the same JSON schema, so BENCH_*.json files form a uniform,
-// diffable trajectory instead of per-bench hand-rolled printf formats.
+// exports the same JSON schema, so BENCH_*.json files are uniform and
+// diffable instead of per-bench hand-rolled printf formats.
 //
 // Schema (report_version 1):
 //   {
@@ -10,7 +10,6 @@
 //     "rows": { "<section>": [ {..row..}, ... ], ... },
 //     "metrics": {
 //       "counters":   { "<name>": <int>, ... },
-//       "gauges":     { "<name>": <int>, ... },
 //       "histograms": { "<name>": {"count","sum","mean","min","max",
 //                                   "p50","p95","p99"}, ... }
 //     }
@@ -43,7 +42,7 @@ class RunReport {
   /// Appends one row object to the named section under "rows".
   void AddRow(const std::string& section, JsonValue row);
 
-  /// Dumps `registry` under "metrics" (counters/gauges/histograms with
+  /// Dumps `registry` under "metrics" (counters and histograms with
   /// p50/p95/p99). Replaces any previous dump.
   void AddMetrics(const MetricsRegistry& registry);
 

@@ -22,7 +22,7 @@ namespace rfid {
 namespace obs {
 namespace {
 
-// ---- Counters / gauges / registry ----
+// ---- Counters / registry ----
 
 TEST(MetricsRegistryTest, CounterAccumulates) {
   MetricsRegistry reg;
@@ -30,14 +30,6 @@ TEST(MetricsRegistryTest, CounterAccumulates) {
   c->Add(10);
   c->Add(32);
   EXPECT_EQ(c->value(), 42);
-}
-
-TEST(MetricsRegistryTest, GaugeIsLastWriteWins) {
-  MetricsRegistry reg;
-  Gauge* g = reg.GetGauge("queue/depth");
-  g->Set(7);
-  g->Set(3);
-  EXPECT_EQ(g->value(), 3);
 }
 
 TEST(MetricsRegistryTest, SameNameSameInstrument) {
@@ -52,20 +44,12 @@ TEST(MetricsRegistryTest, EntriesSortedByName) {
   MetricsRegistry reg;
   reg.GetCounter("zeta");
   reg.GetHistogram("alpha");
-  reg.GetGauge("mid");
   const std::vector<MetricsRegistry::Entry> entries = reg.Entries();
-  ASSERT_EQ(entries.size(), 3u);
+  ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].name, "alpha");
   EXPECT_NE(entries[0].histogram, nullptr);
-  EXPECT_EQ(entries[1].name, "mid");
-  EXPECT_NE(entries[1].gauge, nullptr);
-  EXPECT_EQ(entries[2].name, "zeta");
-  EXPECT_NE(entries[2].counter, nullptr);
-}
-
-TEST(MetricsRegistryTest, GlobalRegistryIsAProcessSingleton) {
-  Counter* c = MetricsRegistry::Global().GetCounter("obs_test/global");
-  EXPECT_EQ(c, MetricsRegistry::Global().GetCounter("obs_test/global"));
+  EXPECT_EQ(entries[1].name, "zeta");
+  EXPECT_NE(entries[1].counter, nullptr);
 }
 
 // Registration races against recording: many threads creating overlapping
@@ -369,7 +353,6 @@ TEST(TelemetryTest, PhaseNamesAreStableRegistryKeys) {
 TEST(RunReportTest, SchemaRoundTrip) {
   MetricsRegistry reg;
   reg.GetCounter("net/bytes/kind=raw_readings")->Add(1234);
-  reg.GetGauge("inflight")->Set(5);
   Histogram* h = reg.GetHistogram("phase/inference");
   for (int64_t v : {100, 200, 400}) h->Record(v);
 
@@ -418,7 +401,6 @@ TEST(RunReportTest, SchemaRoundTrip) {
                 ->Find("net/bytes/kind=raw_readings")
                 ->AsInt(),
             1234);
-  EXPECT_EQ(metrics->Find("gauges")->Find("inflight")->AsInt(), 5);
   const JsonValue* hist =
       metrics->Find("histograms")->Find("phase/inference");
   ASSERT_NE(hist, nullptr);
