@@ -15,10 +15,12 @@
 //    windows concurrently and split each inference run's E-step, M-step
 //    and evidence scan, so even the one centralized server gains from
 //    them; alerts, accuracy and byte accounting stay bit-identical to the
-//    serial replay. Site imbalance (max over mean of per-site inference
-//    seconds) shows how far one site's inference dominates. Each run
-//    rewrites BENCH_scalability.json with its machine-readable sweep;
-//    per-machine snapshots accumulate into a trajectory in EXPERIMENTS.md.
+//    serial replay, and the bench exits nonzero when any row's bytes or
+//    mean error differ from its mode's serial row. Site imbalance (max
+//    over mean of per-site inference seconds) shows how far one site's
+//    inference dominates. Each run rewrites BENCH_scalability.json with
+//    its machine-readable sweep. End-to-end rates with spread come from
+//    e2ebench/suite.py, not from this sweep.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -145,6 +147,7 @@ int Main() {
   const std::string transport = ToString(TransportKindFromEnv());
   std::printf("transport backend: %s\n", transport.c_str());
   obs::RunReport report = bench::MakeReport("scalability");
+  int diverged = 0;
   for (int sites : {4, 8}) {
     SupplyChainSim sim(ChainOfSites(sites, 9100 + static_cast<uint64_t>(
                                                sites)));
@@ -166,6 +169,7 @@ int Main() {
             (std::isnan(r.avg_error) && std::isnan(serial.avg_error));
         const bool deterministic =
             r.total_bytes == serial.total_bytes && same_error;
+        if (!deterministic) ++diverged;
         dist_table.AddRow({ToString(mode), std::to_string(sites),
                            std::to_string(threads),
                            TablePrinter::Fmt(r.seconds, 3),
@@ -196,8 +200,13 @@ int Main() {
       "run's E-step, M-step and evidence scan split across the pool -- so\n"
       "the centralized server gains too; what stays serial (trace sealing,\n"
       "query feeding, flush encoding) caps the speedup. Bytes and error\n"
-      "stay bit-identical (the determinism contract; enforced by\n"
-      "executor_test).\n\n");
+      "stay bit-identical (the determinism contract): a row that differs\n"
+      "from its mode's serial row fails the run.\n\n");
+  if (diverged > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %d replay row(s) differ from their serial row\n",
+                 diverged);
+  }
 
   // ---- Telemetry overhead: collect_metrics on vs off ----
   // The instrumentation budget is "<2% when off, low single digits when
@@ -233,7 +242,7 @@ int Main() {
     report.AddRow("telemetry_overhead", std::move(overhead));
   }
   bench::FinishReport(report, "scalability");
-  return 0;
+  return diverged == 0 ? 0 : 1;
 }
 
 }  // namespace
