@@ -58,9 +58,9 @@ inline void PrintHeader(const std::string& title, const std::string& paper) {
 
 /// Run report pre-filled with the fields every bench shares (scale,
 /// transport backend, hardware concurrency), so BENCH_*.json files carry a
-/// uniform header. Benches add
-/// their rows with AddRow and a system's telemetry with
-/// `report.AddMetrics(sys.telemetry()->registry())`, then FinishReport.
+/// uniform header. Benches add their rows with AddRow and a system's
+/// telemetry with `report.AddMetrics(sys.telemetry()->registry())`, then
+/// FinishReport.
 inline obs::RunReport MakeReport(const std::string& bench_name) {
   obs::RunReport report(bench_name);
   report.Set("scale", Scale());
