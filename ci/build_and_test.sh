@@ -125,31 +125,32 @@ print("fault sweep: %d rows + crash scenario (err=%.2f%%) -- OK"
       % (len(sweep), crash["containment_error_percent"]))
 EOF
 
-echo "==> Durability: durable example replay + log_verify over its audit logs"
-# A real replay with durable sites (checkpoints + frame WAL + hash-chained
-# audit logs) into a scoped scratch directory, then the log_verify CLI
-# over every site's audit log: structural decode, chain recomputation from
-# genesis, and the per-site HMAC must all hold. The env var is scoped to
+echo "==> Durability: durable example replay + its on-disk layout"
+# A real replay with durable sites (checkpoints + frame WAL) into a fresh
+# scratch directory -- a replay needs an unused one -- then a check of
+# what it leaves on disk: every site directory holds at least one WAL
+# segment, one or two checkpoints (the newest two are retained), and no
+# temp file of the checkpoint write-then-rename. The env var is scoped to
 # this one run.
 DUR_DIR="$(mktemp -d)"
 (cd build && RFID_DURABILITY_DIR="${DUR_DIR}" RFID_DURABILITY_FSYNC=off \
   ./supply_chain_distributed >/dev/null)
-build/log_verify "${DUR_DIR}"
-# Tamper canary: corrupt one byte of one record and log_verify must fail
-# and name the broken link -- the CLI's detection, not just the library's.
-FIRST_LOG="$(ls -S "${DUR_DIR}"/site_*/audit.log | head -n 1)"
-python3 - "$FIRST_LOG" <<'EOF'
-import sys
-path = sys.argv[1]
-data = bytearray(open(path, "rb").read())
-assert data, "audit log is empty"
-data[len(data) // 2] ^= 0x01
-open(path, "wb").write(bytes(data))
+python3 - "${DUR_DIR}" <<'EOF'
+import glob, os, sys
+sites = sorted(glob.glob(os.path.join(sys.argv[1], "site_*")))
+assert sites, "durable replay left no site directory"
+for site in sites:
+    names = os.listdir(site)
+    wal = [n for n in names if n.startswith("wal_") and n.endswith(".log")]
+    ckpt = [n for n in names
+            if n.startswith("checkpoint_") and n.endswith(".ckpt")]
+    tmp = [n for n in names if n.endswith(".tmp")]
+    assert wal, f"{site}: no WAL segment"
+    assert 1 <= len(ckpt) <= 2, f"{site}: {len(ckpt)} checkpoints"
+    assert not tmp, f"{site}: temp files left: {tmp}"
+print("durability: %d site directories hold WAL segments and 1-2 "
+      "checkpoints -- OK" % len(sites))
 EOF
-if build/log_verify "${DUR_DIR}" >/dev/null 2>&1; then
-  echo "log_verify missed a tampered audit log"; exit 1
-fi
-echo "durability: audit logs verified, tamper detected -- OK"
 rm -rf "${DUR_DIR}"
 
 if [[ "${SKIP_SANITIZE}" == "1" ]]; then

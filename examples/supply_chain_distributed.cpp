@@ -39,9 +39,12 @@ int main() {
   DistributedSystem with_migration(&sim, migrate);
   with_migration.Run();
 
-  // The same workload with no state transfer ("None").
+  // The same workload with no state transfer ("None"). It keeps nothing
+  // on disk: RFID_DURABILITY_DIR, when set, makes the run above durable,
+  // and a replay needs an unused durability directory.
   DistributedOptions cold;
   cold.site.migration = MigrationMode::kNone;
+  cold.durability.dir.clear();
   DistributedSystem without_migration(&sim, cold);
   without_migration.Run();
 

@@ -132,12 +132,20 @@ DistributedSystem::DistributedSystem(
   }
   // Durable stores open before the sites so MakeSite can attach them; the
   // stores outlive any individual Site object (a crashed site's
-  // replacement reopens the same on-disk state).
+  // replacement reopens the same on-disk state). The replay starts at
+  // epoch 0, so a store holding a previous run's checkpoints or WAL
+  // records would be resumed, and pruned, as if this run had written it.
   if (durable_storage) {
     durabilities_.reserve(static_cast<size_t>(num_processors));
     for (SiteId s = 0; s < num_processors; ++s) {
       auto d = std::make_unique<SiteDurability>(options_.durability, s);
       RFID_CHECK_OK(d->Open());
+      RFID_CHECK_OK(d->HoldsState()
+                        ? Status::InvalidArgument(
+                              "durability.dir " + options_.durability.dir +
+                              " holds a previous run's state; a replay "
+                              "needs an unused directory")
+                        : Status::OK());
       durabilities_.push_back(std::move(d));
     }
   }
@@ -329,9 +337,8 @@ void DistributedSystem::Run() {
         network_.DeliverDue(s, t, max_frames);
       }
     }
-    // -- Serial: make this drain's WAL appends (and any audit records
-    // pending since the previous event) durable, one batched fsync per
-    // site per event.
+    // -- Serial: make this drain's WAL appends durable, one batched
+    // fsync per site per event.
     if (durable()) {
       obs::PhaseTimer span(telemetry_.get(), obs::Phase::kWalAppend, t);
       for (SiteId s = 0; s < static_cast<SiteId>(sites_.size()); ++s) {
@@ -555,8 +562,9 @@ void DistributedSystem::Run() {
   for (auto& site : sites_) site->set_pool(nullptr);
   pool_ = nullptr;
 
-  // Final durability flush (audit records from the last window pend until
-  // here), then surface the counters alongside the run's other metrics.
+  // Final durability flush: frames delivered after the last event's WAL
+  // flush (the reliability flush, the centralized horizon flush) pend
+  // until here. Then surface the counters with the run's other metrics.
   if (durable()) {
     for (auto& d : durabilities_) RFID_CHECK_OK(d->Flush());
     if (telemetry_ != nullptr) {
@@ -570,7 +578,6 @@ void DistributedSystem::Run() {
           ->Add(totals.checkpoint_bytes);
       reg.GetCounter("durability/replayed_frames")
           ->Add(totals.replayed_frames);
-      reg.GetCounter("durability/audit_records")->Add(totals.audit_records);
     }
   }
 
@@ -600,8 +607,8 @@ void DistributedSystem::CrashSite(SiteId s, Epoch at) {
   }
   crash_at_[s] = at;
   // Only the process died: in-flight frames wait out the outage and
-  // deliver into the replacement after its restore -- and any WAL/audit
-  // bytes the dead process had buffered but not fsynced are honestly lost.
+  // deliver into the replacement after its restore -- and any WAL bytes
+  // the dead process had buffered but not fsynced are honestly lost.
   network_.SetSiteDown(s, true);
   durabilities_[static_cast<size_t>(s)]->DropPending();
   if (telemetry_ != nullptr) {
@@ -624,7 +631,7 @@ void DistributedSystem::RecoverSiteDurable(SiteId s, Epoch t) {
   // 1. Restore the newest valid checkpoint cut C (C = 0, empty state,
   // when none exists) and re-feed the post-C WAL tail through the
   // handler in append order. Both are re-executions of already-durable
-  // work, so WAL/audit appends stay suppressed.
+  // work, so WAL appends stay suppressed.
   d->set_replaying(true);
   Epoch cut = 0;
   std::vector<uint8_t> payload;
@@ -740,7 +747,6 @@ DurabilityStats DistributedSystem::DurabilityTotals() const {
     total.replayed_frames += s.replayed_frames;
     total.torn_tail_records += s.torn_tail_records;
     total.checkpoint_fallbacks += s.checkpoint_fallbacks;
-    total.audit_records += s.audit_records;
   }
   return total;
 }

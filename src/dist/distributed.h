@@ -155,12 +155,14 @@ struct DistributedOptions {
   /// the uncrashed run.
   std::vector<CrashEvent> crashes;
   /// Per-site durable storage (dist/durability.h): checkpoints every
-  /// SiteOptions::checkpoint_every boundaries, a frame WAL fsynced per
-  /// delivery drain, and the tamper-evident audit log. Defaults read
-  /// RFID_DURABILITY_DIR / RFID_DURABILITY_FSYNC; disabled when the
-  /// directory is empty. A crashed site recovers from its own disk
-  /// (checkpoint + WAL replay + trace replay), and transfers that departed
-  /// during the outage are exported during that catch-up replay.
+  /// SiteOptions::checkpoint_every boundaries and a frame WAL fsynced per
+  /// delivery drain. Defaults read RFID_DURABILITY_DIR /
+  /// RFID_DURABILITY_FSYNC; disabled when the directory is empty. The
+  /// replay starts at epoch 0, so a site directory that already holds a
+  /// checkpoint or a non-empty WAL segment is InvalidArgument. A crashed
+  /// site recovers from its own disk (checkpoint + WAL replay + trace
+  /// replay), and transfers that departed during the outage are exported
+  /// during that catch-up replay.
   DurabilityOptions durability;
 };
 
@@ -260,11 +262,6 @@ class DistributedSystem {
   /// Whether per-site durable storage is attached (durability.dir set).
   bool durable() const { return !durabilities_.empty(); }
 
-  /// Site `s`'s durable store; nullptr when durability is disabled.
-  const SiteDurability* durability(SiteId s) const {
-    return durable() ? durabilities_[static_cast<size_t>(s)].get() : nullptr;
-  }
-
   /// Sum of every site's DurabilityStats (all-zero when disabled).
   DurabilityStats DurabilityTotals() const;
 
@@ -294,7 +291,7 @@ class DistributedSystem {
   /// Kills site `s` at epoch `at`: snapshots its current containment
   /// answers for every tag the ONS maps to it into degraded_beliefs_ (the
   /// last-known view queries fall back to during the outage), drops its
-  /// unflushed WAL/audit bytes, and swaps in a pristine replacement that
+  /// unflushed WAL bytes, and swaps in a pristine replacement that
   /// stays isolated until recovery.
   void CrashSite(SiteId s, Epoch at) REQUIRES(phase_);
   /// Brings site `s` back at epoch `t`: restores the newest valid
@@ -320,7 +317,7 @@ class DistributedSystem {
   /// including a crashed site's replacement, runs its inference on it.
   SiteExecutor* pool_ = nullptr;
   /// Per-site durable stores (empty when durability is disabled). Owned
-  /// here -- not by the Site -- so the WAL/audit state survives a crashed
+  /// here -- not by the Site -- so the WAL state survives a crashed
   /// site's teardown and the replacement process reopens the same files.
   std::vector<std::unique_ptr<SiteDurability>> durabilities_;
 

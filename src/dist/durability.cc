@@ -11,8 +11,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "common/serde.h"
-
 namespace rfid {
 namespace {
 
@@ -22,7 +20,6 @@ constexpr char kCheckpointPrefix[] = "checkpoint_";
 constexpr char kCheckpointSuffix[] = ".ckpt";
 constexpr char kWalPrefix[] = "wal_";
 constexpr char kWalSuffix[] = ".log";
-constexpr char kAuditName[] = "audit.log";
 
 /// Checkpoints kept on disk: the newest, plus one fallback the WAL
 /// retention lags behind.
@@ -35,25 +32,34 @@ std::string EpochName(const char* prefix, Epoch epoch, const char* suffix) {
   return std::string(buf);
 }
 
+/// Parses `name` as `<prefix><epoch><suffix>`; false when it is not one.
+bool ParseEpoch(const std::string& name, const char* prefix,
+                const char* suffix, Epoch* epoch) {
+  const size_t np = std::strlen(prefix);
+  const size_t ns = std::strlen(suffix);
+  if (name.size() <= np + ns || name.compare(0, np, prefix) != 0 ||
+      name.compare(name.size() - ns, ns, suffix) != 0) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const long long v =
+      std::strtoll(name.c_str() + np, &end, 10);
+  if (errno != 0 || end != name.c_str() + (name.size() - ns)) return false;
+  *epoch = static_cast<Epoch>(v);
+  return true;
+}
+
 /// Epochs of every `<prefix><epoch><suffix>` file in `dir`, ascending.
 std::vector<Epoch> ListEpochs(const std::string& dir, const char* prefix,
                               const char* suffix) {
   std::vector<Epoch> epochs;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    const size_t np = std::strlen(prefix);
-    const size_t ns = std::strlen(suffix);
-    if (name.size() <= np + ns || name.compare(0, np, prefix) != 0 ||
-        name.compare(name.size() - ns, ns, suffix) != 0) {
-      continue;
+    Epoch e = 0;
+    if (ParseEpoch(entry.path().filename().string(), prefix, suffix, &e)) {
+      epochs.push_back(e);
     }
-    errno = 0;
-    char* end = nullptr;
-    const long long v =
-        std::strtoll(name.c_str() + np, &end, 10);
-    if (errno != 0 || end != name.c_str() + (name.size() - ns)) continue;
-    epochs.push_back(static_cast<Epoch>(v));
   }
   std::sort(epochs.begin(), epochs.end());
   return epochs;
@@ -82,9 +88,9 @@ Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
 }
 
 // lint:durable-io-begin(durability-writers)
-// The audited write path: every byte that reaches a WAL segment, a
-// checkpoint file, or the audit log goes through these helpers, which the
-// durability-fsync lint rule pairs with the fsync policy.
+// The audited write path: every byte that reaches a WAL segment or a
+// checkpoint file goes through these helpers, which the durability-fsync
+// lint rule pairs with the fsync policy.
 
 Status WriteAll(int fd, const uint8_t* data, size_t n) {
   while (n > 0) {
@@ -155,23 +161,10 @@ DurabilityOptions::DurabilityOptions() {
 SiteDurability::SiteDurability(const DurabilityOptions& options, SiteId site)
     : options_(options), site_(site) {
   site_dir_ = options_.dir + "/site_" + std::to_string(site);
-  audit_key_ = SiteKey(site);
 }
 
 SiteDurability::~SiteDurability() {
   if (wal_fd_ >= 0) ::close(wal_fd_);
-  if (audit_fd_ >= 0) ::close(audit_fd_);
-}
-
-std::string SiteDurability::audit_path() const {
-  return site_dir_ + "/" + kAuditName;
-}
-
-std::vector<uint8_t> SiteDurability::SiteKey(SiteId site) {
-  const std::string material = "rfid-site-key:" + std::to_string(site);
-  const Sha256Digest d = Sha256::Of(
-      reinterpret_cast<const uint8_t*>(material.data()), material.size());
-  return std::vector<uint8_t>(d.begin(), d.end());
 }
 
 Status SiteDurability::Open() {
@@ -182,24 +175,21 @@ Status SiteDurability::Open() {
     return Status::IOError("mkdir " + site_dir_ + ": " + ec.message());
   }
 
-  // Continue the newest existing WAL segment (a restarted incarnation
-  // appends where the previous one stopped); otherwise start segment 0.
-  const std::vector<Epoch> segments =
-      ListEpochs(site_dir_, kWalPrefix, kWalSuffix);
-  RFID_RETURN_NOT_OK(OpenSegment(segments.empty() ? 0 : segments.back()));
-
-  // lint:durable-io-begin(audit-open)
-  // Append-mode entry point of the audited audit-log path; bytes reach it
-  // only via Flush's synced writer.
-  const int fd = ::open(audit_path().c_str(),
-                        O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  // lint:durable-io-end
-  if (fd < 0) {
-    return Status::IOError("open " + audit_path() + ": " +
-                           std::strerror(errno));
+  // One listing finds the newest WAL segment, which a restarted
+  // incarnation continues (segment 0 when there is none), and whether a
+  // previous run left state here: a checkpoint or a non-empty segment.
+  Epoch newest = 0;
+  for (const auto& entry : fs::directory_iterator(site_dir_, ec)) {
+    const std::string name = entry.path().filename().string();
+    Epoch e = 0;
+    if (name.rfind(kCheckpointPrefix, 0) == 0) {
+      holds_state_ = true;
+    } else if (ParseEpoch(name, kWalPrefix, kWalSuffix, &e)) {
+      newest = std::max(newest, e);
+      holds_state_ = holds_state_ || entry.file_size(ec) != 0;
+    }
   }
-  audit_fd_ = fd;
-  RFID_RETURN_NOT_OK(ScanAuditTail());
+  RFID_RETURN_NOT_OK(OpenSegment(newest));
   opened_ = true;
   return Status::OK();
 }
@@ -221,20 +211,6 @@ Status SiteDurability::OpenSegment(Epoch epoch) {
     return Status::IOError("open " + path + ": " + std::strerror(errno));
   }
   wal_fd_ = fd;
-  wal_segment_ = epoch;
-  return Status::OK();
-}
-
-Status SiteDurability::ScanAuditTail() {
-  std::vector<AuditRecord> records;
-  const Status st = ReadAuditLog(audit_path(), &records);
-  // A garbled tail surfaces at verification; for append continuity the
-  // readable prefix decides where the chain resumes.
-  (void)st;
-  if (!records.empty()) {
-    audit_chain_ = records.back().chain;
-    audit_seq_ = records.back().seq + 1;
-  }
   return Status::OK();
 }
 
@@ -257,27 +233,18 @@ Status SiteDurability::AppendFrame(SiteId from, MessageKind kind,
 }
 
 Status SiteDurability::Flush() {
-  bool wrote = false;
+  if (wal_pending_.empty()) return Status::OK();
   // lint:durable-io-begin(wal-flush)
-  if (!wal_pending_.empty()) {
-    RFID_RETURN_NOT_OK(
-        WriteAll(wal_fd_, wal_pending_.data(), wal_pending_.size()));
-    wal_pending_.clear();
-    wrote = true;
-  }
-  if (!audit_pending_.empty()) {
-    RFID_RETURN_NOT_OK(
-        WriteAll(audit_fd_, audit_pending_.data(), audit_pending_.size()));
-    audit_pending_.clear();
-    RFID_RETURN_NOT_OK(SyncFd(audit_fd_, options_.fsync));
-  }
-  if (wrote) {
-    RFID_RETURN_NOT_OK(SyncFd(wal_fd_, options_.fsync));
-    ++stats_.wal_fsyncs;
-  }
+  RFID_RETURN_NOT_OK(
+      WriteAll(wal_fd_, wal_pending_.data(), wal_pending_.size()));
+  wal_pending_.clear();
+  RFID_RETURN_NOT_OK(SyncFd(wal_fd_, options_.fsync));
+  ++stats_.wal_fsyncs;
   // lint:durable-io-end
   return Status::OK();
 }
+
+void SiteDurability::DropPending() { wal_pending_.clear(); }
 
 Status SiteDurability::WriteCheckpoint(Epoch epoch,
                                        const std::vector<uint8_t>& payload) {
@@ -413,175 +380,6 @@ Status SiteDurability::ReadWalSince(Epoch since,
   }
   stats_.replayed_frames += static_cast<int64_t>(frames->size());
   return Status::OK();
-}
-
-Status SiteDurability::AppendAudit(AuditRecord::Kind kind, Epoch epoch,
-                                   const std::vector<uint8_t>& payload) {
-  if (replaying_) return Status::OK();
-  BufferWriter body;
-  body.PutVarint(audit_seq_);
-  body.PutSignedVarint(site_);
-  body.PutU8(static_cast<uint8_t>(kind));
-  body.PutSignedVarint(epoch);
-  body.PutVarint(payload.size());
-  body.PutBytes(payload.data(), payload.size());
-
-  Sha256 h;
-  h.Update(audit_chain_.data(), audit_chain_.size());
-  h.Update(body.bytes());
-  const Sha256Digest chain = h.Finish();
-  const Sha256Digest mac =
-      HmacSha256(audit_key_, chain.data(), chain.size());
-
-  BufferWriter record;
-  record.PutVarint(body.size());
-  record.PutBytes(body.bytes().data(), body.size());
-  record.PutBytes(chain.data(), chain.size());
-  record.PutBytes(mac.data(), mac.size());
-  audit_pending_.insert(audit_pending_.end(), record.bytes().begin(),
-                        record.bytes().end());
-
-  audit_chain_ = chain;
-  ++audit_seq_;
-  ++stats_.audit_records;
-  return Status::OK();
-}
-
-void SiteDurability::DropPending() {
-  wal_pending_.clear();
-  if (!audit_pending_.empty()) {
-    audit_pending_.clear();
-    audit_chain_ = Sha256Digest{};
-    audit_seq_ = 0;
-    (void)ScanAuditTail();
-  }
-}
-
-namespace {
-
-/// Shared decode loop: calls `fn(index, body_begin, body_len, record)` for
-/// each structurally valid record; stops and reports the index of the
-/// first unreadable one.
-template <typename Fn>
-bool ForEachAuditRecord(const std::vector<uint8_t>& bytes, Fn&& fn,
-                        int64_t* bad_index, std::string* error) {
-  size_t off = 0;
-  int64_t index = 0;
-  while (off < bytes.size()) {
-    BufferReader len_reader(bytes.data() + off, bytes.size() - off);
-    uint64_t body_len = 0;
-    if (!len_reader.GetVarint(&body_len).ok()) {
-      *bad_index = index;
-      *error = "unreadable record length";
-      return false;
-    }
-    const size_t body_off = off + len_reader.position();
-    if (body_len > bytes.size() - body_off ||
-        bytes.size() - body_off - body_len < 64) {
-      *bad_index = index;
-      *error = "record extends past end of log";
-      return false;
-    }
-    const uint8_t* body = bytes.data() + body_off;
-    AuditRecord rec;
-    BufferReader r(body, body_len);
-    uint64_t seq = 0, payload_len = 0;
-    int64_t site = 0, epoch = 0;
-    uint8_t kind = 0;
-    Status st = r.GetVarint(&seq);
-    if (st.ok()) st = r.GetSignedVarint(&site);
-    if (st.ok()) st = r.GetU8(&kind);
-    if (st.ok()) st = r.GetSignedVarint(&epoch);
-    if (st.ok()) st = r.GetVarint(&payload_len);
-    if (!st.ok() || payload_len != r.remaining() || kind > 1) {
-      *bad_index = index;
-      *error = "garbled record body";
-      return false;
-    }
-    rec.seq = seq;
-    rec.site = static_cast<SiteId>(site);
-    rec.kind = static_cast<AuditRecord::Kind>(kind);
-    rec.epoch = epoch;
-    rec.payload.assign(body + r.position(), body + body_len);
-    const uint8_t* trailer = body + body_len;
-    std::copy(trailer, trailer + 32, rec.chain.begin());
-    std::copy(trailer + 32, trailer + 64, rec.mac.begin());
-    if (!fn(index, body, static_cast<size_t>(body_len), rec)) {
-      return false;
-    }
-    off = body_off + body_len + 64;
-    ++index;
-  }
-  return true;
-}
-
-}  // namespace
-
-Status ReadAuditLog(const std::string& path, std::vector<AuditRecord>* out) {
-  out->clear();
-  std::vector<uint8_t> bytes;
-  RFID_RETURN_NOT_OK(ReadFileBytes(path, &bytes));
-  int64_t bad = -1;
-  std::string error;
-  const bool clean = ForEachAuditRecord(
-      bytes,
-      [&](int64_t, const uint8_t*, size_t, const AuditRecord& rec) {
-        out->push_back(rec);
-        return true;
-      },
-      &bad, &error);
-  if (!clean) {
-    return Status::Corruption("audit log " + path + " record " +
-                              std::to_string(bad) + ": " + error);
-  }
-  return Status::OK();
-}
-
-AuditVerifyResult VerifyAuditLog(const std::string& path,
-                                 const std::vector<uint8_t>& key) {
-  AuditVerifyResult result;
-  std::vector<uint8_t> bytes;
-  const Status read = ReadFileBytes(path, &bytes);
-  if (!read.ok()) {
-    result.error = read.ToString();
-    return result;
-  }
-  Sha256Digest prev{};
-  int64_t bad = -1;
-  std::string error;
-  const bool clean = ForEachAuditRecord(
-      bytes,
-      [&](int64_t index, const uint8_t* body, size_t body_len,
-          const AuditRecord& rec) {
-        Sha256 h;
-        h.Update(prev.data(), prev.size());
-        h.Update(body, body_len);
-        const Sha256Digest chain = h.Finish();
-        if (chain != rec.chain) {
-          bad = index;
-          error = "chain hash mismatch (edited, reordered, or dropped "
-                  "predecessor)";
-          return false;
-        }
-        const Sha256Digest mac = HmacSha256(key, chain.data(), chain.size());
-        if (mac != rec.mac) {
-          bad = index;
-          error = "MAC mismatch (record not signed by this site's key)";
-          return false;
-        }
-        prev = chain;
-        ++result.records;
-        result.final_chain = chain;
-        return true;
-      },
-      &bad, &error);
-  if (!clean || bad >= 0) {
-    result.first_bad_record = bad;
-    result.error = error;
-    return result;
-  }
-  result.ok = true;
-  return result;
 }
 
 }  // namespace rfid

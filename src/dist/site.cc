@@ -128,23 +128,6 @@ Status DecodeStateBlock(BufferReader& r, bool share, TagStateList* out) {
   return Status::OK();
 }
 
-/// Audit-logs every alert `q` fired since index `from` (payload: query
-/// index, tag, span, event count).
-void AppendAlertAudit(SiteDurability* durability, int query_index,
-                      const ExposureQuery& q, size_t from) {
-  for (size_t i = from; i < q.alerts().size(); ++i) {
-    const ExposureAlert& a = q.alerts()[i];
-    BufferWriter w;
-    w.PutU8(static_cast<uint8_t>(query_index));
-    w.PutTagId(a.tag);
-    w.PutSignedVarint(a.first_time);
-    w.PutSignedVarint(a.last_time);
-    w.PutVarint(static_cast<uint64_t>(a.n_events));
-    RFID_CHECK_OK(durability->AppendAudit(AuditRecord::Kind::kAlert,
-                                          a.last_time, w.Release()));
-  }
-}
-
 }  // namespace
 
 std::string ToString(MigrationMode mode) {
@@ -248,8 +231,6 @@ int Site::AdvanceTo(Epoch now) {
 }
 
 void Site::FeedQueries(const std::vector<ObjectEvent>& events) {
-  const size_t q1_fired = q1_->alerts().size();
-  const size_t q2_fired = q2_->alerts().size();
   // `events` is sorted by (time, tag), so item events reach the queries in
   // time order.
   for (const ObjectEvent& e : events) {
@@ -264,10 +245,6 @@ void Site::FeedQueries(const std::vector<ObjectEvent>& events) {
     }
     q1_->OnEvent(e);
     q2_->OnEvent(e);
-  }
-  if (durability_ != nullptr) {
-    AppendAlertAudit(durability_, 0, *q1_, q1_fired);
-    AppendAlertAudit(durability_, 1, *q2_, q2_fired);
   }
 }
 
@@ -334,19 +311,6 @@ void Site::ExportTransfer(const ObjectTransfer& tr) {
   if (tr.to == kNoSite) {
     Retire(tr);
     return;
-  }
-  if (durability_ != nullptr) {
-    // Movement audit record: where the group went and what it carried.
-    BufferWriter w;
-    w.PutSignedVarint(tr.to);
-    w.PutSignedVarint(tr.depart);
-    w.PutSignedVarint(tr.arrive);
-    w.PutVarint(tr.items.size());
-    for (TagId t : tr.items) w.PutTagId(t);
-    w.PutVarint(tr.cases.size());
-    for (TagId t : tr.cases) w.PutTagId(t);
-    RFID_CHECK_OK(durability_->AppendAudit(AuditRecord::Kind::kMovement,
-                                           tr.depart, w.Release()));
   }
   // A transfer with cases but no items (e.g. case-level-only tracking)
   // must still ship its case→pallet state when the hierarchy is on.

@@ -170,12 +170,10 @@ class Site {
   /// Attaches the site's durable storage (driver-owned, outlives the
   /// site across crash rebuilds; null detaches). With storage attached,
   /// HandleMessage WAL-logs every state-bearing inbound frame before
-  /// applying it, and fired alerts / outbound transfers append to the
-  /// tamper-evident audit log.
+  /// applying it.
   void AttachDurability(SiteDurability* durability) {
     durability_ = durability;
   }
-  SiteDurability* durability() const { return durability_; }
 
   /// Serializes the complete site state as of the boundary cut `epoch`:
   /// both inference levels' snapshots, the pending arrival queues, query

@@ -15,9 +15,8 @@
 //     back to the previous cut, WAL truncation at every offset yields the
 //     longest complete-record prefix (torn tail counted) or fails loudly
 //     when the hole is mid-stream;
-//   - the tamper-evident audit log: golden hash chain, and a tamper
-//     matrix (edit every byte, swap adjacent records, drop an interior
-//     record) that pinpoints the first broken link.
+//   - a replay over a directory that holds a previous run's checkpoints
+//     or WAL records is rejected.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -26,8 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/serde.h"
-#include "common/sha256.h"
 #include "dist/distributed.h"
 #include "dist/durability.h"
 #include "dist/frame.h"
@@ -284,160 +281,6 @@ TEST(CheckpointTest, RotationKeepsWalCoverageBackToTheOlderCut) {
   EXPECT_TRUE(frames.empty());  // nothing drained after the final cut
 }
 
-// ---- Audit log: golden chain + tamper matrix ----
-
-/// Deterministic six-record log for site 4.
-void WriteGoldenAuditLog(const std::string& dir) {
-  SiteDurability d(QuietDurability(dir), /*site=*/4);
-  ASSERT_TRUE(d.Open().ok());
-  for (int i = 0; i < 6; ++i) {
-    std::vector<uint8_t> payload;
-    for (int b = 0; b < 4 + i; ++b) {
-      payload.push_back(static_cast<uint8_t>(i * 16 + b));
-    }
-    ASSERT_TRUE(d.AppendAudit(i % 2 == 0 ? AuditRecord::Kind::kAlert
-                                         : AuditRecord::Kind::kMovement,
-                              /*epoch=*/500 + i, payload)
-                    .ok());
-  }
-  ASSERT_TRUE(d.Flush().ok());
-}
-
-/// Byte extent [begin, end) of each record in an audit log.
-std::vector<std::pair<size_t, size_t>> AuditExtents(
-    const std::vector<uint8_t>& bytes) {
-  std::vector<std::pair<size_t, size_t>> extents;
-  size_t off = 0;
-  while (off < bytes.size()) {
-    BufferReader r(bytes.data() + off, bytes.size() - off);
-    uint64_t body_len = 0;
-    EXPECT_TRUE(r.GetVarint(&body_len).ok());
-    const size_t end = off + r.position() + body_len + 64;
-    EXPECT_LE(end, bytes.size());
-    extents.emplace_back(off, end);
-    off = end;
-  }
-  return extents;
-}
-
-TEST(AuditLogTest, GoldenChainVerifiesAndSurvivesReopen) {
-  ScratchDir dir;
-  WriteGoldenAuditLog(dir.str());
-  const std::string path = dir.str() + "/site_4/audit.log";
-
-  const AuditVerifyResult result =
-      VerifyAuditLog(path, SiteDurability::SiteKey(4));
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.records, 6);
-  EXPECT_EQ(result.first_bad_record, -1);
-  // Golden: the chain value pins the record encoding, the genesis value,
-  // and SHA-256 itself -- any accidental format change breaks this.
-  EXPECT_EQ(
-      ToHex(result.final_chain),
-      "654a9550f8303b96789fded3ee53ee8531ff9edc8a592e1cc39c2e4d2b057a5a");
-
-  std::vector<AuditRecord> records;
-  ASSERT_TRUE(ReadAuditLog(path, &records).ok());
-  ASSERT_EQ(records.size(), 6u);
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].seq, i);
-    EXPECT_EQ(records[i].site, 4);
-    EXPECT_EQ(records[i].epoch, 500 + static_cast<Epoch>(i));
-  }
-
-  // A new incarnation continues the chain instead of restarting it.
-  {
-    SiteDurability d(QuietDurability(dir.str()), /*site=*/4);
-    ASSERT_TRUE(d.Open().ok());
-    ASSERT_TRUE(
-        d.AppendAudit(AuditRecord::Kind::kAlert, 900, Bytes({1})).ok());
-    ASSERT_TRUE(d.Flush().ok());
-  }
-  const AuditVerifyResult extended =
-      VerifyAuditLog(path, SiteDurability::SiteKey(4));
-  ASSERT_TRUE(extended.ok) << extended.error;
-  EXPECT_EQ(extended.records, 7);
-
-  // The wrong site's key rejects at the first record.
-  const AuditVerifyResult wrong_key =
-      VerifyAuditLog(path, SiteDurability::SiteKey(5));
-  EXPECT_FALSE(wrong_key.ok);
-  EXPECT_EQ(wrong_key.first_bad_record, 0);
-}
-
-TEST(AuditLogTest, TamperMatrixPinpointsTheFirstBrokenLink) {
-  ScratchDir dir;
-  WriteGoldenAuditLog(dir.str());
-  const std::string path = dir.str() + "/site_4/audit.log";
-  const std::vector<uint8_t> key = SiteDurability::SiteKey(4);
-  std::vector<uint8_t> clean;
-  ASSERT_TRUE(ReadFile(path, &clean).ok());
-  const auto extents = AuditExtents(clean);
-  ASSERT_EQ(extents.size(), 6u);
-  const std::string tampered = dir.str() + "/tampered.log";
-
-  // Edit: every single-byte flip is detected, at the record it lives in.
-  for (size_t i = 0; i < clean.size(); ++i) {
-    std::vector<uint8_t> bytes = clean;
-    bytes[i] ^= 0x01;
-    WriteFile(tampered, bytes);
-    const AuditVerifyResult r = VerifyAuditLog(tampered, key);
-    ASSERT_FALSE(r.ok) << "flipped byte " << i;
-    int64_t record = -1;
-    for (size_t e = 0; e < extents.size(); ++e) {
-      if (i >= extents[e].first && i < extents[e].second) {
-        record = static_cast<int64_t>(e);
-      }
-    }
-    EXPECT_EQ(r.first_bad_record, record) << "flipped byte " << i;
-  }
-
-  // Reorder: swapping adjacent records breaks the chain at the first.
-  for (size_t e = 0; e + 1 < extents.size(); ++e) {
-    std::vector<uint8_t> bytes(clean.begin(),
-                               clean.begin() +
-                                   static_cast<ptrdiff_t>(extents[e].first));
-    bytes.insert(bytes.end(),
-                 clean.begin() + static_cast<ptrdiff_t>(extents[e + 1].first),
-                 clean.begin() + static_cast<ptrdiff_t>(extents[e + 1].second));
-    bytes.insert(bytes.end(),
-                 clean.begin() + static_cast<ptrdiff_t>(extents[e].first),
-                 clean.begin() + static_cast<ptrdiff_t>(extents[e].second));
-    bytes.insert(bytes.end(),
-                 clean.begin() + static_cast<ptrdiff_t>(extents[e + 1].second),
-                 clean.end());
-    WriteFile(tampered, bytes);
-    const AuditVerifyResult r = VerifyAuditLog(tampered, key);
-    ASSERT_FALSE(r.ok) << "swapped records " << e << "," << e + 1;
-    EXPECT_EQ(r.first_bad_record, static_cast<int64_t>(e));
-  }
-
-  // Drop: removing any interior record breaks the chain where it stood.
-  for (size_t e = 0; e + 1 < extents.size(); ++e) {
-    std::vector<uint8_t> bytes(clean.begin(),
-                               clean.begin() +
-                                   static_cast<ptrdiff_t>(extents[e].first));
-    bytes.insert(bytes.end(),
-                 clean.begin() + static_cast<ptrdiff_t>(extents[e].second),
-                 clean.end());
-    WriteFile(tampered, bytes);
-    const AuditVerifyResult r = VerifyAuditLog(tampered, key);
-    ASSERT_FALSE(r.ok) << "dropped record " << e;
-    EXPECT_EQ(r.first_bad_record, static_cast<int64_t>(e));
-  }
-
-  // Truncating the FINAL record is the chain's documented blind spot: the
-  // remaining prefix still verifies. External anchoring of the latest
-  // chain value (which log_verify prints) is what closes it.
-  std::vector<uint8_t> bytes(clean.begin(),
-                             clean.begin() +
-                                 static_cast<ptrdiff_t>(extents[5].first));
-  WriteFile(tampered, bytes);
-  const AuditVerifyResult r = VerifyAuditLog(tampered, key);
-  EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.records, 5);
-}
-
 // ---- Durable replay: crash-point sweep + departed-transfer exactness ----
 
 SupplyChainConfig SweepConfig() {
@@ -685,54 +528,48 @@ TEST(DurableReplayTest, DepartureDuringOutageIsExportedByCatchUpReplay) {
                            "departed during outage");
 }
 
-TEST(DurableReplayTest, AuditLogsVerifyAndCountTheRunsAlertsAndMovements) {
+TEST(DurableReplayTest, ReplayOverAUsedDirectoryIsRejected) {
+  // The replay starts at epoch 0. Over a used directory a crash would
+  // restore the previous run's newest checkpoint, and checkpoint pruning
+  // would mix both runs' cuts, so construction refuses the directory.
   SweepFixture fx;
   ScratchDir dir;
   DistributedOptions opts = SweepOptions();
   opts.durability = QuietDurability(dir.str());
-  DistributedSystem sys(&fx.sim, opts, &fx.catalog, &fx.sensors);
-  sys.Run();
+  opts.crashes.push_back(CrashEvent{1, 600, 600, CrashPhase::kPostDrain});
+  // A system built but never run leaves only empty WAL segments; a new
+  // replay over them starts from the same (empty) state and is accepted.
+  { DistributedSystem unused(&fx.sim, opts, &fx.catalog, &fx.sensors); }
+  {
+    DistributedSystem first(&fx.sim, opts, &fx.catalog, &fx.sensors);
+    first.Run();
+    ASSERT_GT(first.DurabilityTotals().checkpoints, 0);
+  }
+  EXPECT_DEATH(
+      { DistributedSystem second(&fx.sim, opts, &fx.catalog, &fx.sensors); },
+      "needs an unused directory");
 
-  int64_t alerts = 0;
-  int64_t movements = 0;
-  for (SiteId s = 0; s < sys.num_processors(); ++s) {
-    const std::string path =
-        dir.str() + "/site_" + std::to_string(s) + "/audit.log";
-    const AuditVerifyResult r =
-        VerifyAuditLog(path, SiteDurability::SiteKey(s));
-    ASSERT_TRUE(r.ok) << "site " << s << ": " << r.error;
-    std::vector<AuditRecord> records;
-    ASSERT_TRUE(ReadAuditLog(path, &records).ok());
-    for (const AuditRecord& rec : records) {
-      EXPECT_EQ(rec.site, s);
-      (rec.kind == AuditRecord::Kind::kAlert ? alerts : movements) += 1;
+  // Either kind of state alone marks a used store: a checkpoint next to
+  // empty WAL segments, or a WAL record with no checkpoint.
+  for (const bool checkpoint : {true, false}) {
+    SCOPED_TRACE(checkpoint ? "checkpoint only" : "WAL record only");
+    ScratchDir used;
+    {
+      SiteDurability d(QuietDurability(used.str()), /*site=*/1);
+      ASSERT_TRUE(d.Open().ok());
+      if (checkpoint) {
+        ASSERT_TRUE(d.WriteCheckpoint(300, Bytes({1, 2})).ok());
+      } else {
+        ASSERT_TRUE(
+            d.AppendFrame(0, MessageKind::kRawReadings, Bytes({1, 2}), 5)
+                .ok());
+        ASSERT_TRUE(d.Flush().ok());
+      }
     }
-  }
-  EXPECT_EQ(alerts, static_cast<int64_t>(sys.AllAlerts(0).size() +
-                                         sys.AllAlerts(1).size()));
-  int64_t exported = 0;
-  for (const ObjectTransfer& tr : fx.sim.transfers()) {
-    if (tr.to != kNoSite && tr.depart <= fx.sim.config().horizon) ++exported;
-  }
-  EXPECT_EQ(movements, exported);
-  EXPECT_EQ(sys.DurabilityTotals().audit_records, alerts + movements);
-}
-
-TEST(DurableReplayTest, AuditChainStaysContinuousAcrossCrashRecovery) {
-  SweepFixture fx;
-  ScratchDir dir;
-  DistributedOptions opts = SweepOptions();
-  opts.durability = QuietDurability(dir.str());
-  opts.crashes.push_back(CrashEvent{1, 500, 650});
-  DistributedSystem sys(&fx.sim, opts, &fx.catalog, &fx.sensors);
-  sys.Run();
-
-  for (SiteId s = 0; s < sys.num_processors(); ++s) {
-    const std::string path =
-        dir.str() + "/site_" + std::to_string(s) + "/audit.log";
-    const AuditVerifyResult r =
-        VerifyAuditLog(path, SiteDurability::SiteKey(s));
-    ASSERT_TRUE(r.ok) << "site " << s << ": " << r.error;
+    opts.durability = QuietDurability(used.str());
+    EXPECT_DEATH(
+        { DistributedSystem second(&fx.sim, opts, &fx.catalog, &fx.sensors); },
+        "needs an unused directory");
   }
 }
 

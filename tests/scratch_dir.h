@@ -1,5 +1,5 @@
 // Unique scratch directory for tests that write durable state (WAL,
-// checkpoints, audit logs); removed recursively on destruction.
+// checkpoints); removed recursively on destruction.
 #ifndef RFID_TESTS_SCRATCH_DIR_H_
 #define RFID_TESTS_SCRATCH_DIR_H_
 

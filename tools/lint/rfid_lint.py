@@ -49,8 +49,8 @@ Enforces domain rules no generic analyzer knows (registered as the
                      empty run is not a perfect one.
 
   durability-fsync   In src/dist/ files that open files for writing (the
-                     durable-storage modules: WAL segments, checkpoints,
-                     the audit log), every raw write primitive -- an
+                     durable-storage modules: WAL segments and
+                     checkpoints), every raw write primitive -- an
                      open() with O_WRONLY/O_RDWR, fopen() in a write
                      mode, write()/pwrite()/fwrite(), rename() -- must
                      sit inside a region bracketed by
@@ -518,8 +518,8 @@ def check_durable_io(root, findings):
                     findings.append(Finding(
                         path, idx + 1, "durability-fsync",
                         f"{what} outside a lint:durable-io region in a "
-                        "durable storage module: WAL/checkpoint/audit "
-                        "bytes must flow through the audited writers "
+                        "durable storage module: WAL/checkpoint bytes "
+                        "must flow through the audited writers "
                         "that pair them with the fsync policy, or carry "
                         "a reasoned suppression"))
         if region is not None:
