@@ -2,6 +2,7 @@
 
 #include <zlib.h>
 
+#include <algorithm>
 #include <limits>
 
 namespace rfid {
@@ -33,26 +34,38 @@ Status Decompress(const std::vector<uint8_t>& input,
 
 Status Decompress(const uint8_t* data, size_t size,
                   std::vector<uint8_t>* out) {
-  // Grow the output buffer geometrically until inflate succeeds.
-  uLongf dest_len = static_cast<uLongf>(std::max<size_t>(size * 4, 64));
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    out->resize(dest_len);
-    uLongf actual = dest_len;
-    int rc = uncompress(out->data(), &actual, data,
-                        static_cast<uLong>(size));
-    if (rc == Z_OK) {
-      out->resize(actual);
-      return Status::OK();
-    }
-    if (rc == Z_BUF_ERROR) {
-      if (dest_len > std::numeric_limits<uLongf>::max() / 2) break;
-      dest_len *= 2;
-      continue;
-    }
-    return Status::Corruption("zlib uncompress failed with code " +
+  if (size > std::numeric_limits<uInt>::max()) {
+    return Status::InvalidArgument("compressed input too large");
+  }
+  z_stream zs{};
+  if (inflateInit(&zs) != Z_OK) {
+    return Status::Internal("zlib inflateInit failed");
+  }
+  zs.next_in = const_cast<Bytef*>(data);
+  zs.avail_in = static_cast<uInt>(size);
+  // One stream inflates into the output, which doubles whenever it
+  // fills; the bytes already produced stay where they are.
+  out->resize(std::max<size_t>(size * 4, 64));
+  size_t produced = 0;
+  int rc = Z_OK;
+  while (rc == Z_OK) {
+    if (produced == out->size()) out->resize(out->size() * 2);
+    const size_t room = std::min<size_t>(out->size() - produced,
+                                         std::numeric_limits<uInt>::max());
+    zs.next_out = out->data() + produced;
+    zs.avail_out = static_cast<uInt>(room);
+    rc = inflate(&zs, Z_NO_FLUSH);
+    produced += room - zs.avail_out;
+  }
+  inflateEnd(&zs);
+  // Z_BUF_ERROR here means the input ended before the stream did.
+  if (rc != Z_STREAM_END) {
+    out->clear();
+    return Status::Corruption("zlib inflate failed with code " +
                               std::to_string(rc));
   }
-  return Status::ResourceExhausted("decompressed output too large");
+  out->resize(produced);
+  return Status::OK();
 }
 
 }  // namespace rfid

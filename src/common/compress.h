@@ -17,7 +17,8 @@ namespace rfid {
 Status Compress(const std::vector<uint8_t>& input, std::vector<uint8_t>* out,
                 int level = 6);
 
-/// Inflates `input` produced by Compress. Output replaces `*out`.
+/// Inflates `input` produced by Compress in one pass. Output replaces
+/// `*out`; a bad or truncated stream is Corruption.
 Status Decompress(const std::vector<uint8_t>& input,
                   std::vector<uint8_t>* out);
 

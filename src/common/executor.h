@@ -6,10 +6,12 @@
 //
 // Two levels of work share the one pool. The outer level is per site:
 // sites only interact through Network::Send at transfer and flush epochs,
-// so DistributedSystem runs every site's Observe/AdvanceTo window (the
-// Section 4.1 streaming inference, both containment levels under Appendix
-// A.4 hierarchy) as one work item each, and the read-only per-tag accuracy
-// scans behind the Figures 5(e)/5(f) error sampling fan out the same way.
+// so DistributedSystem runs each site's step at an event (StepSite:
+// install due arrivals, ingest the reading window, and at a boundary run
+// the Section 4.1 streaming inference, both containment levels under
+// Appendix A.4 hierarchy) as one work item, and the read-only per-tag
+// accuracy scans behind the Figures 5(e)/5(f) error sampling fan out the
+// same way.
 // The inner level is inside one inference run: RFInfer's E-step (per
 // container), M-step and evidence scan (per object) are independent loops
 // whose chunks a site's task submits with a nested Run, so threads left
@@ -70,7 +72,7 @@ class SiteExecutor {
   /// indices first; while the job's last indices finish elsewhere it helps
   /// with other nested jobs but never claims an index of an outermost job
   /// (one submitted from outside the pool), so a nested job is never held
-  /// up behind a whole site's window. An idle worker takes the innermost
+  /// up behind a whole site's step. An idle worker takes the innermost
   /// job that still has unclaimed indices.
   void Run(size_t n, const Task& fn);
 
@@ -96,7 +98,7 @@ class SiteExecutor {
   std::vector<std::thread> workers_;
 
   // Claims and completion counts are guarded by mu_; bodies run outside
-  // it. Jobs are chunks of a loop or whole site windows, so dispatch
+  // it. Jobs are chunks of a loop or whole site steps, so dispatch
   // contention stays small against the work itself.
   Mutex mu_;
   CondVar cv_;  ///< a job was opened or completed, or the pool stops

@@ -266,13 +266,12 @@ void DistributedSystem::Run() {
   SiteExecutor executor(options_.num_threads);
   pool_ = &executor;
   for (auto& site : sites_) site->set_pool(pool_);
-  std::vector<size_t>& cursor = cursors_;
   // Centralized mode: a remote site's un-flushed readings pend as the
-  // range [flush_begin[s], cursor[s]) of its immutable simulator trace --
-  // the boundary flush encodes straight from that span, so no reading is
-  // ever staged through an intermediate copy.
+  // range [flush_begin[s], cursors_[s]) of its immutable simulator trace
+  // -- the boundary flush encodes straight from that span, so no reading
+  // is ever staged through an intermediate copy.
   std::vector<size_t> flush_begin(static_cast<size_t>(num_warehouses), 0);
-  std::vector<size_t> ready;
+  std::vector<SiteId> ready;
   ready.reserve(sites_.size());
   std::vector<int> ran(sites_.size(), 0);
 
@@ -287,8 +286,8 @@ void DistributedSystem::Run() {
     // -- Serial: advance the wall clock (send epochs), then drain every
     // processor's delivery queue of frames whose arrival epoch has
     // passed. Messages sent at earlier events were in flight until now;
-    // handlers (HandleMessage) run here, serially, so the parallel phases
-    // below only ever see site-local pending queues.
+    // handlers (HandleMessage) run here, serially, so the parallel site
+    // phase below only ever sees site-local inbound queues.
     network_.AdvanceClock(t);
 
     // -- Serial: scheduled failures. Recovering sites stay marked down
@@ -390,88 +389,48 @@ void DistributedSystem::Run() {
 
     const bool boundary = period > 0 && t > 0 && t % period == 0;
 
-    // -- Parallel window phase: install due arrivals, then ingest the
-    // whole window of readings since the previous event. Each work item
-    // touches exactly one site, so the fan-out is race-free.
-    if (!centralized()) {
-      ready.clear();
-      for (size_t s = 0; s < sites_.size(); ++s) {
-        // A down site's process is gone: its readings stay in the durable
-        // trace (cursor frozen) until the recovery rebuild replays them.
-        if (network_.IsSiteDown(static_cast<SiteId>(s))) continue;
-        const std::vector<RawReading>& rs = sim_->site_trace(
-            static_cast<SiteId>(s)).readings();
-        if (sites_[s]->HasArrivalsDue(t) ||
-            (cursor[s] < rs.size() && rs[cursor[s]].time <= t)) {
-          ready.push_back(s);
-        }
-      }
-      executor.Run(ready.size(), [&](size_t i, int) {
-        const size_t s = ready[i];
-        obs::PhaseTimer span(telemetry_.get(), obs::Phase::kWindowCompute,
-                             t, obs::kFirstSiteTrack + static_cast<int>(s));
-        sites_[s]->DeliverArrivals(t);
-        const std::vector<RawReading>& rs = sim_->site_trace(
-            static_cast<SiteId>(s)).readings();
-        size_t& c = cursor[s];
-        const size_t begin = c;
-        while (c < rs.size() && rs[c].time <= t) ++c;
-        sites_[s]->ObserveBatch(rs.data() + begin, c - begin);
-      });
-    } else {
-      // One real processor: the window phase stays on the replay thread.
-      // Every cursor advances here (a cheap scan over the trace); remote
-      // readings stay pending as trace ranges until the boundary flush
-      // below ships them.
-      const size_t begin0 = cursor[0];
-      for (SiteId s = 0; s < num_warehouses; ++s) {
+    // -- Serial, centralized mode: the remote sites' readings. Every
+    // remote cursor advances here (a cheap scan over the trace); the
+    // readings pend as trace ranges until a boundary flush ships them to
+    // the server, where they are due at their send epoch t: the server
+    // ingests them before this boundary's run (a reorder fault can still
+    // defer a batch to a later drain).
+    if (centralized()) {
+      for (SiteId s = 1; s < num_warehouses; ++s) {
         const std::vector<RawReading>& rs = sim_->site_trace(s).readings();
-        size_t& c = cursor[static_cast<size_t>(s)];
+        size_t& c = cursors_[static_cast<size_t>(s)];
         while (c < rs.size() && rs[c].time <= t) ++c;
-      }
-      {
-        obs::PhaseTimer span(telemetry_.get(), obs::Phase::kWindowCompute,
-                             t, obs::kFirstSiteTrack);
-        sites_[0]->DeliverArrivals(t);
-        const std::vector<RawReading>& rs = sim_->site_trace(0).readings();
-        if (cursor[0] > begin0) {
-          // Site 0 hosts the central server; its readings stay local.
-          sites_[0]->ObserveBatch(rs.data() + begin0, cursor[0] - begin0);
-        }
       }
       if (boundary || t == horizon) {
         obs::PhaseTimer span(telemetry_.get(), obs::Phase::kFlushEncode, t);
         for (SiteId s = 1; s < num_warehouses; ++s) {
           const size_t si = static_cast<size_t>(s);
-          if (flush_begin[si] == cursor[si]) continue;
+          if (flush_begin[si] == cursors_[si]) continue;
           const std::vector<RawReading>& rs = sim_->site_trace(s).readings();
           network_.Send(s, 0, MessageKind::kRawReadings,
                         EncodeReadingBatch(rs.data() + flush_begin[si],
-                                           cursor[si] - flush_begin[si]));
-          flush_begin[si] = cursor[si];
+                                           cursors_[si] - flush_begin[si]));
+          flush_begin[si] = cursors_[si];
         }
-        // The flushed readings are due at their send epoch t: the server
-        // ingests them before this boundary's inference run (a reorder
-        // fault can still defer a batch to a later drain).
         network_.DeliverDue(0, t);
       }
     }
 
-    // -- Parallel inference phase: every site runs at period boundaries
-    // (AdvanceTo is a no-op elsewhere, so the fan-out is skipped).
-    bool any_ran = false;
-    if (boundary) {
-      executor.Run(sites_.size(), [&](size_t s, int) {
-        if (network_.IsSiteDown(static_cast<SiteId>(s))) {
-          ran[s] = 0;
-          return;
-        }
-        obs::PhaseTimer span(telemetry_.get(), obs::Phase::kInference, t,
-                             obs::kFirstSiteTrack + static_cast<int>(s));
-        ran[s] = sites_[s]->AdvanceTo(t);
-      });
-      for (int r : ran) any_ran = any_ran || r > 0;
+    // -- Parallel site phase: every up site with a window due or a
+    // boundary at t takes its step. Each work item touches exactly one
+    // site, so the fan-out is race-free. A down site's process is gone:
+    // its readings stay in the trace (cursor frozen) until the recovery
+    // rebuild replays them.
+    ready.clear();
+    for (SiteId s = 0; s < static_cast<SiteId>(sites_.size()); ++s) {
+      if (network_.IsSiteDown(s)) continue;
+      if (boundary || HasWindow(s, t)) ready.push_back(s);
     }
+    executor.Run(ready.size(), [&](size_t i, int) {
+      ran[i] = StepSite(ready[i], t, boundary);
+    });
+    bool any_ran = false;
+    for (size_t i = 0; i < ready.size(); ++i) any_ran = any_ran || ran[i] > 0;
 
     // -- Serial boundary phase: exports, directory updates, accounting.
     {
@@ -538,7 +497,7 @@ void DistributedSystem::Run() {
   // -- Reliability flush: with faults on, the last window's frames (or
   // their retransmissions) can still be unacked at the horizon. Keep the
   // clock ticking in RTO steps until the protocol drains -- deliveries
-  // after the horizon only top up pending queues (no inference boundary
+  // after the horizon only top up inbound queues (no inference boundary
   // runs anymore), so results are unaffected, but the byte accounting ends
   // complete and AllReliableDelivered() can hold.
   if (network_.reliable()) {
@@ -590,6 +549,31 @@ void DistributedSystem::Run() {
                    st.ToString().c_str());
     }
   }
+}
+
+bool DistributedSystem::HasWindow(SiteId s, Epoch t) const {
+  const std::vector<RawReading>& rs = sim_->site_trace(s).readings();
+  const size_t c = cursors_[static_cast<size_t>(s)];
+  return sites_[static_cast<size_t>(s)]->HasArrivalsDue(t) ||
+         (c < rs.size() && rs[c].time <= t);
+}
+
+int DistributedSystem::StepSite(SiteId s, Epoch t, bool boundary) {
+  Site& site = *sites_[static_cast<size_t>(s)];
+  const int track = obs::kFirstSiteTrack + static_cast<int>(s);
+  if (HasWindow(s, t)) {
+    obs::PhaseTimer span(telemetry_.get(), obs::Phase::kWindowCompute, t,
+                         track);
+    site.DeliverArrivals(t);
+    const std::vector<RawReading>& rs = sim_->site_trace(s).readings();
+    size_t& c = cursors_[static_cast<size_t>(s)];
+    const size_t begin = c;
+    while (c < rs.size() && rs[c].time <= t) ++c;
+    site.ObserveBatch(rs.data() + begin, c - begin);
+  }
+  if (!boundary) return 0;
+  obs::PhaseTimer span(telemetry_.get(), obs::Phase::kInference, t, track);
+  return site.AdvanceTo(t);
 }
 
 void DistributedSystem::CrashSite(SiteId s, Epoch at) {
@@ -650,72 +634,54 @@ void DistributedSystem::RecoverSiteDurable(SiteId s, Epoch t) {
   // mid-flush kill, the unconsumed suffix of the crash epoch's drain).
   // These frames are new to the WAL and log normally. Because a frame's
   // drain epoch is monotone in its arrival epoch, checkpoint-pending +
-  // WAL tail + backlog lands in the pending queues in exactly the order
+  // WAL tail + backlog lands in the inbound queue in exactly the order
   // the uncrashed site would have accumulated.
   network_.DeliverDue(s, t);
 
-  // 3. Replay the site's own trace boundaries in (C, t), interleaving the
-  // departures at their live positions: departures strictly before a
-  // boundary precede its run, departures exactly at it follow the run.
-  // Departures the dead process already exported only drop their query
-  // state locally (Retire), never re-send. A transfer that departed while
-  // the process was down was never exported at all, so the catch-up
-  // exports it for real: the destination installs from the envelope's
-  // arrival boundary, and with an all-zero FaultModel the run stays
-  // bit-identical to the uncrashed one.
+  // 3. Catch up from C to t - 1 with the live per-site step, taken at the
+  // site's own event epochs in (C, t): its boundaries, its departures,
+  // and t - 1. Each departure follows its epoch's step, as the live export
+  // follows the site phase. Departures the dead process already exported
+  // only drop their query state locally (Retire), never re-send. A
+  // transfer that departed while the process was down was never exported
+  // at all, so the catch-up exports it for real: the destination installs
+  // from the envelope's arrival epoch, and with an all-zero FaultModel the
+  // run stays bit-identical to the uncrashed one.
   d->set_replaying(true);
   const Epoch period = options_.site.streaming.inference_period;
   std::vector<const ObjectTransfer*> departs;
+  std::vector<Epoch> epochs;
   for (const ObjectTransfer& tr : sim_->transfers()) {
     if (tr.from == s && tr.depart > cut && tr.depart < t) {
       departs.push_back(&tr);
+      epochs.push_back(tr.depart);
     }
   }
   std::stable_sort(departs.begin(), departs.end(),
                    [](const ObjectTransfer* a, const ObjectTransfer* b) {
                      return a->depart < b->depart;
                    });
+  for (Epoch b = cut + period; period > 0 && b < t; b += period) {
+    epochs.push_back(b);
+  }
+  epochs.push_back(t - 1);
+  std::sort(epochs.begin(), epochs.end());
+  epochs.erase(std::unique(epochs.begin(), epochs.end()), epochs.end());
   const std::vector<RawReading>& rs = sim_->site_trace(s).readings();
-  size_t cur = 0;
+  size_t& cur = cursors_[static_cast<size_t>(s)];
+  cur = 0;
   while (cur < rs.size() && rs[cur].time <= cut) ++cur;
   size_t di = 0;
-  auto observe_to = [&](Epoch b) {
-    const size_t begin = cur;
-    while (cur < rs.size() && rs[cur].time <= b) ++cur;
-    site->ObserveBatch(rs.data() + begin, cur - begin);
-  };
-  auto departs_to = [&](Epoch b, bool inclusive) {
-    while (di < departs.size() &&
-           (inclusive ? departs[di]->depart <= b : departs[di]->depart < b)) {
-      const ObjectTransfer& tr = *departs[di];
-      if (tr.depart >= crashed_at) {
-        // The live departure event ran its window phase (arrivals, then
-        // readings up to the departure epoch) before the export snapshot
-        // the migrating tags' histories; the catch-up export must too, or
-        // the envelope comes up short the readings since the last
-        // boundary.
-        site->DeliverArrivals(tr.depart);
-        observe_to(tr.depart);
-        site->ExportTransfer(tr);
+  for (Epoch e : epochs) {
+    StepSite(s, e, period > 0 && e > cut && e % period == 0);
+    for (; di < departs.size() && departs[di]->depart == e; ++di) {
+      if (departs[di]->depart >= crashed_at) {
+        site->ExportTransfer(*departs[di]);
       } else {
-        site->Retire(tr);
+        site->Retire(*departs[di]);
       }
-      ++di;
-    }
-  };
-  if (period > 0) {
-    for (Epoch b = cut + period; b < t; b += period) {
-      departs_to(b, /*inclusive=*/false);
-      site->DeliverArrivals(b);
-      observe_to(b);
-      site->AdvanceTo(b);
-      departs_to(b, /*inclusive=*/true);
     }
   }
-  departs_to(t - 1, /*inclusive=*/true);
-  site->DeliverArrivals(t - 1);
-  observe_to(t - 1);
-  cursors_[static_cast<size_t>(s)] = cur;
   d->set_replaying(false);
   // The backlog drain's WAL records become durable now rather than at the
   // next event's sweep: recovery ends with disk and state in agreement.

@@ -30,16 +30,18 @@
 // the Network/ONS clocks and serially drains every site's delivery queue
 // of frames whose send epoch has passed (Network::DeliverDue --
 // messages sent at earlier events are in flight until this point, however
-// the transport backend carried them). Per-site work (DeliverArrivals +
-// ObserveBatch, then AdvanceTo at boundaries) then fans out across a
-// SiteExecutor worker pool, whose threads also split each inference run's
-// E-step, M-step and evidence scan, and joins before the serial boundary
-// phase (ONS shard updates/resolves, ExportTransfer, Network::Send,
-// accuracy snapshots). Because parallel work touches only site-local state
-// and all cross-site effects -- including every sharded-directory
-// mutation, cache fill, and frame drain -- are serial, results are
-// bit-identical for every num_threads (and directory_shards, and transport
-// backend) value.
+// the transport backend carried them). Centralized mode then flushes the
+// remote readings to the server. Each site's step (StepSite:
+// DeliverArrivals + ObserveBatch when a window is due, then AdvanceTo at
+// boundaries) fans out as one SiteExecutor job per event, whose threads
+// also split each inference run's E-step, M-step and evidence scan, and
+// joins before the serial boundary phase (ONS shard updates/resolves,
+// ExportTransfer, Network::Send, accuracy snapshots). A recovering site
+// catches up through the same StepSite. Because parallel work touches
+// only site-local state and all cross-site effects -- including every
+// sharded-directory mutation, cache fill, and frame drain -- are serial,
+// results are bit-identical for every num_threads (and directory_shards,
+// and transport backend) value.
 #ifndef RFID_DIST_DISTRIBUTED_H_
 #define RFID_DIST_DISTRIBUTED_H_
 
@@ -283,6 +285,15 @@ class DistributedSystem {
   ErrorRate ScanContainment(const std::vector<TagId>& tags, Epoch t,
                             SiteExecutor* executor,
                             bool contained_only) const;
+  /// True when site `s` has a window due at `t`: a queued arrival or an
+  /// unconsumed trace reading at or before `t`.
+  bool HasWindow(SiteId s, Epoch t) const;
+  /// The only way a site advances, live and in recovery's catch-up: when
+  /// a window is due, install the arrivals due at `t` and ingest the
+  /// site's readings up to `t` (kWindowCompute span); at a boundary, then
+  /// run inference and feed the queries (kInference span). Returns the
+  /// inference runs performed. Touches only site `s` and cursors_[s].
+  int StepSite(SiteId s, Epoch t, bool boundary);
   /// Builds a fully wired site processor for `s`: telemetry, the network
   /// handler (re-registered, replacing any dead predecessor's), queries,
   /// and the site's sensor slice. Used at construction and when a crashed
@@ -295,12 +306,11 @@ class DistributedSystem {
   /// stays isolated until recovery.
   void CrashSite(SiteId s, Epoch at) REQUIRES(phase_);
   /// Brings site `s` back at epoch `t`: restores the newest valid
-  /// checkpoint from disk,
-  /// re-feeds the frame-WAL tail through the handler, drains the outage
-  /// backlog the fabric retained, then replays the site's own trace
-  /// boundaries after the checkpoint cut -- exporting for real any
-  /// transfer that departed while the process was down. Zero peer
-  /// traffic.
+  /// checkpoint from disk, re-feeds the frame-WAL tail through the
+  /// handler, drains the outage backlog the fabric retained, then catches
+  /// up with StepSite at the site's own event epochs after the checkpoint
+  /// cut -- exporting for real any transfer that departed while the
+  /// process was down. Zero peer traffic.
   void RecoverSiteDurable(SiteId s, Epoch t) REQUIRES(phase_);
 
   const SupplyChainSim* sim_;
@@ -335,8 +345,8 @@ class DistributedSystem {
   std::vector<ErrorSnapshot> case_snapshots_;
   /// Per-site read cursor into the raw trace (member so a crashed site's
   /// rebuild can rewind and re-consume its own readings). Partitioned by
-  /// site index: window workers write disjoint elements, which GUARDED_BY
-  /// cannot express -- keep it that way.
+  /// site index: StepSite workers write disjoint elements, which
+  /// GUARDED_BY cannot express -- keep it that way.
   std::vector<size_t> cursors_;
   /// Last-known containment answer per tag owned by a currently-down site;
   /// queries during the outage answer from this snapshot.

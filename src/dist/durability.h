@@ -14,21 +14,24 @@
 //                             cut at <epoch> (segment 0 covers everything
 //                             before the first checkpoint). Every inbound
 //                             state-bearing frame is appended *before* it
-//                             is applied, and the append batch is fsynced
-//                             once per delivery drain; a frame is only
-//                             consumed from the fabric once its record is
-//                             durable, so a torn tail record never means
-//                             lost state. Segments older than the
-//                             previous retained checkpoint are deleted.
+//                             is queued or applied, and the append batch
+//                             is fsynced once per delivery drain; a frame
+//                             is only consumed from the fabric once its
+//                             record is durable, so a torn tail record
+//                             never means lost state. Segments older
+//                             than the previous retained checkpoint are
+//                             deleted.
 //
 // Checkpoint-cut rule: a checkpoint is cut at an inference boundary C in
 // the replay's serial phase, after the boundary's export phase. At that
-// point the site's pending arrival queues hold exactly the envelopes with
-// arrival epoch > C, and the WAL rotates to a fresh segment -- so
+// point the site's inbound queue holds exactly the state envelopes with
+// arrival epoch > C, still as the bytes that arrived (the checkpoint
+// stores them verbatim), and the WAL rotates to a fresh segment -- so
 // recovery is: restore checkpoint C, re-feed the post-C WAL segments
-// through HandleMessage, re-drain the fabric backlog, then replay the
-// site's own trace boundaries in (C, now]. See docs/ARCHITECTURE.md
-// "Durability" for the full recovery state machine.
+// through HandleMessage, re-drain the fabric backlog, then catch up with
+// the replay's per-site step (DistributedSystem::StepSite) at the site's
+// own event epochs in (C, now). See docs/ARCHITECTURE.md "Durability"
+// for the full recovery state machine.
 //
 // All raw file writes live inside the audited lint:durable-io regions in
 // durability.cc; the rfid_lint `durability-fsync` rule flags any other
@@ -46,10 +49,10 @@
 
 namespace rfid {
 
-/// Durability configuration of one replay. Defaults read the environment
-/// (like NetworkOptions does for faults): RFID_DURABILITY_DIR selects the
-/// directory (unset = durability off) and RFID_DURABILITY_FSYNC=off
-/// disables fsync batching for throughput experiments.
+/// Durability configuration of one replay. Defaults read the environment:
+/// RFID_DURABILITY_DIR selects the directory (unset = durability off) and
+/// RFID_DURABILITY_FSYNC=off disables fsync batching for throughput
+/// experiments.
 struct DurabilityOptions {
   /// Root directory for per-site state; empty = durability off.
   std::string dir;

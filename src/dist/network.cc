@@ -101,42 +101,6 @@ bool FaultModel::Partitioned(SiteId from, SiteId to, Epoch at) const {
   return false;
 }
 
-FaultModel FaultModelFromEnv() {
-  FaultModel m;
-  const char* env = std::getenv("RFID_FAULTS");
-  if (env == nullptr || *env == '\0') return m;
-  const std::string s(env);
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string kv = s.substr(pos, comma - pos);
-    pos = comma + 1;
-    const size_t eq = kv.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = kv.substr(0, eq);
-    const std::string val = kv.substr(eq + 1);
-    if (key == "drop") {
-      m.drop = std::atof(val.c_str());
-    } else if (key == "dup" || key == "duplicate") {
-      m.duplicate = std::atof(val.c_str());
-    } else if (key == "reorder") {
-      m.reorder = std::atof(val.c_str());
-    } else if (key == "corrupt") {
-      m.corrupt = std::atof(val.c_str());
-    } else if (key == "seed") {
-      m.seed = std::strtoull(val.c_str(), nullptr, 10);
-    } else if (key == "delay_min") {
-      m.reorder_delay_min = static_cast<Epoch>(std::atoll(val.c_str()));
-    } else if (key == "delay_max") {
-      m.reorder_delay_max = static_cast<Epoch>(std::atoll(val.c_str()));
-    }
-  }
-  return m;
-}
-
-NetworkOptions::NetworkOptions() : faults(FaultModelFromEnv()) {}
-
 // ---- InProcessTransport ----
 
 size_t InProcessTransport::Send(Frame frame) {

@@ -191,11 +191,6 @@ struct FaultModel {
   bool Partitioned(SiteId from, SiteId to, Epoch at) const;
 };
 
-/// Fault config selected by the RFID_FAULTS environment variable, e.g.
-/// RFID_FAULTS="drop=0.05,dup=0.01,reorder=0.02,corrupt=0.001,seed=7".
-/// Unset or empty -> no faults. Unknown keys are ignored.
-FaultModel FaultModelFromEnv();
-
 /// Reliable-delivery (ARQ) configuration. The protocol runs exactly when
 /// the fault model is enabled (it can lose, duplicate or delay frames);
 /// on a perfect fabric link_seq stays 0 and no acks flow.
@@ -217,12 +212,9 @@ struct ReliabilityOptions {
 /// Fabric configuration: fault injection and the reliability protocol
 /// that recovers from it.
 struct NetworkOptions {
-  /// Seeded fault injection (defaults to RFID_FAULTS, i.e. no faults when
-  /// the variable is unset).
+  /// Seeded fault injection; the default injects no faults.
   FaultModel faults;
   ReliabilityOptions reliability;
-
-  NetworkOptions();
 };
 
 /// Injected-fault counters (every fault charged its wire bytes -- the

@@ -202,11 +202,8 @@ void Site::ObserveBatch(const RawReading* readings, size_t n) {
 }
 
 bool Site::HasArrivalsDue(Epoch now) const {
-  for (const PendingArrival& p : pending_inference_) {
-    if (p.arrive <= now) return true;
-  }
-  for (const PendingQueryState& p : pending_query_) {
-    if (p.arrive <= now) return true;
+  for (const InboundEnvelope& e : inbound_) {
+    if (e.arrive <= now) return true;
   }
   return false;
 }
@@ -249,18 +246,10 @@ void Site::FeedQueries(const std::vector<ObjectEvent>& events) {
 }
 
 void Site::DeliverArrivals(Epoch now) {
-  for (auto it = pending_inference_.begin(); it != pending_inference_.end();) {
+  for (auto it = inbound_.begin(); it != inbound_.end();) {
     if (it->arrive <= now) {
-      InstallInference(*it);
-      it = pending_inference_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = pending_query_.begin(); it != pending_query_.end();) {
-    if (it->arrive <= now) {
-      InstallQueryState(*it);
-      it = pending_query_.erase(it);
+      Install(*it);
+      it = inbound_.erase(it);
     } else {
       ++it;
     }
@@ -268,6 +257,14 @@ void Site::DeliverArrivals(Epoch now) {
 }
 
 namespace {
+
+/// The arrival epoch both state envelopes lead with.
+Result<Epoch> EnvelopeArrival(const std::vector<uint8_t>& payload) {
+  BufferReader r(payload);
+  uint64_t arrive = 0;
+  RFID_RETURN_NOT_OK(r.GetVarint(&arrive));
+  return static_cast<Epoch>(arrive);
+}
 
 /// Installs one level's migrated states into the level's engine.
 void InstallStates(StreamingInference& si,
@@ -288,21 +285,25 @@ void InstallStates(StreamingInference& si,
 
 }  // namespace
 
-void Site::InstallInference(const PendingArrival& arrival) {
-  InstallStates(streaming_, arrival.states);
-  // Case→pallet states from a hierarchical sender are dropped when this
-  // site does not run the second level (nothing could consume them).
-  if (pallet_streaming_ != nullptr) {
-    InstallStates(*pallet_streaming_, arrival.case_states);
+void Site::Install(const InboundEnvelope& envelope) {
+  if (envelope.kind == MessageKind::kInferenceState) {
+    Result<PendingArrival> arrival = DecodeInferenceEnvelope(envelope.payload);
+    RFID_CHECK_OK(arrival.status());
+    InstallStates(streaming_, arrival->states);
+    // Case→pallet states from a hierarchical sender are dropped when this
+    // site does not run the second level (nothing could consume them).
+    if (pallet_streaming_ != nullptr) {
+      InstallStates(*pallet_streaming_, arrival->case_states);
+    }
+    return;
   }
-}
-
-void Site::InstallQueryState(const PendingQueryState& pending) {
+  Result<PendingQueryState> pending = DecodeQueryEnvelope(envelope.payload);
+  RFID_CHECK_OK(pending.status());
   if (!queries_attached()) return;
-  for (const auto& [tag, bytes] : pending.q1_states) {
+  for (const auto& [tag, bytes] : pending->q1_states) {
     RFID_CHECK_OK(q1_->ImportState(tag, bytes));
   }
-  for (const auto& [tag, bytes] : pending.q2_states) {
+  for (const auto& [tag, bytes] : pending->q2_states) {
     RFID_CHECK_OK(q2_->ImportState(tag, bytes));
   }
 }
@@ -401,17 +402,13 @@ void Site::HandleMessage(SiteId from, MessageKind kind,
         durability_->AppendFrame(from, kind, payload, network_->now()));
   }
   switch (kind) {
-    case MessageKind::kInferenceState: {
-      Result<PendingArrival> arrival = DecodeInferenceEnvelope(payload);
-      RFID_CHECK_OK(arrival.status());
-      arrival->from = from;
-      pending_inference_.push_back(std::move(*arrival));
-      break;
-    }
+    case MessageKind::kInferenceState:
     case MessageKind::kQueryState: {
-      Result<PendingQueryState> pending = DecodeQueryEnvelope(payload);
-      RFID_CHECK_OK(pending.status());
-      pending_query_.push_back(std::move(*pending));
+      // Queued as received; DeliverArrivals decodes it inside the site's
+      // own step, off the serial drain.
+      Result<Epoch> arrive = EnvelopeArrival(payload);
+      RFID_CHECK_OK(arrive.status());
+      inbound_.push_back(InboundEnvelope{*arrive, kind, payload});
       break;
     }
     case MessageKind::kRawReadings: {
@@ -447,7 +444,7 @@ void Site::HandleMessage(SiteId from, MessageKind kind,
 
 namespace {
 
-constexpr uint8_t kCheckpointVersion = 1;
+constexpr uint8_t kCheckpointVersion = 2;
 
 void PutBlob(BufferWriter& w, const std::vector<uint8_t>& bytes) {
   w.PutVarint(bytes.size());
@@ -528,26 +525,12 @@ std::vector<uint8_t> Site::EncodeCheckpoint(Epoch epoch) {
   }
   w.PutSignedVarint(event_watermark_);
   w.PutVarint(sensor_cursor_);
-  // Pending arrivals (envelope arrival epoch > the cut). Their weights
-  // came off the wire float-collapsed, so re-encoding through the
-  // migration codec is lossless here.
-  w.PutVarint(pending_inference_.size());
-  for (const PendingArrival& p : pending_inference_) {
-    w.PutSignedVarint(p.arrive);
-    w.PutSignedVarint(p.from);
-    PutBlob(w, EncodeMigrationStates(p.states));
-    PutBlob(w, EncodeMigrationStates(p.case_states));
-  }
-  w.PutVarint(pending_query_.size());
-  for (const PendingQueryState& p : pending_query_) {
-    w.PutSignedVarint(p.arrive);
-    for (const auto* states : {&p.q1_states, &p.q2_states}) {
-      w.PutVarint(states->size());
-      for (const auto& [tag, bytes] : *states) {
-        w.PutTagId(tag);
-        PutBlob(w, bytes);
-      }
-    }
+  // Queued inbound envelopes (arrival epoch > the cut), verbatim and in
+  // receipt order.
+  w.PutVarint(inbound_.size());
+  for (const InboundEnvelope& e : inbound_) {
+    w.PutU8(static_cast<uint8_t>(e.kind));
+    PutBlob(w, e.payload);
   }
   w.PutU8(queries_attached() ? 1 : 0);
   if (queries_attached()) {
@@ -588,37 +571,19 @@ Status Site::RestoreCheckpoint(Epoch epoch,
   }
   uint64_t n = 0;
   RFID_RETURN_NOT_OK(r.GetVarint(&n));
-  pending_inference_.clear();
+  inbound_.clear();
   for (uint64_t i = 0; i < n; ++i) {
-    PendingArrival p;
-    RFID_RETURN_NOT_OK(r.GetSignedVarint(&p.arrive));
-    int64_t from = 0;
-    RFID_RETURN_NOT_OK(r.GetSignedVarint(&from));
-    p.from = static_cast<SiteId>(from);
-    for (auto* batch : {&p.states, &p.case_states}) {
-      std::vector<uint8_t> blob;
-      RFID_RETURN_NOT_OK(GetBlob(r, &blob));
-      RFID_ASSIGN_OR_RETURN(*batch, DecodeMigrationStates(blob));
+    InboundEnvelope e;
+    uint8_t kind = 0;
+    RFID_RETURN_NOT_OK(r.GetU8(&kind));
+    e.kind = static_cast<MessageKind>(kind);
+    if (e.kind != MessageKind::kInferenceState &&
+        e.kind != MessageKind::kQueryState) {
+      return Status::Corruption("checkpoint envelope of a stateless kind");
     }
-    pending_inference_.push_back(std::move(p));
-  }
-  RFID_RETURN_NOT_OK(r.GetVarint(&n));
-  pending_query_.clear();
-  for (uint64_t i = 0; i < n; ++i) {
-    PendingQueryState p;
-    RFID_RETURN_NOT_OK(r.GetSignedVarint(&p.arrive));
-    for (auto* states : {&p.q1_states, &p.q2_states}) {
-      uint64_t m = 0;
-      RFID_RETURN_NOT_OK(r.GetVarint(&m));
-      for (uint64_t j = 0; j < m; ++j) {
-        TagId tag;
-        std::vector<uint8_t> blob;
-        RFID_RETURN_NOT_OK(r.GetTagId(&tag));
-        RFID_RETURN_NOT_OK(GetBlob(r, &blob));
-        states->emplace_back(tag, std::move(blob));
-      }
-    }
-    pending_query_.push_back(std::move(p));
+    RFID_RETURN_NOT_OK(GetBlob(r, &e.payload));
+    RFID_ASSIGN_OR_RETURN(e.arrive, EnvelopeArrival(e.payload));
+    inbound_.push_back(std::move(e));
   }
   uint8_t had_queries = 0;
   RFID_RETURN_NOT_OK(r.GetU8(&had_queries));

@@ -76,17 +76,17 @@ struct SiteOptions {
   int checkpoint_every = 1;
 };
 
-/// A decoded inbound state transfer waiting for its arrival epoch. `states`
+/// A decoded kInferenceState envelope (DecodeInferenceEnvelope). `states`
 /// carries the item→case level; `case_states` the case→pallet level (empty
 /// unless the sender ran hierarchical inference).
 struct PendingArrival {
   Epoch arrive = 0;
-  SiteId from = kNoSite;
   std::vector<ObjectMigrationState> states;
   std::vector<ObjectMigrationState> case_states;
 };
 
-/// Pending inbound query state for one object: (query index, state bytes).
+/// A decoded kQueryState envelope (DecodeQueryEnvelope): each query's
+/// per-object pattern-state bytes.
 struct PendingQueryState {
   Epoch arrive = 0;
   std::vector<std::pair<TagId, std::vector<uint8_t>>> q1_states;
@@ -138,11 +138,12 @@ class Site {
   /// time order). Returns inference runs performed.
   int AdvanceTo(Epoch now);
 
-  /// Installs every inbound transfer whose arrival epoch has been reached.
+  /// Decodes and installs, in receipt order, every queued inbound state
+  /// envelope whose arrival epoch has been reached.
   void DeliverArrivals(Epoch now);
 
-  /// True when an inbound transfer is waiting with arrival epoch <= now --
-  /// the scheduler's cheap test for whether the site needs a delivery pass.
+  /// True when a queued inbound envelope has arrival epoch <= now -- the
+  /// scheduler's cheap test for whether the site needs a delivery pass.
   bool HasArrivalsDue(Epoch now) const;
 
   /// Attaches the run's telemetry (migration encode spans; obs/telemetry.h).
@@ -161,7 +162,10 @@ class Site {
   /// keep state the live one gave away). Sends nothing.
   void Retire(const ObjectTransfer& tr);
 
-  /// Inbound message entry point (registered with the Network).
+  /// Inbound message entry point (registered with the Network). A state
+  /// envelope (kInferenceState, kQueryState) is WAL-logged and queued as
+  /// the bytes that arrived, keyed by the arrival epoch it leads with;
+  /// DeliverArrivals decodes it. A kRawReadings batch is ingested at once.
   void HandleMessage(SiteId from, MessageKind kind,
                      const std::vector<uint8_t>& payload);
 
@@ -170,16 +174,16 @@ class Site {
   /// Attaches the site's durable storage (driver-owned, outlives the
   /// site across crash rebuilds; null detaches). With storage attached,
   /// HandleMessage WAL-logs every state-bearing inbound frame before
-  /// applying it.
+  /// queueing or ingesting it.
   void AttachDurability(SiteDurability* durability) {
     durability_ = durability;
   }
 
   /// Serializes the complete site state as of the boundary cut `epoch`:
-  /// both inference levels' snapshots, the pending arrival queues, query
-  /// pattern states and fired alerts, the sensor cursor, and the event
-  /// watermark. Same envelope discipline as the migration codecs; the
-  /// caller wraps the bytes in a kCheckpoint frame for storage.
+  /// both inference levels' snapshots, the queued inbound envelopes
+  /// (verbatim, as a kind byte plus the received bytes), query pattern
+  /// states and fired alerts, the sensor cursor, and the event watermark.
+  /// The caller wraps the bytes in a kCheckpoint frame for storage.
   std::vector<uint8_t> EncodeCheckpoint(Epoch epoch);
 
   /// Restores EncodeCheckpoint bytes into this freshly built site. The
@@ -211,9 +215,15 @@ class Site {
   }
 
  private:
+  /// A state envelope as received, waiting for its arrival epoch.
+  struct InboundEnvelope {
+    Epoch arrive = 0;
+    MessageKind kind = MessageKind::kInferenceState;
+    std::vector<uint8_t> payload;
+  };
+
   void FeedQueries(const std::vector<ObjectEvent>& events);
-  void InstallInference(const PendingArrival& arrival);
-  void InstallQueryState(const PendingQueryState& pending);
+  void Install(const InboundEnvelope& envelope);
 
   SiteId id_;
   Network* network_;
@@ -238,8 +248,10 @@ class Site {
   /// windows overlap).
   Epoch event_watermark_ = -1;
 
-  std::vector<PendingArrival> pending_inference_;
-  std::vector<PendingQueryState> pending_query_;
+  /// Inbound kInferenceState / kQueryState envelopes in receipt order.
+  /// Inference installs and query installs touch disjoint state, so one
+  /// queue preserves each kind's order.
+  std::vector<InboundEnvelope> inbound_;
 };
 
 // ---- Wire codecs shared by sites and the centralized driver ----

@@ -13,18 +13,9 @@ double ContainmentErrorPercent(const RFInfer& engine, const GroundTruth& truth,
 double LocationErrorPercent(const RFInfer& engine, const GroundTruth& truth,
                             const std::vector<TagId>& tags, Epoch begin,
                             Epoch end, Epoch stride) {
-  ErrorRate err;
-  for (TagId tag : tags) {
-    for (Epoch t = begin; t <= end; t += stride) {
-      if (!truth.PresentAt(tag, t)) continue;
-      const LocationId truth_loc = truth.LocationAt(tag, t);
-      if (truth_loc == kNoLocation) continue;  // in transit
-      const LocationId est = engine.LocationOf(tag, t);
-      if (est == kNoLocation) continue;  // no estimate yet
-      err.Add(est == truth_loc);
-    }
-  }
-  return err.Percent();
+  return LocationErrorPercentOf(
+      [&](TagId tag, Epoch t) { return engine.LocationOf(tag, t); }, truth,
+      tags, begin, end, stride);
 }
 
 FMeasure ScoreChangeDetection(const std::vector<ChangePointResult>& reported,

@@ -1102,11 +1102,6 @@ EvidenceFindings RFInfer::ScanEvidence(
   return out;
 }
 
-std::vector<ChangePointResult> RFInfer::DetectChangePoints(
-    double threshold) const {
-  return ScanEvidence(threshold, std::nullopt).changes;
-}
-
 double RFInfer::ChangeStatistic(TagId object) const {
   const int oi = ObjectIndexOf(object);
   if (oi < 0) return 0.0;
@@ -1115,17 +1110,6 @@ double RFInfer::ChangeStatistic(TagId object) const {
   ScanObject(o, &scan);
   auto cp = ChangePointFor(o, scan, kNegInf);
   return cp.has_value() ? cp->delta : 0.0;
-}
-
-std::unordered_map<TagId, CriticalRegion> RFInfer::FindCriticalRegions(
-    Epoch window, double gap_threshold) const {
-  std::unordered_map<TagId, CriticalRegion> out;
-  for (const auto& [tag, cr] :
-       ScanEvidence(std::nullopt, CriticalRegionSearch{window, gap_threshold})
-           .critical_regions) {
-    out[tag] = cr;
-  }
-  return out;
 }
 
 }  // namespace rfid

@@ -239,32 +239,26 @@ class RFInfer {
   std::vector<EvidencePoint> EvidenceSeries(TagId object,
                                             TagId container) const;
 
-  /// The per-run evidence pass: scans each object's evidence once and runs
-  /// change-point detection on it when `change_threshold` is set and the
-  /// critical-region search when `regions` is set. Equivalent to
-  /// DetectChangePoints followed by FindCriticalRegions, at half the scans.
+  /// The per-run evidence pass: scans each object's evidence once and,
+  /// on that one scan, runs
+  ///  - change-point detection when `change_threshold` is set: computes
+  ///    Delta_o(T) (Eq 6) and reports the objects at or above the
+  ///    threshold, with the maximizing split epoch, the best container
+  ///    before and after it, and the statistic value;
+  ///  - the critical-region search (Section 4.1) when `regions` is set:
+  ///    slides a window of `regions->window` epochs over the evidence and
+  ///    keeps the window with the largest gap by which the best candidate
+  ///    out-scores the second best, among windows whose gap is at least
+  ///    `regions->gap_threshold` (the earliest such window on ties).
+  ///    Objects with a single candidate use the window of their strongest
+  ///    point evidence.
   EvidenceFindings ScanEvidence(
       std::optional<double> change_threshold,
       std::optional<CriticalRegionSearch> regions) const;
 
-  /// ScanEvidence's change detection alone: computes Delta_o(T) for every
-  /// object (Eq 6) and reports those at or above `threshold`. The
-  /// maximizing split epoch, the best container before and after it, and
-  /// the statistic value are filled in.
-  std::vector<ChangePointResult> DetectChangePoints(double threshold) const;
-
   /// Delta statistic for one object (for calibration); 0 when the object
   /// has fewer than one candidate or no events.
   double ChangeStatistic(TagId object) const;
-
-  /// ScanEvidence's critical-region search alone (Section 4.1): slides a
-  /// window of `window` epochs over each object's evidence and keeps the
-  /// window with the largest gap by which the best candidate out-scores
-  /// the second best, among windows whose gap is at least `gap_threshold`
-  /// (the earliest such window on ties). Objects with a single candidate
-  /// use the window of their strongest point evidence.
-  std::unordered_map<TagId, CriticalRegion> FindCriticalRegions(
-      Epoch window, double gap_threshold) const;
 
   // ---- Diagnostics ----
 

@@ -329,6 +329,30 @@ TEST(CompressTest, GarbageFailsToDecompress) {
   EXPECT_FALSE(Decompress(garbage, &out).ok());
 }
 
+TEST(CompressTest, PayloadDeflatedMoreThanFourfoldRoundTrips) {
+  const std::vector<uint8_t> input(64 * 1024, 0);
+  std::vector<uint8_t> compressed;
+  ASSERT_TRUE(Compress(input, &compressed).ok());
+  ASSERT_LT(compressed.size() * 4, input.size());
+  std::vector<uint8_t> restored{7, 7, 7};  // replaced, not appended to
+  ASSERT_TRUE(Decompress(compressed, &restored).ok());
+  EXPECT_EQ(restored, input);
+}
+
+TEST(CompressTest, TruncatedStreamIsCorruption) {
+  std::vector<uint8_t> input;
+  Rng rng(37);
+  for (int i = 0; i < 2000; ++i) {
+    input.push_back(static_cast<uint8_t>(rng.NextBounded(8)));
+  }
+  std::vector<uint8_t> compressed, out;
+  ASSERT_TRUE(Compress(input, &compressed).ok());
+  for (size_t n = 0; n < compressed.size(); ++n) {
+    EXPECT_TRUE(Decompress(compressed.data(), n, &out).IsCorruption())
+        << "prefix of " << n << " bytes";
+  }
+}
+
 TEST(MetricsTest, ErrorRatePercent) {
   ErrorRate err;
   err.Add(true);

@@ -15,6 +15,9 @@
 //     back to the previous cut, WAL truncation at every offset yields the
 //     longest complete-record prefix (torn tail counted) or fails loudly
 //     when the hole is mid-stream;
+//   - a checkpoint keeps a site's queued inbound state envelopes verbatim:
+//     a restored site re-encodes the same bytes and installs them, and a
+//     stateless kind or a truncated envelope is Corruption;
 //   - a replay over a directory that holds a previous run's checkpoints
 //     or WAL records is rejected.
 #include <gtest/gtest.h>
@@ -25,9 +28,11 @@
 #include <string>
 #include <vector>
 
+#include "common/serde.h"
 #include "dist/distributed.h"
 #include "dist/durability.h"
 #include "dist/frame.h"
+#include "dist/site.h"
 #include "sim/sensors.h"
 #include "sim/supply_chain.h"
 #include "tests/fnv_digest.h"
@@ -307,7 +312,6 @@ DistributedOptions SweepOptions() {
   opts.q2 = ExposureQuery::Q2Config(/*duration=*/300);
   opts.q2.max_gap = 400;
   opts.num_threads = 0;
-  opts.network.faults = FaultModel{};  // explicit; never ambient env
   opts.trace = false;
   return opts;
 }
@@ -331,6 +335,123 @@ struct SweepFixture {
   ProductCatalog catalog;
   std::vector<SensorReading> sensors;
 };
+
+// ---- Checkpoints: the site's queued inbound envelopes ----
+
+/// Site 1 as DistributedSystem builds it under SweepOptions: queries
+/// attached and the sensor stream re-added, ready for RestoreCheckpoint.
+std::unique_ptr<Site> SweepSite(const SweepFixture& f, Network* net) {
+  const DistributedOptions opts = SweepOptions();
+  auto site = std::make_unique<Site>(1, &f.sim.model(), &f.sim.schedule(),
+                                     net, opts.site);
+  site->AttachQueries(&f.catalog, opts.q1, opts.q2);
+  for (const SensorReading& r : f.sensors) site->AddSensor(r);
+  return site;
+}
+
+/// One kInferenceState and one kQueryState envelope for `item`, both due
+/// at epoch 700.
+struct InboundPair {
+  InboundPair(TagId item, TagId container) {
+    ObjectMigrationState s;
+    s.object = item;
+    s.container = container;
+    s.weights = {{container, 0.75}};
+    s.critical_region = EpochInterval{500, 560};
+    s.barrier = 420;
+    for (Epoch t = 500; t < 560; t += 5) {
+      s.readings.push_back(RawReading{t, item, 3});
+      s.readings.push_back(RawReading{t, container, 3});
+    }
+    inference = EncodeInferenceEnvelope(700, {s}, {});
+    PatternState p;
+    p.phase = RunPhase::kAccumulating;
+    p.first_time = 610;
+    p.last_time = 640;
+    p.value_log = {{610, 9.5}, {640, 10.0}};
+    pattern = p.Encode();
+    query = EncodeQueryEnvelope(700, {{item, pattern}}, {{item, pattern}},
+                                /*share=*/false);
+  }
+  std::vector<uint8_t> inference;
+  std::vector<uint8_t> pattern;
+  std::vector<uint8_t> query;
+};
+
+TEST(CheckpointTest, QueuedInboundEnvelopesRestoreVerbatimAndInstall) {
+  SweepFixture f;
+  const TagId item = f.sim.all_items().front();
+  const TagId container = f.sim.all_cases().front();
+  const InboundPair in(item, container);
+  Network net;
+  std::unique_ptr<Site> live = SweepSite(f, &net);
+  live->HandleMessage(0, MessageKind::kInferenceState, in.inference);
+  live->HandleMessage(0, MessageKind::kQueryState, in.query);
+  const std::vector<uint8_t> bytes = live->EncodeCheckpoint(600);
+
+  std::unique_ptr<Site> restored = SweepSite(f, &net);
+  ASSERT_TRUE(restored->RestoreCheckpoint(600, bytes).ok());
+  EXPECT_EQ(restored->EncodeCheckpoint(600), bytes);
+
+  EXPECT_FALSE(restored->HasArrivalsDue(699));
+  ASSERT_TRUE(restored->HasArrivalsDue(700));
+  const size_t buffered = restored->streaming().buffered_readings();
+  restored->DeliverArrivals(700);
+  EXPECT_FALSE(restored->HasArrivalsDue(1 << 30));
+  // The inference envelope installed its belief and its 24 readings...
+  EXPECT_EQ(restored->BelievedContainer(item), container);
+  EXPECT_EQ(restored->streaming().buffered_readings(), buffered + 24);
+  // ...and the query envelope each query's pattern state.
+  for (int q : {0, 1}) {
+    EXPECT_EQ(restored->query(q)->ExportState(item), in.pattern) << q;
+  }
+}
+
+TEST(CheckpointTest, RestoreRejectsStatelessKindsAndTruncatedEnvelopes) {
+  SweepFixture f;
+  const InboundPair in(f.sim.all_items().front(), f.sim.all_cases().front());
+  Network net;
+  const std::vector<uint8_t> empty = SweepSite(f, &net)->EncodeCheckpoint(600);
+  std::unique_ptr<Site> live = SweepSite(f, &net);
+  live->HandleMessage(0, MessageKind::kInferenceState, in.inference);
+  const std::vector<uint8_t> bytes = live->EncodeCheckpoint(600);
+  // The two encodings first differ at the queue's count (0 vs 1); the
+  // envelope's kind byte follows it, then its length-prefixed blob.
+  size_t count_at = 0;
+  while (count_at < empty.size() && empty[count_at] == bytes[count_at]) {
+    ++count_at;
+  }
+  ASSERT_EQ(bytes[count_at], 1);
+  const size_t kind_at = count_at + 1;
+  ASSERT_EQ(bytes[kind_at],
+            static_cast<uint8_t>(MessageKind::kInferenceState));
+  ASSERT_TRUE(SweepSite(f, &net)->RestoreCheckpoint(600, bytes).ok());
+  auto at = [&bytes](size_t i) {
+    return bytes.begin() + static_cast<ptrdiff_t>(i);
+  };
+
+  for (MessageKind kind : {MessageKind::kAck, MessageKind::kDirectory}) {
+    std::vector<uint8_t> tagged = bytes;
+    tagged[kind_at] = static_cast<uint8_t>(kind);
+    EXPECT_TRUE(
+        SweepSite(f, &net)->RestoreCheckpoint(600, tagged).IsCorruption())
+        << ToString(kind);
+  }
+  // Cut inside the blob.
+  const std::vector<uint8_t> cut(bytes.begin(),
+                                 at(kind_at + 3 + in.inference.size() / 2));
+  EXPECT_TRUE(SweepSite(f, &net)->RestoreCheckpoint(600, cut).IsCorruption());
+  // A blob too short to hold the arrival epoch it must lead with.
+  BufferWriter len;
+  len.PutVarint(in.inference.size());
+  std::vector<uint8_t> hollow(bytes.begin(), at(kind_at + 1));
+  hollow.push_back(0);
+  hollow.insert(hollow.end(),
+                at(kind_at + 1 + len.size() + in.inference.size()),
+                bytes.end());
+  EXPECT_TRUE(
+      SweepSite(f, &net)->RestoreCheckpoint(600, hollow).IsCorruption());
+}
 
 void ExpectSameAlerts(const std::vector<ExposureAlert>& a,
                       const std::vector<ExposureAlert>& b,

@@ -86,23 +86,6 @@ TEST(FaultModelTest, PartitionWindowsAndWildcards) {
   EXPECT_FALSE(iso.Partitioned(0, 1, 10));
 }
 
-TEST(FaultModelTest, FromEnvParsesKnobs) {
-  setenv("RFID_FAULTS", "drop=0.05,dup=0.01,reorder=0.02,corrupt=0.001,"
-                        "seed=7,delay_min=2,delay_max=5",
-         /*overwrite=*/1);
-  const FaultModel m = FaultModelFromEnv();
-  unsetenv("RFID_FAULTS");
-  EXPECT_DOUBLE_EQ(m.drop, 0.05);
-  EXPECT_DOUBLE_EQ(m.duplicate, 0.01);
-  EXPECT_DOUBLE_EQ(m.reorder, 0.02);
-  EXPECT_DOUBLE_EQ(m.corrupt, 0.001);
-  EXPECT_EQ(m.seed, 7u);
-  EXPECT_EQ(m.reorder_delay_min, 2);
-  EXPECT_EQ(m.reorder_delay_max, 5);
-  EXPECT_TRUE(m.enabled());
-  EXPECT_FALSE(FaultModelFromEnv().enabled());  // unset -> no faults
-}
-
 // ---- Reliability protocol, driven directly against a Network ----
 
 /// Delivery log for one receiving site: payload index -> times delivered.
@@ -145,15 +128,9 @@ void PumpUntilQuiet(Network* net, SiteId num_sites, Epoch start, Epoch step,
   }
 }
 
-NetworkOptions QuietFaultOptions() {
-  NetworkOptions o;
-  o.faults = FaultModel{};  // ignore any ambient RFID_FAULTS
-  return o;
-}
-
 TEST(ReliabilityTest, ExactlyOnceUnderHeavyDropAndReorder) {
   Network net;
-  NetworkOptions o = QuietFaultOptions();
+  NetworkOptions o;
   o.faults.drop = 0.3;
   o.faults.duplicate = 0.05;
   o.faults.reorder = 0.2;
@@ -186,7 +163,7 @@ TEST(ReliabilityTest, ExactlyOnceUnderHeavyDropAndReorder) {
 
 TEST(ReliabilityTest, DuplicatesAreSuppressed) {
   Network net;
-  NetworkOptions o = QuietFaultOptions();
+  NetworkOptions o;
   o.faults.duplicate = 1.0;
   o.faults.reorder_delay_min = 0;
   o.faults.reorder_delay_max = 0;
@@ -215,7 +192,7 @@ TEST(ReliabilityTest, DuplicatesAreSuppressed) {
 
 TEST(ReliabilityTest, ReorderedFramesDeliverExactlyOnce) {
   Network net;
-  NetworkOptions o = QuietFaultOptions();
+  NetworkOptions o;
   o.faults.reorder = 1.0;
   o.faults.reorder_delay_min = 1;
   o.faults.reorder_delay_max = 8;
@@ -244,7 +221,7 @@ TEST(ReliabilityTest, CorruptFramesAreDroppedAndRetransmitted) {
        {TransportKind::kInProcess, TransportKind::kSocket}) {
     Network net;
     net.ConfigureTransport(kind, 2);
-    NetworkOptions o = QuietFaultOptions();
+    NetworkOptions o;
     o.faults.corrupt = 0.5;
     o.faults.seed = 31;
     o.reliability.rto = 4;
@@ -276,7 +253,7 @@ TEST(ReliabilityTest, CorruptFramesAreDroppedAndRetransmitted) {
 
 TEST(ReliabilityTest, PartitionHealsAndBackloggedFramesDeliver) {
   Network net;
-  NetworkOptions o = QuietFaultOptions();
+  NetworkOptions o;
   o.faults.partitions.push_back(LinkPartition{0, 1, 0, 50, true});
   o.reliability.rto = 8;
   net.Configure(o);
@@ -303,7 +280,7 @@ TEST(ReliabilityTest, PartitionHealsAndBackloggedFramesDeliver) {
 
 TEST(ReliabilityTest, WindowBoundsInFlightFrames) {
   Network net;
-  NetworkOptions o = QuietFaultOptions();
+  NetworkOptions o;
   // Enabled but lossless: every frame draws a zero-epoch reorder, so the
   // protocol runs and nothing is delayed, dropped or duplicated.
   o.faults.reorder = 1.0;
@@ -413,7 +390,6 @@ DistributedOptions ReplayOptions(int num_threads) {
   opts.q2 = ExposureQuery::Q2Config(/*duration=*/300);
   opts.q2.max_gap = 400;
   opts.num_threads = num_threads;
-  opts.network.faults = FaultModel{};  // explicit; never ambient env
   return opts;
 }
 

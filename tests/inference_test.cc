@@ -281,7 +281,7 @@ TEST(RFInferTest, DetectsPlantedContainmentChange) {
   // Objects that never moved have much smaller statistics.
   EXPECT_LT(engine.ChangeStatistic(TagId::Item(10)), delta / 2);
 
-  auto changes = engine.DetectChangePoints(delta / 2);
+  auto changes = engine.ScanEvidence(delta / 2, std::nullopt).changes;
   bool found = false;
   for (const ChangePointResult& cp : changes) {
     if (cp.object == mover) {
@@ -334,7 +334,10 @@ TEST(RFInferTest, CriticalRegionFindsDiscriminativeSpan) {
   // The gap threshold must exceed co-location noise (both containers read
   // with p<1 produce fluctuating per-epoch evidence differences); the belt
   // span delivers a gap an order of magnitude above it.
-  auto crs = engine.FindCriticalRegions(30, 100.0);
+  const EvidenceFindings found =
+      engine.ScanEvidence(std::nullopt, CriticalRegionSearch{30, 100.0});
+  const std::map<TagId, CriticalRegion> crs(found.critical_regions.begin(),
+                                            found.critical_regions.end());
   ASSERT_TRUE(crs.contains(o));
   const CriticalRegion& cr = crs.at(o);
   // The discriminative window overlaps the belt period [100, 150).
@@ -718,7 +721,7 @@ TEST(CalibrationTest, ThresholdIsPositiveAndSuppressesFalsePositives) {
   TwoContainerWorld w(0.8, 3, 200, /*seed=*/51);
   RFInfer engine(&model, &sched);
   ASSERT_TRUE(engine.Run(w.trace, 0, w.horizon - 1).ok());
-  auto changes = engine.DetectChangePoints(delta);
+  auto changes = engine.ScanEvidence(delta, std::nullopt).changes;
   EXPECT_LE(changes.size(), 1u);  // at most a rare straggler
 }
 
@@ -1004,8 +1007,10 @@ TEST(InferenceIntegrationTest,
 
       const RFInfer& engine = si.engine();
       for (double ll : engine.likelihood_history()) d.Double(ll);
-      const std::unordered_map<TagId, CriticalRegion> regions =
-          engine.FindCriticalRegions(60, 25.0);
+      const EvidenceFindings findings =
+          engine.ScanEvidence(std::nullopt, CriticalRegionSearch{60, 25.0});
+      const std::unordered_map<TagId, CriticalRegion> regions(
+          findings.critical_regions.begin(), findings.critical_regions.end());
       std::map<TagId, UniverseBound> bounds;
       for (TagId c : engine.container_tags()) {
         bounds[c].hull.push_back(engine.window());
