@@ -109,10 +109,17 @@ BENCHMARK(BM_EvidencePass);
 // container universes keep old critical regions behind the window). Each
 // iteration replays the stream from a fresh driver and times only the
 // AdvanceTo calls of the second half, once the site holds a steady
-// population; boundary_s is the mean time of one of them.
+// population; boundary_s is the mean time of one of them. The argument is
+// the warehouse count: 1 is the site-stream shape (R = 9), and 10 is the
+// 1-3-3-3 DAG, timed at its source site 0, whose model spans every
+// warehouse (R = 90).
 void BM_SiteStreamBoundary(benchmark::State& state) {
   SupplyChainConfig cfg;
-  cfg.num_warehouses = 1;
+  cfg.num_warehouses = static_cast<int>(state.range(0));
+  if (cfg.num_warehouses == 10) {
+    cfg.dag_layers = {1, 3, 3, 3};
+    cfg.transit_time = 60;
+  }
   cfg.shelves_per_warehouse = 6;
   cfg.cases_per_pallet = 5;
   cfg.items_per_case = 10;
@@ -158,6 +165,8 @@ void BM_SiteStreamBoundary(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_SiteStreamBoundary)
+    ->Arg(1)
+    ->Arg(10)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -76,13 +76,17 @@ void SetBit(std::vector<uint64_t>* bits, size_t p) {
   (*bits)[p / 64] |= uint64_t{1} << (p % 64);
 }
 
-uint64_t HashIndices(const std::vector<int>& xs) {
-  uint64_t h = 1469598103934665603ULL;
-  for (int x : xs) {
-    h ^= static_cast<uint64_t>(x) + 0x9e3779b97f4a7c15ULL;
-    h *= 1099511628211ULL;
-  }
-  return h;
+/// Schedule class of epoch t >= from, given the class `cls` of epoch
+/// `from` (cls < 0: none yet). Walks over ascending epochs advance it
+/// without ClassOf's divisions while steps are shorter than the cycle.
+int AdvanceClass(const InterrogationSchedule& schedule, int cls, Epoch from,
+                 Epoch t) {
+  if (cls < 0) return schedule.ClassOf(t);
+  assert(t >= from);
+  const Epoch cycle = schedule.cycle();
+  if (t - from >= cycle) return schedule.ClassOf(t);
+  const Epoch next = cls + (t - from);
+  return static_cast<int>(next >= cycle ? next - cycle : next);
 }
 
 }  // namespace
@@ -322,7 +326,6 @@ void RFInfer::BuildCandidates(const Trace& trace) {
     c.index_end = n_pos + 1;
     n_pos = (c.index_end + 63) / 64 * 64;
     c.computed = false;
-    c.member_hash = 0;
   }
   act_rank_.resize(n_pos);
   act_bits_.resize(n_pos / 64 + 1);
@@ -358,14 +361,16 @@ void RFInfer::BuildReadCaches(const Trace& trace) {
 
 // lint:hot-loop-begin(e-step)
 void RFInfer::ComputeContainer(ContainerData& c, EStepScratch* scratch) {
-  const uint64_t hash = HashIndices(c.objects);
-  c.recomputed = !(options_.memoize && c.computed && hash == c.member_hash);
+  c.recomputed =
+      !(options_.memoize && c.computed && c.objects == c.computed_objects);
   if (!c.recomputed) return;
-  c.member_hash = hash;
+  c.computed_objects = c.objects;
+  c.group_size = 1 + c.objects.size();
+  const IdleRows& idle = idle_rows_[c.group_size];
 
   const int R = model_->num_locations();
   const int n_cls = schedule_->num_classes();
-  const double group_size = 1.0 + static_cast<double>(c.objects.size());
+  const double group_size = static_cast<double>(c.group_size);
 
   // Gather all reads of the container and its assigned objects, grouped by
   // epoch. Object reads are pre-filtered to the object universe, which is a
@@ -398,25 +403,45 @@ void RFInfer::ComputeContainer(ContainerData& c, EStepScratch* scratch) {
   c.q_act.clear();
   c.act_map.clear();
   c.act_m.clear();
+  c.act_dot.clear();
   c.act_epochs.reserve(n_act);
   c.q_act.reserve(n_act * static_cast<size_t>(R));
   c.act_map.reserve(n_act);
   c.act_m.reserve(n_act);
+  c.act_dot.reserve(n_act);
   c.sum_act_lz = 0.0;
+  // Prefix sums of active-epoch excess over the idle constant, the kernel
+  // behind O(1) interval sums of m_c, and the per-class active counts the
+  // likelihood's idle term subtracts.
+  c.act_excess_prefix.assign(n_act + 1, 0.0);
+  c.act_class_count.assign(static_cast<size_t>(n_cls), 0);
 
   std::vector<double>& logw = scratch->logw;
   logw.resize(static_cast<size_t>(R));
   size_t i = 0;
+  int cls = -1;
+  Epoch prev_t = 0;
   while (i < reads.size()) {
     const Epoch t = reads[i].time;
-    const int cls = schedule_->ClassOf(t);
+    cls = AdvanceClass(*schedule_, cls, prev_t, t);
+    prev_t = t;
     for (LocationId a = 0; a < R; ++a) {
       logw[static_cast<size_t>(a)] =
           group_size * schedule_->LogMissAllClass(a, cls);
     }
+    // An epoch's group reads are sorted by reader: the longest run is the
+    // reader whose dot is cached (the first, smallest, on ties).
+    LocationId top = reads[i].reader;
+    size_t top_run = 0;
+    size_t run = 0;
     size_t j = i;
     while (j < reads.size() && reads[j].time == t) {
       const LocationId r = reads[j].reader;
+      run = j > i && r == reads[j - 1].reader ? run + 1 : 1;
+      if (run > top_run) {
+        top_run = run;
+        top = r;
+      }
       for (LocationId a = 0; a < R; ++a) {
         logw[static_cast<size_t>(a)] += model_->LogReadAdjust(r, a);
       }
@@ -437,44 +462,14 @@ void RFInfer::ComputeContainer(ContainerData& c, EStepScratch* scratch) {
         best = a;
       }
     }
+    const size_t k = c.act_m.size();
     c.act_m.push_back(m);
     c.act_map.push_back(best);
-    i = j;
-  }
-
-  // Idle classes: the posterior of any epoch in which no group member was
-  // read depends only on the schedule class.
-  c.q_idle.assign(static_cast<size_t>(n_cls) * static_cast<size_t>(R), 0.0);
-  c.m_idle.assign(static_cast<size_t>(n_cls), 0.0);
-  c.lz_idle.assign(static_cast<size_t>(n_cls), 0.0);
-  for (int cls = 0; cls < n_cls; ++cls) {
-    for (LocationId a = 0; a < R; ++a) {
-      logw[static_cast<size_t>(a)] =
-          group_size * schedule_->LogMissAllClass(a, cls);
-    }
-    const double lz = NormalizeLogWeights(logw);
-    c.lz_idle[static_cast<size_t>(cls)] = lz;
-    double m = 0.0;
-    for (LocationId a = 0; a < R; ++a) {
-      const double q = logw[static_cast<size_t>(a)];
-      c.q_idle[static_cast<size_t>(cls) * static_cast<size_t>(R) +
-               static_cast<size_t>(a)] = q;
-      m += q * schedule_->LogMissAllClass(a, cls);
-    }
-    c.m_idle[static_cast<size_t>(cls)] = m;
-  }
-
-  // Prefix sums of active-epoch excess over the idle constant, the kernel
-  // behind O(1) interval sums of m_c, and the per-class active counts the
-  // likelihood's idle term subtracts.
-  c.act_excess_prefix.assign(c.act_epochs.size() + 1, 0.0);
-  c.act_class_count.assign(static_cast<size_t>(n_cls), 0);
-  for (size_t k = 0; k < c.act_epochs.size(); ++k) {
-    const size_t cls =
-        static_cast<size_t>(schedule_->ClassOf(c.act_epochs[k]));
+    c.act_dot.push_back(ActDot{DotAdjust(logw.data(), top), top});
     c.act_excess_prefix[k + 1] =
-        c.act_excess_prefix[k] + c.act_m[k] - c.m_idle[cls];
-    ++c.act_class_count[cls];
+        c.act_excess_prefix[k] + m - idle.m[static_cast<size_t>(cls)];
+    ++c.act_class_count[static_cast<size_t>(cls)];
+    i = j;
   }
 
   // The container's slice of the epoch index: every active epoch lies in
@@ -500,7 +495,42 @@ void RFInfer::ComputeContainer(ContainerData& c, EStepScratch* scratch) {
   c.computed = true;
 }
 
+void RFInfer::FillIdleRows(size_t group_size) {
+  // Idle classes: the posterior of any epoch in which no group member was
+  // read depends only on the group size and the schedule class.
+  const int R = model_->num_locations();
+  const int n_cls = schedule_->num_classes();
+  const double g = static_cast<double>(group_size);
+  IdleRows& idle = idle_rows_[group_size];
+  idle.m.resize(static_cast<size_t>(n_cls));
+  idle.lz.resize(static_cast<size_t>(n_cls));
+  idle.dot.resize(static_cast<size_t>(n_cls) * static_cast<size_t>(R));
+  std::vector<double>& logw = scratch_[0].logw;
+  logw.resize(static_cast<size_t>(R));
+  for (int cls = 0; cls < n_cls; ++cls) {
+    for (LocationId a = 0; a < R; ++a) {
+      logw[static_cast<size_t>(a)] = g * schedule_->LogMissAllClass(a, cls);
+    }
+    idle.lz[static_cast<size_t>(cls)] = NormalizeLogWeights(logw);
+    double m = 0.0;
+    for (LocationId a = 0; a < R; ++a) {
+      m += logw[static_cast<size_t>(a)] * schedule_->LogMissAllClass(a, cls);
+    }
+    idle.m[static_cast<size_t>(cls)] = m;
+    for (LocationId r = 0; r < R; ++r) {
+      idle.dot[static_cast<size_t>(cls) * static_cast<size_t>(R) +
+               static_cast<size_t>(r)] = DotAdjust(logw.data(), r);
+    }
+  }
+}
+
 void RFInfer::EStep() {
+  // The idle rows every recompute may read are filled first, serially.
+  for (const ContainerData& c : containers_) {
+    const size_t g = 1 + c.objects.size();
+    if (g >= idle_rows_.size()) idle_rows_.resize(g + 1);
+    if (idle_rows_[g].m.empty()) FillIdleRows(g);
+  }
   // A container's posterior reads only its own reads and its members'
   // (fixed by the previous M-step), so containers are independent.
   ForChunks(pool_, containers_.size(), [&](size_t begin, size_t end, int thread) {
@@ -532,6 +562,7 @@ double RFInfer::ComputeWeight(const ObjectData& o, int container_index) const {
   // Every interval of the object's universe lies inside one interval of
   // the container's, so one index base serves the whole interval.
   const ContainerData& c = containers_[static_cast<size_t>(container_index)];
+  const IdleRows& idle = idle_rows_[c.group_size];
   const size_t R = static_cast<size_t>(model_->num_locations());
   double w = 0.0;
   size_t u = 0;
@@ -541,7 +572,7 @@ double RFInfer::ComputeWeight(const ObjectData& o, int container_index) const {
     schedule_->ForEachClassCount(
         iv.begin, iv.end, [&](int cls, int64_t count) {
           total += static_cast<double>(count) *
-                   c.m_idle[static_cast<size_t>(cls)];
+                   idle.m[static_cast<size_t>(cls)];
         });
     total += c.act_excess_prefix[act_rank_[static_cast<size_t>(
                  iv.end + 1 + base)]] -
@@ -551,16 +582,24 @@ double RFInfer::ComputeWeight(const ObjectData& o, int container_index) const {
   }
   u = 0;
   size_t r = 0;
+  int cls = -1;  // class of the latest idle read, at epoch cls_t
+  Epoch cls_t = 0;
   for (const EpochInterval& iv : o.universe) {
     const Epoch base = IndexBase(c, iv.begin, &u);
     for (; r < o.reads.size() && o.reads[r].time <= iv.end; ++r) {
       const Epoch t = o.reads[r].time;
+      const LocationId reader = o.reads[r].reader;
       const size_t p = static_cast<size_t>(t + base);
-      const double* q =
-          BitAt(act_bits_, p)
-              ? &c.q_act[act_rank_[p] * R]
-              : &c.q_idle[static_cast<size_t>(schedule_->ClassOf(t)) * R];
-      w += DotAdjust(q, o.reads[r].reader);
+      if (BitAt(act_bits_, p)) {
+        const size_t k = act_rank_[p];
+        w += c.act_dot[k].reader == reader ? c.act_dot[k].dot
+                                           : DotAdjust(&c.q_act[k * R], reader);
+      } else {
+        cls = AdvanceClass(*schedule_, cls, cls_t, t);
+        cls_t = t;
+        w += idle.dot[static_cast<size_t>(cls) * R +
+                      static_cast<size_t>(reader)];
+      }
     }
   }
   return w;
@@ -573,21 +612,22 @@ bool RFInfer::MStep() {
     for (size_t oi = begin; oi < end; ++oi) {
       ObjectData& o = objects_[oi];
       moved_[oi] = 0;
-      // ComputeWeight reads only the candidates' E-step outputs, so an
-      // object none of whose candidates was recomputed keeps its weights
-      // and argmax.
+      // ComputeWeight reads only the candidate's E-step outputs, so a pair
+      // whose container was not recomputed keeps its weight, and an object
+      // none of whose candidates was recomputed keeps its argmax.
       bool stale = false;
-      for (int ci : o.candidates) {
-        stale = stale || containers_[static_cast<size_t>(ci)].recomputed;
+      for (size_t j = 0; j < o.candidates.size(); ++j) {
+        const int ci = o.candidates[j];
+        if (!containers_[static_cast<size_t>(ci)].recomputed) continue;
+        o.weights[j] = o.priors[j] + ComputeWeight(o, ci);
+        stale = true;
       }
       if (!stale) continue;
       double best = kNegInf;
       int best_j = -1;
       for (size_t j = 0; j < o.candidates.size(); ++j) {
-        const double w = o.priors[j] + ComputeWeight(o, o.candidates[j]);
-        o.weights[j] = w;
-        if (w > best) {
-          best = w;
+        if (o.weights[j] > best) {
+          best = o.weights[j];
           best_j = static_cast<int>(j);
         }
       }
@@ -609,6 +649,7 @@ double RFInfer::ComputeLogLikelihood() const {
   const size_t n_cls = static_cast<size_t>(schedule_->num_classes());
   // lint:hot-loop-begin(likelihood)
   for (const ContainerData& c : containers_) {
+    const std::vector<double>& lz_idle = idle_rows_[c.group_size].lz;
     total += c.sum_act_lz;
     // Idle epochs: per-class count over the container universe minus the
     // active epochs of that class.
@@ -616,7 +657,7 @@ double RFInfer::ComputeLogLikelihood() const {
       const int64_t count =
           c.universe_class_count[cls] - c.act_class_count[cls];
       if (count > 0) {
-        total += static_cast<double>(count) * c.lz_idle[cls];
+        total += static_cast<double>(count) * lz_idle[cls];
       }
     }
   }
@@ -889,16 +930,17 @@ void RFInfer::ScanObject(const ObjectData& o, ScanResult* scan) const {
     for (size_t j = 0; j < n_cand; ++j) {
       const ContainerData& c =
           containers_[static_cast<size_t>(o.candidates[j])];
+      const std::vector<double>& m_idle = idle_rows_[c.group_size].m;
       double total = 0.0;
       for (const auto& [cls, count] : gap) {
-        total += static_cast<double>(count) *
-                 c.m_idle[static_cast<size_t>(cls)];
+        total += static_cast<double>(count) * m_idle[static_cast<size_t>(cls)];
       }
       cum[j] += total;
     }
   };
   size_t ev = 0;
   read_i = 0;
+  int ev_cls = -1;
   for (size_t i = 0; i < o.universe.size(); ++i) {
     const EpochInterval& iv = o.universe[i];
     const Epoch* iv_base = base.data() + i * n_cand;
@@ -908,7 +950,9 @@ void RFInfer::ScanObject(const ObjectData& o, ScanResult* scan) const {
       if (t > prev + 1) add_gap(prev + 1, t - 1);
       // Point evidence at t: the miss term plus corrections for the
       // object's actual reads at t (Eq 7).
-      const size_t cls = static_cast<size_t>(schedule_->ClassOf(t));
+      ev_cls = AdvanceClass(*schedule_, ev_cls,
+                            ev == 0 ? t : events[ev - 1], t);
+      const size_t cls = static_cast<size_t>(ev_cls);
       while (read_i < o.reads.size() && o.reads[read_i].time < t) ++read_i;
       size_t read_end = read_i;
       while (read_end < o.reads.size() && o.reads[read_end].time == t) {
@@ -919,17 +963,23 @@ void RFInfer::ScanObject(const ObjectData& o, ScanResult* scan) const {
             containers_[static_cast<size_t>(o.candidates[j])];
         const size_t p = static_cast<size_t>(t + iv_base[j]);
         double point;
-        const double* q;
         if (BitAt(act_bits_, p)) {
           const size_t k = act_rank_[p];
+          const ActDot& cached = c.act_dot[k];
           point = c.act_m[k];
-          q = &c.q_act[k * R];
+          for (size_t ri = read_i; ri < read_end; ++ri) {
+            const LocationId reader = o.reads[ri].reader;
+            point += reader == cached.reader
+                         ? cached.dot
+                         : DotAdjust(&c.q_act[k * R], reader);
+          }
         } else {
-          point = c.m_idle[cls];
-          q = &c.q_idle[cls * R];
-        }
-        for (size_t ri = read_i; ri < read_end; ++ri) {
-          point += DotAdjust(q, o.reads[ri].reader);
+          const IdleRows& idle = idle_rows_[c.group_size];
+          point = idle.m[cls];
+          for (size_t ri = read_i; ri < read_end; ++ri) {
+            point += idle.dot[cls * R +
+                              static_cast<size_t>(o.reads[ri].reader)];
+          }
         }
         cum[j] += point;
         scan->point[ev * n_cand + j] = point;

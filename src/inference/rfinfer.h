@@ -12,12 +12,25 @@
 //                            same posterior (per interrogation-schedule
 //                            class), so their contribution to weights and
 //                            likelihood is a closed-form per-class constant;
-//  * memoization          -- a container whose assigned object set did not
-//                            change between EM iterations keeps its
+//  * idle rows by group size -- that posterior depends only on the group
+//                            size and the class, so the engine keeps one
+//                            table per group size for its lifetime: the
+//                            per-class constants and the read-adjust dot
+//                            of the idle row with every reader;
+//  * dot reuse            -- an E-step that recomputes a container also
+//                            stores, per active epoch, the read-adjust dot
+//                            of the posterior row with the reader that
+//                            read the group most often then; every other
+//                            (epoch, reader) dot is computed directly;
+//  * memoization          -- a container whose assigned object list did
+//                            not change between EM iterations keeps its
 //                            posterior and evidence untouched;
-//  * M-step skipping      -- an object none of whose candidate containers
-//                            was recomputed by the E-step keeps its weights
-//                            and assignment without being re-weighed;
+//  * M-step skipping      -- the M-step re-weighs only the (object,
+//                            candidate) pairs whose container the E-step
+//                            recomputed; an untouched pair's weight is the
+//                            same number, and an object none of whose
+//                            candidates was recomputed keeps its
+//                            assignment;
 //  * epoch index          -- an E-step that recomputes a container also
 //                            rewrites its slice of the engine's epoch
 //                            index: the universe's epochs numbered back to
@@ -83,9 +96,12 @@ struct InferenceOptions {
   /// workload sets it; it stays because 3 vs 12 is the pruning reference
   /// of integration_test's CandidatePruningKeepsAccuracy.
   int max_candidates = 5;
-  /// Reuse posterior/evidence for containers whose object set is unchanged.
-  /// No workload turns it off; false stays as the exact reference that
-  /// integration_test's MemoizationDoesNotChangeResults compares against.
+  /// Reuse posterior/evidence for containers whose object list is
+  /// unchanged. No workload turns it off; false recomputes every container
+  /// and so re-weighs every (object, candidate) pair in every M-step: it
+  /// stays as the exact reference of the memoized E-step, the M-step's
+  /// per-pair skip and the cached dots, which integration_test's
+  /// MemoizationDoesNotChangeResults compares against.
   bool memoize = true;
   /// Weight the co-location counts behind the EM's initial guess by
   /// exclusivity (1/k per k-container read burst). The paper's plain counts
@@ -273,6 +289,22 @@ class RFInfer {
   EpochInterval window() const { return window_; }
 
  private:
+  /// DotAdjust(row, reader) of one active epoch's posterior row, for the
+  /// reader with the most group reads at that epoch (the smallest id on
+  /// ties).
+  struct ActDot {
+    double dot;
+    LocationId reader;
+  };
+
+  /// The idle-epoch terms of one group size, per schedule class: an idle
+  /// epoch's posterior is normalize(group_size x LogMissAllClass(., cls)).
+  struct IdleRows {
+    std::vector<double> m;    ///< sum_a q(a) * LogMissAllClass(a, cls)
+    std::vector<double> lz;   ///< per-epoch log-likelihood
+    std::vector<double> dot;  ///< n_classes x R: DotAdjust(row of cls, r)
+  };
+
   struct ContainerData {
     TagId tag;
     std::vector<int> objects;  ///< assigned object indices, sorted
@@ -286,11 +318,13 @@ class RFInfer {
     std::vector<double> q_act;        ///< |act| x R, row-major
     std::vector<LocationId> act_map;  ///< argmax location per active epoch
     std::vector<double> act_m;        ///< m_c(t) per active epoch
-    /// Prefix sums of (act_m[i] - m_idle[class(act_epochs[i])]).
+    /// One cached read-adjust dot per active epoch.
+    std::vector<ActDot> act_dot;
+    /// Prefix sums of (act_m[i] - idle m[class(act_epochs[i])]).
     std::vector<double> act_excess_prefix;
-    std::vector<double> q_idle;  ///< n_classes x R
-    std::vector<double> m_idle;  ///< n_classes
-    std::vector<double> lz_idle; ///< n_classes; idle per-epoch log-likelihood
+    /// Group size (1 + members) of the latest recompute: the key of the
+    /// container's idle rows in idle_rows_.
+    size_t group_size = 0;
     /// Active epochs per schedule class.
     std::vector<int64_t> act_class_count;
     /// The container's slice [index_begin, index_end) of the engine's
@@ -302,7 +336,8 @@ class RFInfer {
     size_t index_begin = 0;
     size_t index_end = 0;
     double sum_act_lz = 0.0;
-    uint64_t member_hash = 0;
+    /// The object list of the latest recompute; the memoization key.
+    std::vector<int> computed_objects;
     bool computed = false;
     /// The latest E-step recomputed (rather than memoized) this container.
     bool recomputed = false;
@@ -338,6 +373,8 @@ class RFInfer {
 
   // EM steps.
   void EStep();
+  /// Fills idle_rows_[group_size].
+  void FillIdleRows(size_t group_size);
   void ComputeContainer(ContainerData& c, EStepScratch* scratch);
   bool MStep();  ///< returns true if any assignment changed
   double ComputeWeight(const ObjectData& o, int container_index) const;
@@ -425,6 +462,11 @@ class RFInfer {
   /// as one word.
   std::vector<uint32_t> act_rank_;
   std::vector<uint64_t> act_bits_;
+  /// Idle rows indexed by group size (empty until an E-step meets a
+  /// container of that size). They depend only on the model and the
+  /// schedule, so they live as long as the engine; each E-step fills the
+  /// missing ones before its fan-out.
+  std::vector<IdleRows> idle_rows_;
 };
 
 }  // namespace rfid

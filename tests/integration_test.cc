@@ -3,6 +3,7 @@
 // when the whole pipeline runs together.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "dist/distributed.h"
@@ -213,24 +214,99 @@ TEST(IntegrationTest, DeterministicEndToEnd) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+/// Expects two evidence series to match bit for bit.
+void ExpectSameSeries(const std::vector<EvidencePoint>& a,
+                      const std::vector<EvidencePoint>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k].time, b[k].time);
+    EXPECT_EQ(a[k].point, b[k].point);
+    EXPECT_EQ(a[k].cumulative, b[k].cumulative);
+  }
+}
+
+/// Expects two engines' last runs to match bit for bit: containment,
+/// exported weights and the evidence series of every (object, candidate)
+/// pair, and the likelihood history.
+void ExpectSameRun(const RFInfer& a, const RFInfer& b) {
+  ASSERT_EQ(a.object_tags(), b.object_tags());
+  for (TagId object : a.object_tags()) {
+    SCOPED_TRACE(object.ToString());
+    EXPECT_EQ(a.ContainerOf(object), b.ContainerOf(object));
+    EXPECT_EQ(a.ExportWeights(object), b.ExportWeights(object));
+    ASSERT_EQ(a.CandidatesOf(object), b.CandidatesOf(object));
+    for (TagId container : a.CandidatesOf(object)) {
+      ExpectSameSeries(a.EvidenceSeries(object, container),
+                       b.EvidenceSeries(object, container));
+    }
+  }
+  EXPECT_EQ(a.likelihood_history(), b.likelihood_history());
+}
+
 TEST(IntegrationTest, MemoizationDoesNotChangeResults) {
   SupplyChainSim sim(BaseConfig());
   sim.Run();
-  InferenceOptions with, without;
-  with.memoize = true;
-  without.memoize = false;
-  RFInfer a(&sim.model(), &sim.schedule(), with);
-  RFInfer b(&sim.model(), &sim.schedule(), without);
-  ASSERT_TRUE(a.Run(sim.site_trace(0), 0, 800).ok());
-  ASSERT_TRUE(b.Run(sim.site_trace(0), 0, 800).ok());
   // memoize=false recomputes every container on every iteration, and so
-  // re-weights every object in every M-step: it is the exact reference for
-  // both the memoized E-step and the M-step's skipping of unchanged objects.
-  for (TagId item : sim.all_items()) {
-    EXPECT_EQ(a.ContainerOf(item), b.ContainerOf(item));
-    EXPECT_EQ(a.ExportWeights(item), b.ExportWeights(item)) << item.ToString();
+  // re-weights every (object, candidate) pair in every M-step: it is the
+  // exact reference for the memoized E-step, the M-step's per-pair skip
+  // and the read-adjust dots cached per active epoch and per idle row.
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    std::unique_ptr<SiteExecutor> pool;
+    if (threads > 0) pool = std::make_unique<SiteExecutor>(threads);
+    InferenceOptions with, without;
+    with.memoize = true;
+    without.memoize = false;
+    RFInfer a(&sim.model(), &sim.schedule(), with);
+    RFInfer b(&sim.model(), &sim.schedule(), without);
+    a.set_pool(pool.get());
+    b.set_pool(pool.get());
+    ASSERT_TRUE(a.Run(sim.site_trace(0), 0, 800).ok());
+    ASSERT_TRUE(b.Run(sim.site_trace(0), 0, 800).ok());
+    EXPECT_GT(a.iterations_used(), 1);
+    ExpectSameRun(a, b);
+    for (TagId item : sim.all_items()) {
+      EXPECT_EQ(a.ChangeStatistic(item), b.ChangeStatistic(item))
+          << item.ToString();
+    }
   }
-  EXPECT_EQ(a.likelihood_history(), b.likelihood_history());
+}
+
+TEST(IntegrationTest, EngineReusedAcrossWindowsMatchesFreshEngines) {
+  // Idle rows are kept per group size for the engine's lifetime, so a
+  // reused engine serves later windows from rows an earlier run filled.
+  // Three warehouses give R = 27, where most reads' dots are not the
+  // cached one of their epoch and take the direct path.
+  SupplyChainConfig cfg = BaseConfig();
+  cfg.num_warehouses = 3;
+  cfg.shelves_per_warehouse = 6;
+  cfg.shelf_stay = 300;
+  cfg.transit_time = 30;
+  cfg.horizon = 1500;
+  SupplyChainSim sim(cfg);
+  sim.Run();
+  ASSERT_EQ(sim.model().num_locations(), 27);
+  const Trace& trace = sim.site_trace(1);
+  RFInfer reused(&sim.model(), &sim.schedule());
+  std::set<size_t> seen_sizes;  // final group sizes of earlier windows
+  bool size_seen_before = false;
+  for (Epoch begin : {0, 500, 1000}) {
+    SCOPED_TRACE(testing::Message() << "window from " << begin);
+    RFInfer fresh(&sim.model(), &sim.schedule());
+    ASSERT_TRUE(reused.Run(trace, begin, begin + 499).ok());
+    ASSERT_TRUE(fresh.Run(trace, begin, begin + 499).ok());
+    ASSERT_FALSE(fresh.object_tags().empty());
+    ExpectSameRun(reused, fresh);
+    std::set<size_t> sizes;
+    for (TagId container : fresh.container_tags()) {
+      sizes.insert(1 + fresh.ObjectsOf(container).size());
+    }
+    for (size_t size : sizes) {
+      size_seen_before = size_seen_before || seen_sizes.count(size) > 0;
+    }
+    seen_sizes.insert(sizes.begin(), sizes.end());
+  }
+  EXPECT_TRUE(size_seen_before);
 }
 
 TEST(IntegrationTest, CandidatePruningKeepsAccuracy) {
