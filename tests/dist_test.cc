@@ -690,38 +690,72 @@ TEST(DistributedTest, CentralizedOutputIsBitIdenticalToPinnedDigest) {
   EXPECT_EQ(sys.ons().updates(), 0);
 }
 
-// A distributed replay with queries attached, once on a clean fabric and
-// once with drops and reorders (so the ARQ protocol and its acks run): the
-// accuracy series, both queries' alerts and every per-kind byte and
-// message count are pinned bit for bit.
-TEST(DistributedTest, DistributedOutputIsBitIdenticalToPinnedDigest) {
-  SupplyChainConfig cfg = ChainConfig(3, 1200);
-  cfg.shelf_stay = 600;
-  SupplyChainSim sim(cfg);
-  sim.Run();
-  const ProductCatalog catalog = ExposedCatalog(sim);
-  SensorConfig scfg;
-  Rng rng(5);
-  auto sensors = GenerateSensorStream(scfg, sim.layout().num_locations(),
-                                      cfg.horizon, rng);
-  struct Pin {
-    double drop;
-    double reorder;
-    uint64_t digest;
-  };
-  for (const Pin& pin : {Pin{0.0, 0.0, 0x731636f6c378d336ULL},
-                        Pin{0.05, 0.10, 0x3e1fd9cf0c2448e7ULL}}) {
-    SCOPED_TRACE(testing::Message() << "drop " << pin.drop);
-    DistributedOptions opts = DistOptions(MigrationMode::kCollapsed);
+/// A 3-warehouse replay with both queries attached: the shared input of
+/// the distributed output pins below.
+struct QueryReplayInputs {
+  QueryReplayInputs() : sim(Config()) {
+    sim.Run();
+    catalog = ExposedCatalog(sim);
+    SensorConfig scfg;
+    Rng rng(5);
+    sensors = GenerateSensorStream(scfg, sim.layout().num_locations(),
+                                   sim.config().horizon, rng);
+  }
+
+  static SupplyChainConfig Config() {
+    SupplyChainConfig cfg = ChainConfig(3, 1200);
+    cfg.shelf_stay = 600;
+    return cfg;
+  }
+
+  DistributedOptions Options(MigrationMode mode, double drop,
+                             double reorder) const {
+    DistributedOptions opts = DistOptions(mode);
     opts.attach_queries = true;
     opts.q1 = ExposureQuery::Q1Config(/*duration=*/300);
     opts.q1.max_gap = 400;
     opts.q2 = ExposureQuery::Q2Config(/*duration=*/300);
     opts.q2.max_gap = 400;
     opts.network.faults = FaultModel{};
-    opts.network.faults.drop = pin.drop;
-    opts.network.faults.reorder = pin.reorder;
-    DistributedSystem sys(&sim, opts, &catalog, &sensors);
+    opts.network.faults.drop = drop;
+    opts.network.faults.reorder = reorder;
+    return opts;
+  }
+
+  SupplyChainSim sim;
+  ProductCatalog catalog;
+  std::vector<SensorReading> sensors;
+};
+
+/// The accuracy series and both queries' alerts of a finished replay.
+uint64_t ResultsDigest(const DistributedSystem& sys) {
+  Fnv d;
+  d.Snapshots(sys.snapshots());
+  d.Alerts(sys.AllAlerts(0));
+  d.Alerts(sys.AllAlerts(1));
+  return d.h;
+}
+
+// A distributed replay with queries attached, once on a clean fabric and
+// once with drops and reorders (so the ARQ protocol and its acks run): the
+// accuracy series and both queries' alerts are pinned bit for bit, and so,
+// separately, is every per-kind byte and message count -- the wire format
+// may change without moving a result.
+TEST(DistributedTest, DistributedOutputIsBitIdenticalToPinnedDigest) {
+  const QueryReplayInputs in;
+  struct Pin {
+    double drop;
+    double reorder;
+    uint64_t results;
+    uint64_t wire_counts;
+  };
+  for (const Pin& pin :
+       {Pin{0.0, 0.0, 0xae905b2bc6557c42ULL, 0x3751152aebebcce7ULL},
+        Pin{0.05, 0.10, 0xae905b2bc6557c42ULL, 0xe2e131ebb553418aULL}}) {
+    SCOPED_TRACE(testing::Message() << "drop " << pin.drop);
+    DistributedSystem sys(
+        &in.sim, in.Options(MigrationMode::kCollapsed, pin.drop, pin.reorder),
+        &in.catalog, &in.sensors);
     sys.Run();
     ASSERT_FALSE(sys.snapshots().empty());
     EXPECT_FALSE(sys.AllAlerts(0).empty());
@@ -729,12 +763,46 @@ TEST(DistributedTest, DistributedOutputIsBitIdenticalToPinnedDigest) {
     EXPECT_EQ(sys.network().reliable(), pin.drop > 0);
     EXPECT_EQ(sys.network().BytesOfKind(MessageKind::kAck) > 0,
               pin.drop > 0);
-    Fnv d;
-    d.Snapshots(sys.snapshots());
-    d.Alerts(sys.AllAlerts(0));
-    d.Alerts(sys.AllAlerts(1));
-    d.WireCounts(sys.network());
-    EXPECT_EQ(d.h, pin.digest) << std::hex << "digest 0x" << d.h;
+    const uint64_t results = ResultsDigest(sys);
+    EXPECT_EQ(results, pin.results) << std::hex << "digest 0x" << results;
+    Fnv w;
+    w.WireCounts(sys.network());
+    EXPECT_EQ(w.h, pin.wire_counts) << std::hex << "digest 0x" << w.h;
+  }
+}
+
+// The same replay under full-readings migration, clean and under faults,
+// serial and on four threads: the accuracy series and both queries'
+// alerts are pinned bit for bit, and the migrated inference state may not
+// exceed the bytes it took when every departing object carried its own
+// copy of the readings it shares with the objects leaving with it.
+TEST(DistributedTest, FullReadingsOutputIsBitIdenticalToPinnedDigest) {
+  const QueryReplayInputs in;
+  struct Pin {
+    double drop;
+    double reorder;
+    uint64_t results;
+    int64_t max_inference_bytes;
+  };
+  for (const Pin& pin : {Pin{0.0, 0.0, 0xc2e11dc801c699f2ULL, 42329},
+                         Pin{0.05, 0.10, 0xc2e11dc801c699f2ULL, 51948}}) {
+    for (int threads : {0, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << "drop " << pin.drop << " threads " << threads);
+      DistributedOptions opts =
+          in.Options(MigrationMode::kFullReadings, pin.drop, pin.reorder);
+      opts.num_threads = threads;
+      DistributedSystem sys(&in.sim, opts, &in.catalog, &in.sensors);
+      sys.Run();
+      ASSERT_FALSE(sys.snapshots().empty());
+      EXPECT_FALSE(sys.AllAlerts(0).empty());
+      EXPECT_FALSE(sys.AllAlerts(1).empty());
+      const uint64_t results = ResultsDigest(sys);
+      EXPECT_EQ(results, pin.results) << std::hex << "digest 0x" << results;
+      const int64_t bytes =
+          sys.network().BytesOfKind(MessageKind::kInferenceState);
+      EXPECT_LE(bytes, pin.max_inference_bytes);
+    }
   }
 }
 
