@@ -188,11 +188,18 @@ cmake -B build-tsan -S . \
   -DRFID_TSAN=ON
 # obs_test rides along: the metrics registry's lock-free hot path and
 # concurrent-registration contract are exactly what TSan is for.
+# durability_test too: durable checkpoints are encoded and written one
+# site per pool item, which its four-thread crash sweep drives. Two
+# single-threaded tests are left to the ASan pass, each minutes of TSan
+# time with no second thread to race: the serial 36-cell crash sweep
+# (num_threads = 0; ~150 s) and the envelope truncation/byte-flip
+# enumeration (~30 s).
 cmake --build build-tsan -j "${JOBS}" \
   --target dist_test executor_test inference_test fault_test ons_test \
-  obs_test
+  obs_test durability_test
 (cd build-tsan && \
+  GTEST_FILTER='-DurableReplayTest.CrashPointSweepIsBitIdenticalWithZeroPeerTraffic:WireTest.InferenceEnvelopeSurvivesEveryTruncationAndByteFlip' \
   ctest --output-on-failure \
-  -R '^(dist_test|executor_test|inference_test|fault_test|ons_test|obs_test)$')
+  -R '^(dist_test|executor_test|inference_test|fault_test|ons_test|obs_test|durability_test)$')
 
 echo "==> CI green"

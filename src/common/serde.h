@@ -89,7 +89,10 @@ class BufferWriter {
 };
 
 /// Sequential binary decoder over a borrowed byte span. All getters report
-/// truncation/corruption through Status rather than UB.
+/// truncation/corruption through Status rather than UB. Varints and
+/// compact tags decode only in the form the writer emits (no redundant
+/// continuation bytes, no bits past 64, no payload on the invalid tag), so
+/// a value read from any byte string re-encodes to those same bytes.
 class BufferReader {
  public:
   BufferReader(const uint8_t* data, size_t size)
@@ -124,6 +127,9 @@ class BufferReader {
       uint8_t byte = data_[pos_++];
       result |= static_cast<uint64_t>(byte & 0x7f) << shift;
       if ((byte & 0x80) == 0) {
+        if (shift > 0 && (byte == 0 || (shift == 63 && byte > 1))) {
+          return Status::Corruption("non-canonical varint");
+        }
         *out = result;
         return Status::OK();
       }
@@ -149,6 +155,7 @@ class BufferReader {
     uint64_t v = 0;
     RFID_RETURN_NOT_OK(GetVarint(&v));
     if ((v & 3) == 3) {
+      if (v != 3) return Status::Corruption("non-canonical invalid tag");
       *out = kNoTag;
     } else {
       *out = TagId::Make(static_cast<TagKind>(v & 3), v >> 2);

@@ -477,20 +477,25 @@ void DistributedSystem::Run() {
       RecordSnapshot(t, &executor);
     }
 
-    // -- Serial: durable checkpoints at the cadence boundaries. The cut
-    // point matters: every arrival due at t has installed, every export
-    // departing at t has been taken, so "state at the end of boundary t"
-    // is exactly what the encoder captures -- and WAL segments after this
-    // cut contain precisely the frames drained after it.
+    // -- Durable checkpoints at the cadence boundaries, one pool item per
+    // up site: each encodes only its own site and writes only its own
+    // directory and WAL. The cut point matters: every arrival due at t has
+    // installed, every export departing at t has been taken, so "state at
+    // the end of boundary t" is exactly what the encoder captures -- and
+    // WAL segments after this cut contain precisely the frames drained
+    // after it.
     if (durable() && boundary && options_.site.checkpoint_every > 0 &&
         (t / period) % options_.site.checkpoint_every == 0) {
       obs::PhaseTimer span(telemetry_.get(), obs::Phase::kCheckpoint, t);
+      ready.clear();
       for (SiteId s = 0; s < static_cast<SiteId>(sites_.size()); ++s) {
-        if (network_.IsSiteDown(s)) continue;
-        const size_t si = static_cast<size_t>(s);
+        if (!network_.IsSiteDown(s)) ready.push_back(s);
+      }
+      executor.Run(ready.size(), [&](size_t i, int) {
+        const size_t si = static_cast<size_t>(ready[i]);
         RFID_CHECK_OK(durabilities_[si]->WriteCheckpoint(
             t, sites_[si]->EncodeCheckpoint(t)));
-      }
+      });
     }
   }
 

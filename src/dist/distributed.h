@@ -36,8 +36,10 @@
 // boundaries) fans out as one SiteExecutor job per event, whose threads
 // also split each inference run's E-step, M-step and evidence scan, and
 // joins before the serial boundary phase (ONS shard updates/resolves,
-// ExportTransfer, Network::Send, accuracy snapshots). A recovering site
-// catches up through the same StepSite. Because parallel work touches
+// ExportTransfer, Network::Send, accuracy snapshots). A durable run's
+// checkpoint cut then fans out one job per up site (EncodeCheckpoint +
+// SiteDurability::WriteCheckpoint, each into the site's own directory).
+// A recovering site catches up through the same StepSite. Because parallel work touches
 // only site-local state and all cross-site effects -- including every
 // sharded-directory mutation, cache fill, and frame drain -- are serial,
 // results are bit-identical for every num_threads (and directory_shards,

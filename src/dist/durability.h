@@ -22,8 +22,9 @@
 //                             than the previous retained checkpoint are
 //                             deleted.
 //
-// Checkpoint-cut rule: a checkpoint is cut at an inference boundary C in
-// the replay's serial phase, after the boundary's export phase. At that
+// Checkpoint-cut rule: a checkpoint is cut at an inference boundary C
+// after the boundary's serial export phase, one pool task per up site
+// (each site encodes its own state into its own directory). At that
 // point the site's inbound queue holds exactly the state envelopes with
 // arrival epoch > C, still as the bytes that arrived (the checkpoint
 // stores them verbatim), and the WAL rotates to a fresh segment -- so
@@ -84,10 +85,13 @@ struct DurabilityStats {
 
 /// Durable storage of one site. Owned by the replay driver (it outlives
 /// crash/recovery site teardown, so a replacement process reopens the
-/// same files) and attached to the live Site for WAL appends. All calls
-/// happen in the replay's serial phases or from the owning site's
-/// handler, which the driver only invokes serially -- no internal
-/// locking.
+/// same files) and attached to the live Site for WAL appends. Calls
+/// happen in the replay's serial phases, from the owning site's handler
+/// (which the driver only invokes serially), or -- for WriteCheckpoint
+/// at a checkpoint cut -- on a pool thread that handles this one site.
+/// Each instance is touched by one thread at a time and shares nothing
+/// with other sites' (own directory, WAL and stats), so there is no
+/// internal locking.
 class SiteDurability {
  public:
   SiteDurability(const DurabilityOptions& options, SiteId site);

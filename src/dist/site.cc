@@ -266,10 +266,10 @@ Result<Epoch> EnvelopeArrival(const std::vector<uint8_t>& payload) {
   return static_cast<Epoch>(arrive);
 }
 
-/// Installs one level's migrated states into the level's engine.
-void InstallStates(StreamingInference& si,
-                   const std::vector<ObjectMigrationState>& states) {
-  for (const ObjectMigrationState& s : states) {
+/// Installs one level's migrated batch into the level's engine: each
+/// object's context and belief, then the level's readings in one append.
+void InstallStates(StreamingInference& si, const MigrationBatch& batch) {
+  for (const ObjectMigrationState& s : batch.states) {
     ObjectContext ctx;
     ctx.critical_region = s.critical_region;
     ctx.barrier = s.barrier;
@@ -277,10 +277,8 @@ void InstallStates(StreamingInference& si,
     si.ImportObjectContext(s.object, ctx);
     // Queries can be answered before the first local run covers the object.
     si.SetImportedBelief(s.object, s.container);
-    for (const RawReading& r : s.readings) {
-      si.Observe(r);
-    }
   }
+  si.ObserveBatch(batch.readings.data(), batch.readings.size());
 }
 
 }  // namespace
@@ -289,11 +287,11 @@ void Site::Install(const InboundEnvelope& envelope) {
   if (envelope.kind == MessageKind::kInferenceState) {
     Result<PendingArrival> arrival = DecodeInferenceEnvelope(envelope.payload);
     RFID_CHECK_OK(arrival.status());
-    InstallStates(streaming_, arrival->states);
+    InstallStates(streaming_, arrival->items);
     // Case→pallet states from a hierarchical sender are dropped when this
     // site does not run the second level (nothing could consume them).
     if (pallet_streaming_ != nullptr) {
-      InstallStates(*pallet_streaming_, arrival->case_states);
+      InstallStates(*pallet_streaming_, arrival->cases);
     }
     return;
   }
@@ -323,12 +321,12 @@ void Site::ExportTransfer(const ObjectTransfer& tr) {
     // inside), and the Send -- the serialization cost of a migration.
     obs::PhaseTimer span(telemetry_, obs::Phase::kMigrateEncode, tr.depart);
     // One level's departing state, from that level's engine: collapsed
-    // weights + context always, plus the object's and its candidate
-    // containers' retained readings under kFullReadings.
+    // weights + context per object, plus under kFullReadings one list of
+    // the objects' and their candidate containers' retained readings.
     auto collect = [&](StreamingInference& si,
                        const std::vector<TagId>& objects) {
-      std::vector<ObjectMigrationState> states;
-      states.reserve(objects.size());
+      MigrationBatch batch;
+      batch.states.reserve(objects.size());
       for (TagId object : objects) {
         ObjectMigrationState s;
         s.object = object;
@@ -337,25 +335,20 @@ void Site::ExportTransfer(const ObjectTransfer& tr) {
         s.critical_region = ctx.critical_region;
         s.barrier = ctx.barrier;
         s.container = si.ContainerOf(object);
-        if (options_.migration == MigrationMode::kFullReadings) {
-          std::vector<TagId> tags;
-          tags.push_back(object);
-          for (TagId c : si.engine().CandidatesOf(object)) {
-            tags.push_back(c);
-          }
-          s.readings = si.ExportReadings(tags, object);
-        }
-        states.push_back(std::move(s));
+        batch.states.push_back(std::move(s));
       }
-      return states;
+      if (options_.migration == MigrationMode::kFullReadings) {
+        batch.readings = si.ExportReadings(objects);
+      }
+      return batch;
     };
-    std::vector<ObjectMigrationState> states = collect(streaming_, tr.items);
-    std::vector<ObjectMigrationState> case_states;
+    const MigrationBatch items = collect(streaming_, tr.items);
+    MigrationBatch cases;
     if (pallet_streaming_ != nullptr) {
-      case_states = collect(*pallet_streaming_, tr.cases);
+      cases = collect(*pallet_streaming_, tr.cases);
     }
     network_->Send(id_, tr.to, MessageKind::kInferenceState,
-                   EncodeInferenceEnvelope(tr.arrive, states, case_states));
+                   EncodeInferenceEnvelope(tr.arrive, items, cases));
   }
   if (queries_attached() && !tr.items.empty()) {
     TagStateList q1_states;
@@ -611,15 +604,15 @@ Status Site::RestoreCheckpoint(Epoch epoch,
 
 // ---- Wire codecs ----
 
-std::vector<uint8_t> EncodeInferenceEnvelope(
-    Epoch arrive, const std::vector<ObjectMigrationState>& states,
-    const std::vector<ObjectMigrationState>& case_states) {
+std::vector<uint8_t> EncodeInferenceEnvelope(Epoch arrive,
+                                             const MigrationBatch& items,
+                                             const MigrationBatch& cases) {
   // Two length-prefixed level batches (item→case, then case→pallet) share
   // one deflate stream: the levels' states reference overlapping tags, so
   // compressing them together is strictly cheaper than two streams.
   BufferWriter inner;
-  for (const auto* batch : {&states, &case_states}) {
-    std::vector<uint8_t> encoded = EncodeMigrationStates(*batch);
+  for (const MigrationBatch* batch : {&items, &cases}) {
+    std::vector<uint8_t> encoded = EncodeMigrationBatch(*batch);
     inner.PutVarint(encoded.size());
     inner.PutBytes(encoded.data(), encoded.size());
   }
@@ -645,15 +638,18 @@ Result<PendingArrival> DecodeInferenceEnvelope(
   PendingArrival arrival;
   arrival.arrive = static_cast<Epoch>(arrive);
   BufferReader inner(raw);
-  for (auto* batch : {&arrival.states, &arrival.case_states}) {
+  for (MigrationBatch* batch : {&arrival.items, &arrival.cases}) {
     uint64_t len = 0;
     RFID_RETURN_NOT_OK(inner.GetVarint(&len));
     if (len > inner.remaining()) {
-      return Status::Corruption("truncated migration-state batch");
+      return Status::Corruption("truncated migration batch");
     }
     const uint8_t* slice = raw.data() + inner.position();
     RFID_RETURN_NOT_OK(inner.Skip(len));
-    RFID_ASSIGN_OR_RETURN(*batch, DecodeMigrationStates(slice, len));
+    RFID_ASSIGN_OR_RETURN(*batch, DecodeMigrationBatch(slice, len));
+  }
+  if (!inner.exhausted()) {
+    return Status::Corruption("trailing bytes after migration batches");
   }
   return arrival;
 }

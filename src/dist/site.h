@@ -9,10 +9,12 @@
 //   kCollapsed    -- ship one number per (container, object) pair (the
 //                    collapsed co-location weights), plus the critical
 //                    region, change barrier, and current belief;
-//   kFullReadings -- additionally ship the raw readings of the object and
-//                    its candidate containers inside the critical region
-//                    and recent history ("simply shipping the inference
-//                    state").
+//   kFullReadings -- additionally ship the raw readings of the objects and
+//                    their candidate containers inside the critical
+//                    regions and recent history ("simply shipping the
+//                    inference state"), once per transfer and level: the
+//                    objects of one transfer share candidates, so each
+//                    distinct reading travels once.
 // Inference payloads travel as delta-varint batches (common/serde,
 // inference/state) deflated with common/compress; query state migrates per
 // object, optionally compressed with the centroid-based sharing of
@@ -22,10 +24,10 @@
 // Appendix A.4 second containment level: a dedicated StreamingInference
 // whose universe is (pallet containers, case objects), fed the non-item
 // slice of the same stream. A departing transfer then ships case→pallet
-// state (collapsed weights, contexts, and -- under kFullReadings -- the
-// case/candidate-pallet readings) alongside the item→case states in the
-// same kInferenceState envelope, and containment answers resolve an item's
-// pallet transitively (DistributedSystem::BelievedPallet).
+// state (collapsed weights, contexts, and -- under kFullReadings -- one
+// list of the case/candidate-pallet readings) alongside the item→case
+// batch in the same kInferenceState envelope, and containment answers
+// resolve an item's pallet transitively (DistributedSystem::BelievedPallet).
 #ifndef RFID_DIST_SITE_H_
 #define RFID_DIST_SITE_H_
 
@@ -76,13 +78,13 @@ struct SiteOptions {
   int checkpoint_every = 1;
 };
 
-/// A decoded kInferenceState envelope (DecodeInferenceEnvelope). `states`
-/// carries the item→case level; `case_states` the case→pallet level (empty
+/// A decoded kInferenceState envelope (DecodeInferenceEnvelope). `items`
+/// carries the item→case level; `cases` the case→pallet level (empty
 /// unless the sender ran hierarchical inference).
 struct PendingArrival {
   Epoch arrive = 0;
-  std::vector<ObjectMigrationState> states;
-  std::vector<ObjectMigrationState> case_states;
+  MigrationBatch items;
+  MigrationBatch cases;
 };
 
 /// A decoded kQueryState envelope (DecodeQueryEnvelope): each query's
@@ -96,11 +98,12 @@ struct PendingQueryState {
 /// One site's processor. Owned and driven by DistributedSystem in epoch
 /// order. The site itself is unsynchronized: under the bulk-synchronous
 /// executor, ObserveBatch/AdvanceTo/DeliverArrivals run inside
-/// parallel windows (one call per site at a time; an inference run inside
-/// it may fan its loops out on the pool, see set_pool), while every
-/// method that crosses sites -- ExportTransfer, Retire, and HandleMessage
-/// (invoked by Network::DeliverDue when a queued frame's arrival epoch
-/// passes) -- only runs from the serial phases between windows.
+/// parallel windows, and EncodeCheckpoint in the checkpoint cut's
+/// fan-out (one call per site at a time; an inference run inside it may
+/// fan its loops out on the pool, see set_pool), while every method that
+/// crosses sites -- ExportTransfer, Retire, and HandleMessage (invoked by
+/// Network::DeliverDue when a queued frame's arrival epoch passes) --
+/// only runs from the serial phases between windows.
 class Site {
  public:
   /// `model`, `schedule`, and `network` must outlive the site. The model
@@ -151,8 +154,10 @@ class Site {
   void SetTelemetry(obs::Telemetry* telemetry) { telemetry_ = telemetry; }
 
   /// Serializes and transmits the state of a departing transfer group to
-  /// `tr.to` (inference state per the migration mode; query state when
-  /// queries are attached). No-op for inference when mode is kNone.
+  /// `tr.to` (inference state per the migration mode -- per level, the
+  /// objects' states and under kFullReadings one list of their readings,
+  /// see StreamingInference::ExportReadings; query state when queries are
+  /// attached). No-op for inference when mode is kNone.
   void ExportTransfer(const ObjectTransfer& tr);
 
   /// Drops the local query state of a transfer's items: objects leaving
@@ -257,12 +262,13 @@ class Site {
 // ---- Wire codecs shared by sites and the centralized driver ----
 
 /// Inference-state envelope: varint arrival epoch, then one deflated block
-/// of two length-prefixed EncodeMigrationStates batches -- the item→case
-/// states and the case→pallet states (the latter empty unless the sender
-/// runs hierarchical inference).
-std::vector<uint8_t> EncodeInferenceEnvelope(
-    Epoch arrive, const std::vector<ObjectMigrationState>& states,
-    const std::vector<ObjectMigrationState>& case_states);
+/// of two length-prefixed EncodeMigrationBatch batches -- the item→case
+/// level and the case→pallet level (the latter empty unless the sender
+/// runs hierarchical inference). Each batch carries its states, then its
+/// level's one reading list.
+std::vector<uint8_t> EncodeInferenceEnvelope(Epoch arrive,
+                                             const MigrationBatch& items,
+                                             const MigrationBatch& cases);
 Result<PendingArrival> DecodeInferenceEnvelope(
     const std::vector<uint8_t>& payload);
 

@@ -1,20 +1,23 @@
 #include "inference/state.h"
 
+#include <cmath>
+
 #include "common/serde.h"
 #include "trace/trace_io.h"
 
 namespace rfid {
 
 namespace {
-constexpr uint32_t kStateMagic = 0x52464d53;  // "RFMS"
+/// "RFMB". Version 1 ("RFMS", 0x52464d53) gave every state its own reading
+/// list; a batch with that magic is Corruption.
+constexpr uint32_t kBatchMagic = 0x52464d42;
 }  // namespace
 
-std::vector<uint8_t> EncodeMigrationStates(
-    const std::vector<ObjectMigrationState>& states) {
+std::vector<uint8_t> EncodeMigrationBatch(const MigrationBatch& batch) {
   BufferWriter w;
-  w.PutU32(kStateMagic);
-  w.PutVarint(states.size());
-  for (const ObjectMigrationState& s : states) {
+  w.PutU32(kBatchMagic);
+  w.PutVarint(batch.states.size());
+  for (const ObjectMigrationState& s : batch.states) {
     w.PutCompactTag(s.object);
     w.PutCompactTag(s.container);
     w.PutSignedVarint(s.barrier);
@@ -31,33 +34,28 @@ std::vector<uint8_t> EncodeMigrationStates(
       w.PutCompactTag(tag);
       w.PutFloat(static_cast<float>(weight));
     }
-    w.PutVarint(s.readings.size());
-    Epoch prev_time = 0;
-    uint64_t prev_tag = 0;
-    for (const RawReading& r : s.readings) {
-      PutDeltaReading(w, r, prev_time, prev_tag);
-    }
+  }
+  w.PutVarint(batch.readings.size());
+  Epoch prev_time = 0;
+  uint64_t prev_tag = 0;
+  for (const RawReading& r : batch.readings) {
+    PutDeltaReading(w, r, prev_time, prev_tag);
   }
   return w.Release();
 }
 
-Result<std::vector<ObjectMigrationState>> DecodeMigrationStates(
-    const std::vector<uint8_t>& bytes) {
-  return DecodeMigrationStates(bytes.data(), bytes.size());
-}
-
-Result<std::vector<ObjectMigrationState>> DecodeMigrationStates(
-    const uint8_t* data, size_t size) {
+Result<MigrationBatch> DecodeMigrationBatch(const uint8_t* data,
+                                            size_t size) {
   BufferReader reader(data, size);
   uint32_t magic;
   RFID_RETURN_NOT_OK(reader.GetU32(&magic));
-  if (magic != kStateMagic) {
-    return Status::Corruption("bad migration-state magic");
+  if (magic != kBatchMagic) {
+    return Status::Corruption("bad migration-batch magic");
   }
   uint64_t count;
   RFID_RETURN_NOT_OK(reader.GetVarint(&count));
-  std::vector<ObjectMigrationState> states;
-  // `count` is untrusted wire data: a corrupt payload must surface as a
+  MigrationBatch batch;
+  // Counts are untrusted wire data: a corrupt payload must surface as a
   // Status below, not as a length_error/bad_alloc from reserve.
   for (uint64_t i = 0; i < count; ++i) {
     ObjectMigrationState s;
@@ -66,6 +64,7 @@ Result<std::vector<ObjectMigrationState>> DecodeMigrationStates(
     RFID_RETURN_NOT_OK(reader.GetSignedVarint(&s.barrier));
     uint8_t has_cr = 0;
     RFID_RETURN_NOT_OK(reader.GetU8(&has_cr));
+    if (has_cr > 1) return Status::Corruption("bad critical-region flag");
     if (has_cr != 0) {
       EpochInterval cr;
       RFID_RETURN_NOT_OK(reader.GetSignedVarint(&cr.begin));
@@ -79,20 +78,29 @@ Result<std::vector<ObjectMigrationState>> DecodeMigrationStates(
       float weight = 0;
       RFID_RETURN_NOT_OK(reader.GetCompactTag(&tag));
       RFID_RETURN_NOT_OK(reader.GetFloat(&weight));
+      if (std::isnan(weight)) return Status::Corruption("NaN weight");
       s.weights.emplace_back(tag, static_cast<double>(weight));
     }
-    uint64_t n_readings;
-    RFID_RETURN_NOT_OK(reader.GetVarint(&n_readings));
-    Epoch prev_time = 0;
-    uint64_t prev_tag = 0;
-    for (uint64_t k = 0; k < n_readings; ++k) {
-      RawReading r;
-      RFID_RETURN_NOT_OK(GetDeltaReading(reader, &r, prev_time, prev_tag));
-      s.readings.push_back(r);
-    }
-    states.push_back(std::move(s));
+    batch.states.push_back(std::move(s));
   }
-  return states;
+  uint64_t n_readings;
+  RFID_RETURN_NOT_OK(reader.GetVarint(&n_readings));
+  Epoch prev_time = 0;
+  uint64_t prev_tag = 0;
+  const RawReadingOrder less;
+  for (uint64_t k = 0; k < n_readings; ++k) {
+    RawReading r;
+    RFID_RETURN_NOT_OK(GetDeltaReading(reader, &r, prev_time, prev_tag));
+    if (r.time < 0 ||
+        (!batch.readings.empty() && !less(batch.readings.back(), r))) {
+      return Status::Corruption("migration readings out of order");
+    }
+    batch.readings.push_back(r);
+  }
+  if (!reader.exhausted()) {
+    return Status::Corruption("trailing bytes after migration batch");
+  }
+  return batch;
 }
 
 }  // namespace rfid

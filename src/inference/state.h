@@ -9,6 +9,12 @@
 //                inference state to a single number for each
 //                container-object pair").
 //
+// A transfer ships one MigrationBatch per containment level: every
+// departing object's collapsed state, then one reading list for the whole
+// level. Objects that leave together share their candidate containers, so
+// the list carries each distinct reading once, not once per object that
+// names its tag.
+//
 // The distributed experiments charge exactly these encoded bytes to the
 // network, so the encoding is the compact varint wire format of serde.h.
 #ifndef RFID_INFERENCE_STATE_H_
@@ -24,13 +30,11 @@
 
 namespace rfid {
 
-/// Migration payload for one object.
+/// Migration payload for one object: its collapsed weights and context.
 struct ObjectMigrationState {
   TagId object;
   /// Collapsed weights (always present; tiny).
   std::vector<std::pair<TagId, double>> weights;
-  /// Optional full readings (object + candidate containers, CR + recent).
-  std::vector<RawReading> readings;
   /// Critical region and change barrier carried to the next site.
   std::optional<EpochInterval> critical_region;
   Epoch barrier = -1;
@@ -38,14 +42,23 @@ struct ObjectMigrationState {
   TagId container;
 };
 
-/// Encodes/decodes a batch of object states (one transfer's worth).
-std::vector<uint8_t> EncodeMigrationStates(
-    const std::vector<ObjectMigrationState>& states);
-Result<std::vector<ObjectMigrationState>> DecodeMigrationStates(
-    const std::vector<uint8_t>& bytes);
-/// Span form: decodes in place from a slice of a larger envelope.
-Result<std::vector<ObjectMigrationState>> DecodeMigrationStates(
-    const uint8_t* data, size_t size);
+/// One containment level's share of a transfer: the departing objects'
+/// states, plus -- under full-readings migration -- the retained readings
+/// of those objects and their candidate containers
+/// (StreamingInference::ExportReadings), each distinct reading once, in
+/// RawReadingOrder. Empty under collapsed migration.
+struct MigrationBatch {
+  std::vector<ObjectMigrationState> states;
+  std::vector<RawReading> readings;
+};
+
+/// Encodes/decodes one level's batch. The decoder accepts exactly what the
+/// encoder writes: a malformed batch (wrong magic, truncation, trailing
+/// bytes, a NaN weight, readings out of RawReadingOrder or repeated, a
+/// negative epoch) is Status::Corruption, so any batch that decodes
+/// re-encodes to the same bytes.
+std::vector<uint8_t> EncodeMigrationBatch(const MigrationBatch& batch);
+Result<MigrationBatch> DecodeMigrationBatch(const uint8_t* data, size_t size);
 
 }  // namespace rfid
 

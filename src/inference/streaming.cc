@@ -1,6 +1,7 @@
 #include "inference/streaming.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/merge_runs.h"
 #include "common/stopwatch.h"
@@ -281,31 +282,67 @@ ObjectContext StreamingInference::ExportObjectContext(TagId object) const {
 }
 
 std::vector<RawReading> StreamingInference::ExportReadings(
-    const std::vector<TagId>& tags, TagId object) {
+    const std::vector<TagId>& objects) {
   if (!buffer_.sealed()) buffer_.Seal();
-  std::vector<EpochInterval> regions;
-  auto it = contexts_.find(object);
-  if (it != contexts_.end() && it->second.critical_region.has_value()) {
-    regions.push_back(*it->second.critical_region);
+  // Every (tag, region) a departing object asks for: the object and each
+  // of its candidate containers, over the object's critical region. An
+  // object without one asks only for the recent history.
+  std::vector<std::pair<TagId, EpochInterval>> wanted;
+  for (TagId object : objects) {
+    auto it = contexts_.find(object);
+    const EpochInterval region =
+        it != contexts_.end() && it->second.critical_region.has_value()
+            ? *it->second.critical_region
+            : EpochInterval{};
+    wanted.emplace_back(object, region);
+    for (TagId c : engine_->CandidatesOf(object)) {
+      wanted.emplace_back(c, region);
+    }
   }
-  if (last_run_at_ >= 0) {
-    regions.push_back(EpochInterval{
-        std::max<Epoch>(0, last_run_at_ - options_.recent_history + 1),
-        last_run_at_});
-  }
-  // Each tag's history is sorted by (time, reader), so the per-tag runs
-  // are merged into RawReadingOrder rather than sorted.
+  std::sort(wanted.begin(), wanted.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second.begin < b.second.begin;
+  });
+  const EpochInterval recent =
+      last_run_at_ >= 0
+          ? EpochInterval{std::max<Epoch>(0, last_run_at_ -
+                                                 options_.recent_history + 1),
+                          last_run_at_}
+          : EpochInterval{};
+  // Per distinct tag, the union of its regions as disjoint intervals in
+  // time order, each copied out of the tag's (time, reader)-sorted history
+  // as one slice. The per-tag runs are then merged into RawReadingOrder.
   std::vector<RawReading> out;
   std::vector<size_t> ends;
-  ends.reserve(tags.size());
-  for (TagId tag : tags) {
-    for (const TagRead& tr : buffer_.HistoryOf(tag)) {
-      for (const EpochInterval& iv : regions) {
-        if (iv.Contains(tr.time)) {
-          out.push_back(RawReading{tr.time, tag, tr.reader});
-          break;
-        }
+  std::vector<EpochInterval> regions;
+  for (size_t i = 0; i < wanted.size();) {
+    const TagId tag = wanted[i].first;
+    regions.clear();
+    for (; i < wanted.size() && wanted[i].first == tag; ++i) {
+      if (!wanted[i].second.empty()) regions.push_back(wanted[i].second);
+    }
+    if (!recent.empty()) {
+      regions.insert(std::lower_bound(regions.begin(), regions.end(), recent,
+                                      [](const EpochInterval& a,
+                                         const EpochInterval& b) {
+                                        return a.begin < b.begin;
+                                      }),
+                     recent);
+    }
+    const TagReadSpan history = buffer_.HistoryOf(tag);
+    const TagRead* from = history.begin();
+    Epoch covered = std::numeric_limits<Epoch>::min();
+    for (const EpochInterval& iv : regions) {
+      const Epoch begin = std::max(iv.begin, covered);
+      if (begin > iv.end) continue;
+      from = std::lower_bound(from, history.end(), begin,
+                              [](const TagRead& tr, Epoch t) {
+                                return tr.time < t;
+                              });
+      for (; from != history.end() && from->time <= iv.end; ++from) {
+        out.push_back(RawReading{from->time, tag, from->reader});
       }
+      covered = iv.end + 1;
     }
     ends.push_back(out.size());
   }

@@ -160,13 +160,16 @@ class StreamingInference {
   /// current collapsed weights.
   ObjectContext ExportObjectContext(TagId object) const;
 
-  /// Readings retained for `tags` within the union of the object's critical
-  /// region and the recent history, in RawReadingOrder -- the "full"
-  /// (non-collapsed) migration payload for one object. Export at
-  /// departure: once the site has forgotten the object, its critical
+  /// The "full" (non-collapsed) migration payload of `objects`, which
+  /// leave together: the retained readings of each object and of its
+  /// candidate containers that fall in the recent history or in the
+  /// critical region of a departing object naming the tag. Each distinct
+  /// tag's history is walked once, so a reading shared by several objects
+  /// appears once; the result is in RawReadingOrder, and it equals the
+  /// sorted, de-duplicated union of every object's own export. Export at
+  /// departure: once the site has forgotten an object, its critical
   /// region is gone with it.
-  std::vector<RawReading> ExportReadings(const std::vector<TagId>& tags,
-                                         TagId object);
+  std::vector<RawReading> ExportReadings(const std::vector<TagId>& objects);
 
   // ---- Durable checkpoints (dist/durability.h) ----
 

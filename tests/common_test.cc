@@ -298,6 +298,25 @@ TEST(SerdeTest, TruncatedVarintDetected) {
   EXPECT_TRUE(r.GetVarint(&v).IsCorruption());
 }
 
+// Only the writer's own encodings decode, so whatever decodes re-encodes
+// to the bytes it came from.
+TEST(SerdeTest, NonCanonicalEncodingsRejected) {
+  const std::vector<std::vector<uint8_t>> varints{
+      {0x81, 0x00},  // 1 with a redundant continuation byte
+      {0x80, 0x80, 0x00},
+      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}};  // > 64 bits
+  for (const std::vector<uint8_t>& bytes : varints) {
+    BufferReader r(bytes);
+    uint64_t v = 0;
+    EXPECT_TRUE(r.GetVarint(&v).IsCorruption()) << bytes.size() << " bytes";
+  }
+  // Low bits 3 mark the invalid tag, whose serial must be 0.
+  const std::vector<uint8_t> tag{0x07};
+  BufferReader r(tag);
+  TagId t;
+  EXPECT_TRUE(r.GetCompactTag(&t).IsCorruption());
+}
+
 TEST(CompressTest, RoundTrip) {
   std::vector<uint8_t> input;
   Rng rng(31);
@@ -451,10 +470,12 @@ TEST(MigrationPayloadTest, CollapsedStateCompressRoundTripIsBitExact) {
                                  -3.25f * static_cast<float>(k + 1))));
     }
   }
-  states[1].readings.push_back(RawReading{120, TagId::Item(101), 4});
-  states[1].readings.push_back(RawReading{121, TagId::Case(8), 4});
+  MigrationBatch batch;
+  batch.states = states;
+  batch.readings.push_back(RawReading{120, TagId::Item(101), 4});
+  batch.readings.push_back(RawReading{121, TagId::Case(8), 4});
 
-  const std::vector<uint8_t> encoded = EncodeMigrationStates(states);
+  const std::vector<uint8_t> encoded = EncodeMigrationBatch(batch);
   std::vector<uint8_t> deflated;
   ASSERT_TRUE(Compress(encoded, &deflated, /*level=*/6).ok());
   ASSERT_LT(deflated.size(), encoded.size() + 32);  // sane, not bloated
@@ -462,21 +483,21 @@ TEST(MigrationPayloadTest, CollapsedStateCompressRoundTripIsBitExact) {
   ASSERT_TRUE(Decompress(deflated, &inflated).ok());
   ASSERT_EQ(inflated, encoded);  // bit-exact through the compressor
 
-  auto decoded = DecodeMigrationStates(inflated);
+  auto decoded = DecodeMigrationBatch(inflated.data(), inflated.size());
   ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->size(), states.size());
+  ASSERT_EQ(decoded->states.size(), states.size());
   for (size_t i = 0; i < states.size(); ++i) {
     const ObjectMigrationState& in = states[i];
-    const ObjectMigrationState& out = (*decoded)[i];
+    const ObjectMigrationState& out = decoded->states[i];
     EXPECT_EQ(out.object, in.object);
     EXPECT_EQ(out.container, in.container);
     EXPECT_EQ(out.barrier, in.barrier);
     EXPECT_EQ(out.critical_region, in.critical_region);
     EXPECT_EQ(out.weights, in.weights);
-    EXPECT_EQ(out.readings, in.readings);
   }
-  // And re-encoding the decoded states reproduces the exact wire bytes.
-  EXPECT_EQ(EncodeMigrationStates(*decoded), encoded);
+  EXPECT_EQ(decoded->readings, batch.readings);
+  // And re-encoding the decoded batch reproduces the exact wire bytes.
+  EXPECT_EQ(EncodeMigrationBatch(*decoded), encoded);
 }
 
 TEST(MigrationPayloadTest, CompressRejectsBadLevelAndGarbage) {

@@ -353,17 +353,18 @@ std::unique_ptr<Site> SweepSite(const SweepFixture& f, Network* net) {
 /// at epoch 700.
 struct InboundPair {
   InboundPair(TagId item, TagId container) {
-    ObjectMigrationState s;
+    MigrationBatch batch;
+    ObjectMigrationState& s = batch.states.emplace_back();
     s.object = item;
     s.container = container;
     s.weights = {{container, 0.75}};
     s.critical_region = EpochInterval{500, 560};
     s.barrier = 420;
     for (Epoch t = 500; t < 560; t += 5) {
-      s.readings.push_back(RawReading{t, item, 3});
-      s.readings.push_back(RawReading{t, container, 3});
+      batch.readings.push_back(RawReading{t, item, 3});
+      batch.readings.push_back(RawReading{t, container, 3});
     }
-    inference = EncodeInferenceEnvelope(700, {s}, {});
+    inference = EncodeInferenceEnvelope(700, batch, {});
     PatternState p;
     p.phase = RunPhase::kAccumulating;
     p.first_time = 610;
@@ -498,6 +499,46 @@ void ExpectDurableBitIdentity(const DistributedSystem& reference,
   }
 }
 
+/// Crashes site 1 at every boundary in [300, 1200], at each CrashPhase,
+/// restarting it within the same epoch from its own disk (checkpoints
+/// every `cadence` boundaries, 0 = WAL only), with the replay on
+/// `threads` threads; each run must match `reference` bit for bit.
+void SweepCrashPoints(const SweepFixture& fx,
+                      const DistributedSystem& reference, int cadence,
+                      int threads) {
+  const struct {
+    CrashPhase phase;
+    const char* name;
+  } kPhases[] = {{CrashPhase::kMidWindow, "mid-window"},
+                 {CrashPhase::kPostDrain, "post-drain"},
+                 {CrashPhase::kMidFlush, "mid-flush"}};
+  for (Epoch at = 300; at <= 1200; at += 300) {
+    for (const auto& [phase, name] : kPhases) {
+      const std::string label = "cadence=" + std::to_string(cadence) +
+                                " threads=" + std::to_string(threads) +
+                                " at=" + std::to_string(at) + " " + name;
+      ScratchDir dir;
+      DistributedOptions opts = SweepOptions();
+      opts.durability = QuietDurability(dir.str());
+      opts.site.checkpoint_every = cadence;
+      opts.num_threads = threads;
+      // The sweep's sharpest cell: the process dies and restarts within
+      // the same epoch, entirely from its own disk.
+      opts.crashes.push_back(CrashEvent{1, at, at, phase});
+      DistributedSystem durable(&fx.sim, opts, &fx.catalog, &fx.sensors);
+      durable.Run();
+      ExpectDurableBitIdentity(reference, durable, fx.sim, label);
+      const DurabilityStats totals = durable.DurabilityTotals();
+      EXPECT_GT(totals.wal_appends, 0) << label;
+      if (cadence != 0) {
+        EXPECT_GT(totals.checkpoints, 0) << label;
+      } else {
+        EXPECT_EQ(totals.checkpoints, 0) << label;
+      }
+    }
+  }
+}
+
 TEST(DurableReplayTest, CrashPointSweepIsBitIdenticalWithZeroPeerTraffic) {
   SweepFixture fx;
   ASSERT_FALSE(fx.sim.transfers().empty());
@@ -506,38 +547,20 @@ TEST(DurableReplayTest, CrashPointSweepIsBitIdenticalWithZeroPeerTraffic) {
   DistributedSystem reference(&fx.sim, base, &fx.catalog, &fx.sensors);
   reference.Run();
   ASSERT_GT(reference.network().BytesOfKind(MessageKind::kInferenceState), 0);
-
-  const struct {
-    CrashPhase phase;
-    const char* name;
-  } kPhases[] = {{CrashPhase::kMidWindow, "mid-window"},
-                 {CrashPhase::kPostDrain, "post-drain"},
-                 {CrashPhase::kMidFlush, "mid-flush"}};
   for (const int cadence : {1, 5, 0}) {
-    for (Epoch at = 300; at <= 1200; at += 300) {
-      for (const auto& [phase, name] : kPhases) {
-        const std::string label = "cadence=" + std::to_string(cadence) +
-                                  " at=" + std::to_string(at) + " " + name;
-        ScratchDir dir;
-        DistributedOptions opts = SweepOptions();
-        opts.durability = QuietDurability(dir.str());
-        opts.site.checkpoint_every = cadence;
-        // The sweep's sharpest cell: the process dies and restarts within
-        // the same epoch, entirely from its own disk.
-        opts.crashes.push_back(CrashEvent{1, at, at, phase});
-        DistributedSystem durable(&fx.sim, opts, &fx.catalog, &fx.sensors);
-        durable.Run();
-        ExpectDurableBitIdentity(reference, durable, fx.sim, label);
-        const DurabilityStats totals = durable.DurabilityTotals();
-        EXPECT_GT(totals.wal_appends, 0) << label;
-        if (cadence != 0) {
-          EXPECT_GT(totals.checkpoints, 0) << label;
-        } else {
-          EXPECT_EQ(totals.checkpoints, 0) << label;
-        }
-      }
-    }
+    SweepCrashPoints(fx, reference, cadence, /*threads=*/0);
   }
+}
+
+// Checkpoints are encoded and written one site per pool item: the
+// cadence-1 cells, which checkpoint every site at every boundary, again
+// with the replay on four threads against the same serial reference.
+TEST(DurableReplayTest, CrashPointSweepOnFourThreadsIsBitIdentical) {
+  SweepFixture fx;
+  DistributedSystem reference(&fx.sim, SweepOptions(), &fx.catalog,
+                              &fx.sensors);
+  reference.Run();
+  SweepCrashPoints(fx, reference, /*cadence=*/1, /*threads=*/4);
 }
 
 TEST(DurableReplayTest, CrashScheduleWithoutDurabilityIsRejected) {

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -726,21 +727,23 @@ TEST(CalibrationTest, ThresholdIsPositiveAndSuppressesFalsePositives) {
 }
 
 TEST(MigrationStateTest, EncodeDecodeRoundTrip) {
-  std::vector<ObjectMigrationState> states(2);
+  MigrationBatch batch;
+  std::vector<ObjectMigrationState>& states = batch.states;
+  states.resize(2);
   states[0].object = TagId::Item(1);
   states[0].container = TagId::Case(1);
   states[0].barrier = 42;
   states[0].critical_region = EpochInterval{10, 40};
   states[0].weights = {{TagId::Case(1), -12.5}, {TagId::Case(2), -99.25}};
-  states[0].readings = {RawReading{5, TagId::Item(1), 3},
-                        RawReading{7, TagId::Case(1), 3}};
+  batch.readings = {RawReading{5, TagId::Item(1), 3},
+                    RawReading{7, TagId::Case(1), 3}};
   states[1].object = TagId::Item(2);
   states[1].container = kNoTag;
-  auto bytes = EncodeMigrationStates(states);
-  auto decoded = DecodeMigrationStates(bytes);
+  auto bytes = EncodeMigrationBatch(batch);
+  auto decoded = DecodeMigrationBatch(bytes.data(), bytes.size());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->size(), 2u);
-  const auto& s0 = (*decoded)[0];
+  ASSERT_EQ(decoded->states.size(), 2u);
+  const auto& s0 = decoded->states[0];
   EXPECT_EQ(s0.object, TagId::Item(1));
   EXPECT_EQ(s0.container, TagId::Case(1));
   EXPECT_EQ(s0.barrier, 42);
@@ -750,15 +753,29 @@ TEST(MigrationStateTest, EncodeDecodeRoundTrip) {
   ASSERT_EQ(s0.weights.size(), 2u);
   EXPECT_EQ(s0.weights[1].first, TagId::Case(2));
   EXPECT_DOUBLE_EQ(s0.weights[1].second, -99.25);
-  EXPECT_EQ(s0.readings.size(), 2u);
-  EXPECT_EQ(s0.readings[1].tag, TagId::Case(1));
-  EXPECT_FALSE((*decoded)[1].critical_region.has_value());
-  EXPECT_EQ((*decoded)[1].container, kNoTag);
+  EXPECT_EQ(decoded->readings, batch.readings);
+  EXPECT_FALSE(decoded->states[1].critical_region.has_value());
+  EXPECT_EQ(decoded->states[1].container, kNoTag);
 }
 
 TEST(MigrationStateTest, CorruptBytesRejected) {
   std::vector<uint8_t> garbage{9, 9, 9};
-  EXPECT_FALSE(DecodeMigrationStates(garbage).ok());
+  EXPECT_FALSE(DecodeMigrationBatch(garbage.data(), garbage.size()).ok());
+}
+
+// Batches of the first wire format ("RFMS": a reading list inside every
+// state) are refused, not misread as the per-level layout.
+TEST(MigrationStateTest, OldMagicIsCorruption) {
+  MigrationBatch batch;
+  batch.states.resize(1);
+  batch.states[0].object = TagId::Item(1);
+  std::vector<uint8_t> bytes = EncodeMigrationBatch(batch);
+  ASSERT_TRUE(DecodeMigrationBatch(bytes.data(), bytes.size()).ok());
+  const uint32_t old_magic = 0x52464d53;
+  std::memcpy(bytes.data(), &old_magic, sizeof(old_magic));
+  auto decoded = DecodeMigrationBatch(bytes.data(), bytes.size());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsCorruption());
 }
 
 TEST(EvaluateTest, ContainmentErrorAgainstTruth) {

@@ -176,19 +176,20 @@ TEST(IntegrationTest, MigrationRoundTripPreservesDecision) {
   sender.AdvanceTo(800);
 
   TagId item = sim.all_items().front();
-  ObjectMigrationState state;
+  MigrationBatch batch;
+  ObjectMigrationState& state = batch.states.emplace_back();
   state.object = item;
   state.container = sender.ContainerOf(item);
   ObjectContext ctx = sender.ExportObjectContext(item);
   state.weights = ctx.prior_weights;
   state.critical_region = ctx.critical_region;
   state.barrier = ctx.barrier;
-  auto bytes = EncodeMigrationStates({state});
+  auto bytes = EncodeMigrationBatch(batch);
 
-  auto decoded = DecodeMigrationStates(bytes);
+  auto decoded = DecodeMigrationBatch(bytes.data(), bytes.size());
   ASSERT_TRUE(decoded.ok());
   StreamingInference receiver(&sim.model(), &sim.schedule(), opts);
-  const ObjectMigrationState& s = (*decoded)[0];
+  const ObjectMigrationState& s = decoded->states[0];
   ObjectContext rctx;
   rctx.prior_weights = s.weights;
   rctx.critical_region = s.critical_region;

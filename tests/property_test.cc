@@ -273,25 +273,27 @@ TEST_P(SeededTest, InferenceInvariants) {
     EXPECT_GE(engine.ChangeStatistic(o), -1e-6);
   }
   // (5) Exported weights round-trip through the migration codec.
-  std::vector<ObjectMigrationState> states;
+  MigrationBatch batch;
   for (TagId o : objects) {
     ObjectMigrationState s;
     s.object = o;
     s.container = engine.ContainerOf(o);
     s.weights = engine.ExportWeights(o);
-    states.push_back(s);
+    batch.states.push_back(s);
   }
-  auto decoded = DecodeMigrationStates(EncodeMigrationStates(states));
+  const std::vector<uint8_t> bytes = EncodeMigrationBatch(batch);
+  auto decoded = DecodeMigrationBatch(bytes.data(), bytes.size());
   ASSERT_TRUE(decoded.ok());
+  const std::vector<ObjectMigrationState>& states = batch.states;
   for (size_t i = 0; i < states.size(); ++i) {
-    EXPECT_EQ((*decoded)[i].object, states[i].object);
-    EXPECT_EQ((*decoded)[i].container, states[i].container);
-    ASSERT_EQ((*decoded)[i].weights.size(), states[i].weights.size());
+    const ObjectMigrationState& out = decoded->states[i];
+    EXPECT_EQ(out.object, states[i].object);
+    EXPECT_EQ(out.container, states[i].container);
+    ASSERT_EQ(out.weights.size(), states[i].weights.size());
     for (size_t j = 0; j < states[i].weights.size(); ++j) {
-      EXPECT_EQ((*decoded)[i].weights[j].first, states[i].weights[j].first);
+      EXPECT_EQ(out.weights[j].first, states[i].weights[j].first);
       // float32 on the wire: relative error bounded.
-      EXPECT_NEAR((*decoded)[i].weights[j].second,
-                  states[i].weights[j].second,
+      EXPECT_NEAR(out.weights[j].second, states[i].weights[j].second,
                   std::abs(states[i].weights[j].second) * 1e-6 + 1e-3);
     }
   }

@@ -145,22 +145,28 @@ TEST(StreamingTest, ExportReadingsCoversCriticalRegionAndRecent) {
   // does at departure.
   si.AdvanceTo(600);
   TagId item = sim.all_items().front();
-  TagId case_tag = sim.truth().ContainerAt(item, 600);
-  auto readings = si.ExportReadings({item, case_tag}, item);
+  const std::vector<TagId> candidates = si.engine().CandidatesOf(item);
+  ASSERT_FALSE(candidates.empty());
+  auto readings = si.ExportReadings({item});
   EXPECT_FALSE(readings.empty());
   for (const RawReading& r : readings) {
-    EXPECT_TRUE(r.tag == item || r.tag == case_tag);
+    EXPECT_TRUE(r.tag == item || std::find(candidates.begin(),
+                                           candidates.end(),
+                                           r.tag) != candidates.end());
   }
   // The item was last read at epoch 528: by the run at 900 it has left,
-  // and the site no longer holds anything of it.
+  // and the site no longer holds any reading of it (cases it was last
+  // weighed against may still be on the shelves).
   si.AdvanceTo(900);
-  EXPECT_TRUE(si.ExportReadings({item, case_tag}, item).empty());
+  for (const RawReading& r : si.ExportReadings({item})) {
+    EXPECT_NE(r.tag, item);
+  }
 }
 
 // A full-readings export comes out in reading order, (time, reader, tag),
 // although the site gathers it tag by tag: here an item and its two
-// candidate cases are read by rotating readers at every epoch, so the
-// tags interleave within each epoch.
+// candidate cases are read by every reader at every epoch, so the tags
+// interleave within each epoch.
 TEST(StreamingTest, ExportReadingsInterleavesTagsAtEqualEpochs) {
   const ReadRateModel model = ReadRateModel::Uniform(4, 0.8);
   InterrogationSchedule schedule = InterrogationSchedule::AlwaysOn(4);
@@ -174,17 +180,22 @@ TEST(StreamingTest, ExportReadingsInterleavesTagsAtEqualEpochs) {
   std::vector<RawReading> fed;
   for (Epoch t = 0; t < 60; ++t) {
     for (LocationId r = 0; r < 4; ++r) {
-      fed.push_back(RawReading{t, tags[(t + r) % 3], r});
+      // Each reader returns the item with one of the cases, so both cases
+      // are co-located with it and become its candidates.
+      fed.push_back(RawReading{t, tags[0], r});
+      fed.push_back(RawReading{t, tags[1 + (t + r) % 2], r});
     }
   }
   si.ObserveBatch(fed.data(), fed.size());
   ASSERT_EQ(si.AdvanceTo(60), 1);
 
-  // The recent history of the run at 60 covers every epoch fed.
+  // Both cases are the item's candidates, and the recent history of the
+  // run at 60 covers every epoch fed.
+  const std::vector<TagId> candidates = si.engine().CandidatesOf(tags[0]);
+  ASSERT_EQ(candidates.size(), 2u);
   std::vector<RawReading> want = fed;
   std::sort(want.begin(), want.end(), RawReadingOrder{});
-  const std::vector<RawReading> got =
-      si.ExportReadings({tags[0], tags[1], tags[2]}, tags[0]);
+  const std::vector<RawReading> got = si.ExportReadings({tags[0]});
   EXPECT_EQ(got, want);
   size_t switches = 0;  // neighbours at one epoch with different tags
   for (size_t i = 1; i < got.size(); ++i) {
@@ -193,6 +204,65 @@ TEST(StreamingTest, ExportReadingsInterleavesTagsAtEqualEpochs) {
     }
   }
   EXPECT_GE(switches, 2 * 60u);
+}
+
+// Objects that leave together share candidate containers, so one export
+// for the whole departure walks each tag once and ships each reading once:
+// it must equal the sorted, de-duplicated union of every object's own
+// export. Checked at real departures of a 3-warehouse chain from the
+// source site, where the items share candidates and an item's critical
+// region reaches back before the recent history.
+TEST(StreamingTest, ExportReadingsOfADepartureIsTheUnionOfItsObjects) {
+  SupplyChainConfig cfg = SmallConfig(/*horizon=*/2400);
+  cfg.num_warehouses = 3;
+  cfg.shelf_stay = 800;  // longer than the recent history
+  cfg.transit_time = 30;
+  SupplyChainSim sim(cfg);
+  sim.Run();
+  const StreamingOptions opts = FastOptions(TruncationMethod::kCriticalRegion);
+  StreamingInference si(&sim.model(), &sim.schedule(), opts);
+  const std::vector<RawReading>& rs = sim.site_trace(0).readings();
+  size_t cursor = 0;
+  int checked = 0;
+  for (const ObjectTransfer& tr : sim.transfers()) {
+    if (tr.from != 0 || tr.items.size() < 2) continue;
+    while (cursor < rs.size() && rs[cursor].time <= tr.depart) {
+      si.Observe(rs[cursor++]);
+    }
+    si.AdvanceTo(tr.depart);
+    if (si.runs() == 0) continue;
+    const Epoch recent_begin =
+        si.next_run() - opts.inference_period - opts.recent_history + 1;
+    bool early_region = false;
+    std::vector<TagId> named;
+    for (TagId item : tr.items) {
+      const ObjectContext ctx = si.ExportObjectContext(item);
+      early_region = early_region || (ctx.critical_region.has_value() &&
+                                      ctx.critical_region->begin <
+                                          recent_begin);
+      for (TagId c : si.engine().CandidatesOf(item)) named.push_back(c);
+    }
+    std::sort(named.begin(), named.end());
+    const bool shared =
+        std::adjacent_find(named.begin(), named.end()) != named.end();
+    if (!early_region || !shared) continue;
+
+    std::vector<RawReading> want;
+    for (TagId item : tr.items) {
+      const std::vector<RawReading> own = si.ExportReadings({item});
+      want.insert(want.end(), own.begin(), own.end());
+    }
+    const size_t concatenated = want.size();
+    std::sort(want.begin(), want.end(), RawReadingOrder{});
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    EXPECT_LT(want.size(), concatenated);  // the items do share readings
+    ASSERT_FALSE(want.empty());
+    EXPECT_LT(want.front().time, recent_begin);  // a region's readings
+    EXPECT_EQ(si.ExportReadings(tr.items), want) << "departure at "
+                                                  << tr.depart;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
 }
 
 // A site forgets an object once its newest reading has fallen out of the
