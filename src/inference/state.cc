@@ -8,9 +8,7 @@
 namespace rfid {
 
 namespace {
-/// "RFMB". Version 1 ("RFMS", 0x52464d53) gave every state its own reading
-/// list; a batch with that magic is Corruption.
-constexpr uint32_t kBatchMagic = 0x52464d42;
+constexpr uint32_t kBatchMagic = 0x52464d42;  // "RFMB"
 }  // namespace
 
 std::vector<uint8_t> EncodeMigrationBatch(const MigrationBatch& batch) {
